@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"errors"
+	"slices"
 	"sort"
 
 	"repro/internal/distsup"
@@ -26,13 +28,8 @@ type Calibration struct {
 	TargetPrecision float64
 
 	// SizeOverride, when positive, replaces the statistics footprint
-	// reported by Bytes. Used by tests, what-if ablations, and batched
-	// training (where Stats is dropped between calibration and selection).
+	// reported by Bytes. Used by tests and what-if ablations.
 	SizeOverride int
-
-	// langID remembers the language when Stats has been dropped (batched
-	// training).
-	langID int
 
 	// scores are the training scores sorted ascending, with prefixNeg[i]
 	// counting incompatible examples among scores[0..i]. Together they form
@@ -101,7 +98,7 @@ func calibrateScores(scores []float64, negs []bool, targetPrecision float64) (*C
 	if negTotal == 0 {
 		return nil, errors.New("core: training data has no incompatible examples")
 	}
-	sort.SliceStable(rows, func(i, j int) bool { return rows[i].s < rows[j].s })
+	slices.SortStableFunc(rows, func(a, b scored) int { return cmp.Compare(a.s, b.s) })
 
 	c := &Calibration{
 		TargetPrecision: targetPrecision,

@@ -61,8 +61,8 @@ func SmallScale() Scale {
 // FullScale returns the configuration used to regenerate EXPERIMENTS.md:
 // a 10K-column training corpus (the largest for which all 144 candidate
 // statistics fit in memory simultaneously — parameter sweeps need them
-// live; see core.TrainBatched for bigger single-model training) and the
-// paper's k grid scaled to corpus sizes a single machine can hold.
+// live) and the paper's k grid scaled to corpus sizes a single machine can
+// hold.
 func FullScale() Scale {
 	return Scale{
 		Name:             "full",

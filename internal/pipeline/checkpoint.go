@@ -43,6 +43,9 @@ type checkpoint struct {
 	values      uint64
 	entries     []sampleEntry
 	stats       []*stats.LanguageStats
+	// workers is how many languages marshal serializes at once; it is
+	// not persisted.
+	workers int
 }
 
 // splitmix64 is the finalizer used for sample priorities and retry jitter.
@@ -93,14 +96,8 @@ func (c *checkpoint) marshal() ([]byte, error) {
 	wu64(c.columns)
 	wu64(c.values)
 	writeSampleEntries(&buf, c.entries)
-	wu64(uint64(len(c.stats)))
-	for _, ls := range c.stats {
-		blob, err := ls.MarshalBinary()
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: serializing shard statistics: %w", err)
-		}
-		wu64(uint64(len(blob)))
-		buf.Write(blob)
+	if err := writeLanguageStats(&buf, c.stats, c.workers); err != nil {
+		return nil, err
 	}
 	return buf.Bytes(), nil
 }
@@ -142,36 +139,86 @@ func unmarshalCheckpoint(data []byte) (*checkpoint, error) {
 	if c.entries, err = readSampleEntries(r, data); err != nil {
 		return nil, err
 	}
-	nstats, err := ru64()
-	if err != nil {
+	if c.stats, err = readLanguageStats(r, "checkpoint"); err != nil {
 		return nil, err
-	}
-	if nstats > 4096 {
-		return nil, errors.New("pipeline: implausible checkpoint language count")
-	}
-	c.stats = make([]*stats.LanguageStats, nstats)
-	for i := range c.stats {
-		bl, err := ru64()
-		if err != nil {
-			return nil, err
-		}
-		if bl > uint64(r.Len()) {
-			return nil, errors.New("pipeline: corrupt checkpoint statistics length")
-		}
-		blob := make([]byte, bl)
-		if _, err := io.ReadFull(r, blob); err != nil {
-			return nil, errors.New("pipeline: truncated checkpoint")
-		}
-		ls := &stats.LanguageStats{}
-		if err := ls.UnmarshalBinary(blob); err != nil {
-			return nil, fmt.Errorf("pipeline: checkpoint statistics %d: %w", i, err)
-		}
-		c.stats[i] = ls
 	}
 	if r.Len() != 0 {
 		return nil, errors.New("pipeline: trailing bytes in checkpoint")
 	}
 	return c, nil
+}
+
+// writeLanguageStats writes the statistics section shared by checkpoints
+// and shards: the language count, then each language's length-framed
+// MarshalBinary blob. The blobs are encoded on up to workers goroutines,
+// each into its own slot, and written in language order, so the bytes do
+// not depend on the worker count.
+func writeLanguageStats(buf *bytes.Buffer, all []*stats.LanguageStats, workers int) error {
+	blobs := make([][]byte, len(all))
+	if err := stats.ForEachLanguage(len(all), workers, func(i int) error {
+		blob, err := all[i].MarshalBinary()
+		if err != nil {
+			return fmt.Errorf("pipeline: serializing %v statistics: %w", all[i].Language(), err)
+		}
+		blobs[i] = blob
+		return nil
+	}); err != nil {
+		return err
+	}
+	size := 8
+	for _, blob := range blobs {
+		size += 8 + len(blob)
+	}
+	buf.Grow(size)
+	var tmp [8]byte
+	binary.LittleEndian.PutUint64(tmp[:], uint64(len(blobs)))
+	buf.Write(tmp[:])
+	for i, blob := range blobs {
+		binary.LittleEndian.PutUint64(tmp[:], uint64(len(blob)))
+		buf.Write(tmp[:])
+		buf.Write(blob)
+		blobs[i] = nil // copied into buf; a collection may now reclaim it
+	}
+	return nil
+}
+
+// readLanguageStats is the inverse of writeLanguageStats; what names the
+// container ("checkpoint" or "shard") in errors.
+func readLanguageStats(r *bytes.Reader, what string) ([]*stats.LanguageStats, error) {
+	var tmp [8]byte
+	ru64 := func() (uint64, error) {
+		if _, err := io.ReadFull(r, tmp[:]); err != nil {
+			return 0, fmt.Errorf("pipeline: truncated %s", what)
+		}
+		return binary.LittleEndian.Uint64(tmp[:]), nil
+	}
+	n, err := ru64()
+	if err != nil {
+		return nil, err
+	}
+	if n > 4096 {
+		return nil, fmt.Errorf("pipeline: implausible %s language count", what)
+	}
+	all := make([]*stats.LanguageStats, n)
+	for i := range all {
+		bl, err := ru64()
+		if err != nil {
+			return nil, err
+		}
+		if bl > uint64(r.Len()) {
+			return nil, fmt.Errorf("pipeline: corrupt %s statistics length", what)
+		}
+		blob := make([]byte, bl)
+		if _, err := io.ReadFull(r, blob); err != nil {
+			return nil, fmt.Errorf("pipeline: truncated %s", what)
+		}
+		ls := &stats.LanguageStats{}
+		if err := ls.UnmarshalBinary(blob); err != nil {
+			return nil, fmt.Errorf("pipeline: %s statistics %d: %w", what, i, err)
+		}
+		all[i] = ls
+	}
+	return all, nil
 }
 
 // writeSampleEntries serializes the distant-supervision sample: entry count,

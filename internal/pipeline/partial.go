@@ -9,8 +9,8 @@ import (
 	"io"
 	"sync"
 
-	"repro/internal/corpus"
 	"repro/internal/core"
+	"repro/internal/corpus"
 	"repro/internal/distsup"
 	"repro/internal/envelope"
 	"repro/internal/pattern"
@@ -38,6 +38,10 @@ type Partial struct {
 
 	stats []*stats.LanguageStats
 	smp   *sample
+	// workers is the per-language parallelism of Merge and EncodePartial:
+	// the counting build's Options.Workers, or one per CPU for a decoded
+	// shard.
+	workers int
 }
 
 // CountPartial streams src to exhaustion through the same lock-free
@@ -69,6 +73,7 @@ func CountPartial(ctx context.Context, src ColumnSource, opts Options) (*Partial
 	p := &Partial{
 		Fingerprint: buildFingerprint(src.Fingerprint(), langs, tc.Smoothing, opts.SampleColumns, ds.Seed),
 		smp:         newSample(opts.SampleColumns, uint64(ds.Seed)),
+		workers:     workers,
 	}
 	p.stats = make([]*stats.LanguageStats, len(langs))
 	for i, l := range langs {
@@ -127,12 +132,8 @@ func CountPartial(ctx context.Context, src ColumnSource, opts Options) (*Partial
 		return nil, fmt.Errorf("pipeline: reading source: %w", srcErr)
 	}
 
-	for _, pb := range partials {
-		for i, ls := range pb.Stats() {
-			if err := p.stats[i].Merge(ls); err != nil {
-				return nil, fmt.Errorf("pipeline: merging shard: %w", err)
-			}
-		}
+	if err := mergeBuilders(p.stats, partials, workers); err != nil {
+		return nil, err
 	}
 	return p, nil
 }
@@ -147,13 +148,8 @@ func (p *Partial) Merge(other *Partial) error {
 	if other == nil {
 		return errors.New("pipeline: cannot merge nil partial")
 	}
-	if len(p.stats) != len(other.stats) {
-		return errors.New("pipeline: partials cover different language sets")
-	}
-	for i, ls := range p.stats {
-		if err := ls.Merge(other.stats[i]); err != nil {
-			return fmt.Errorf("pipeline: merging partial: %w", err)
-		}
+	if err := stats.MergeAll(p.stats, p.workers, other.stats); err != nil {
+		return fmt.Errorf("pipeline: merging partial: %w", err)
 	}
 	p.smp.merge(other.smp)
 	p.Columns += other.Columns
@@ -196,14 +192,8 @@ func EncodePartial(w io.Writer, p *Partial) error {
 	wu64(uint64(int64(p.smp.cap)))
 	wu64(p.smp.seed)
 	writeSampleEntries(&buf, p.smp.entries())
-	wu64(uint64(len(p.stats)))
-	for _, ls := range p.stats {
-		blob, err := ls.MarshalBinary()
-		if err != nil {
-			return fmt.Errorf("pipeline: serializing shard statistics: %w", err)
-		}
-		wu64(uint64(len(blob)))
-		buf.Write(blob)
+	if err := writeLanguageStats(&buf, p.stats, p.workers); err != nil {
+		return err
 	}
 	return envelope.Write(w, shardMagic, buf.Bytes())
 }
@@ -256,31 +246,8 @@ func DecodePartial(rd io.Reader) (*Partial, error) {
 		return nil, err
 	}
 	p.smp.restore(entries)
-	nstats, err := ru64()
-	if err != nil {
+	if p.stats, err = readLanguageStats(r, "shard"); err != nil {
 		return nil, err
-	}
-	if nstats > 4096 {
-		return nil, errors.New("pipeline: implausible shard language count")
-	}
-	p.stats = make([]*stats.LanguageStats, nstats)
-	for i := range p.stats {
-		bl, err := ru64()
-		if err != nil {
-			return nil, err
-		}
-		if bl > uint64(r.Len()) {
-			return nil, errors.New("pipeline: corrupt shard statistics length")
-		}
-		blob := make([]byte, bl)
-		if _, err := io.ReadFull(r, blob); err != nil {
-			return nil, errors.New("pipeline: truncated shard")
-		}
-		ls := &stats.LanguageStats{}
-		if err := ls.UnmarshalBinary(blob); err != nil {
-			return nil, fmt.Errorf("pipeline: shard statistics %d: %w", i, err)
-		}
-		p.stats[i] = ls
 	}
 	if r.Len() != 0 {
 		return nil, errors.New("pipeline: trailing bytes in shard")

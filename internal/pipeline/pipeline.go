@@ -45,8 +45,13 @@ import (
 
 // Options parameterizes a pipeline build.
 type Options struct {
-	// Workers is the counting/calibration parallelism (default NumCPU).
-	// Workers=1 reproduces the legacy single-threaded Train exactly.
+	// Workers is the build's parallelism (default NumCPU): the counting
+	// fan-out, and the per-language fold of every barrier — merging the
+	// round's shards, canonicalizing, serializing checkpoints and shards,
+	// and calibrating. Each language is folded by one goroutine into its
+	// own slot, so the bytes of checkpoints, shards and models do not
+	// depend on it. Workers=1 reproduces the legacy single-threaded Train
+	// exactly.
 	Workers int
 	// Train carries the algorithm configuration; zero fields are defaulted
 	// exactly like core.Train.
@@ -468,12 +473,8 @@ func (b *build) count(ctx context.Context) error {
 
 		// Barrier: fold the round's private shards into the base.
 		mergeStart := time.Now()
-		for _, pb := range partials {
-			for i, ls := range pb.Stats() {
-				if err := b.base[i].Merge(ls); err != nil {
-					return fmt.Errorf("pipeline: merging shard: %w", err)
-				}
-			}
+		if err := mergeBuilders(b.base, partials, b.workers); err != nil {
+			return err
 		}
 		b.addStage(StageMerge, time.Since(mergeStart))
 		b.met.progress(b.columns.Load(), b.values.Load())
@@ -499,6 +500,7 @@ func (b *build) count(ctx context.Context) error {
 				values:      b.values.Load(),
 				entries:     b.smp.entries(),
 				stats:       b.base,
+				workers:     b.workers,
 			}, b.keepLast); err != nil {
 				return err
 			}
@@ -530,10 +532,8 @@ func finalizeStats(ctx context.Context, base []*stats.LanguageStats, sampleCols 
 	// Canonicalize the merged shard so downstream results do not depend on
 	// merge interleaving.
 	t0 := time.Now()
-	for _, ls := range base {
-		if err := ls.Canonicalize(); err != nil {
-			return nil, nil, err
-		}
+	if err := stats.CanonicalizeAll(base, workers); err != nil {
+		return nil, nil, fmt.Errorf("pipeline: canonicalizing: %w", err)
 	}
 	addStage(StageMerge, time.Since(t0))
 
@@ -567,53 +567,40 @@ func finalizeStats(ctx context.Context, base []*stats.LanguageStats, sampleCols 
 	return det, report, nil
 }
 
+// mergeBuilders is the merge barrier of a counting round: it folds every
+// worker's private shard into base, language by language on up to workers
+// goroutines, in worker order within each language.
+func mergeBuilders(base []*stats.LanguageStats, shards []*stats.Builder, workers int) error {
+	srcs := make([][]*stats.LanguageStats, len(shards))
+	for i, sh := range shards {
+		srcs[i] = sh.Stats()
+	}
+	if err := stats.MergeAll(base, workers, srcs...); err != nil {
+		return fmt.Errorf("pipeline: merging shard: %w", err)
+	}
+	return nil
+}
+
 // calibrateAll derives per-language thresholds in parallel; results land at
 // their language's index, so the outcome is order-deterministic.
 func calibrateAll(ctx context.Context, base []*stats.LanguageStats, data *distsup.Data, workers int, targetPrecision float64) ([]*core.Calibration, error) {
 	cands := make([]*core.Calibration, len(base))
-	idx := make(chan int)
-	errs := make(chan error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				cal, err := core.Calibrate(base[i], data, targetPrecision)
-				if err != nil {
-					errs <- fmt.Errorf("pipeline: calibrating %v: %w", base[i].Language(), err)
-					return
-				}
-				cands[i] = cal
-			}
-		}()
-	}
-feed:
-	for i := range base {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			break feed
-		case err := <-errs:
-			close(idx)
-			wg.Wait()
-			return nil, err
+	err := stats.ForEachLanguage(len(base), workers, func(i int) error {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
+		cal, err := core.Calibrate(base[i], data, targetPrecision)
+		if err != nil {
+			return fmt.Errorf("pipeline: calibrating %v: %w", base[i].Language(), err)
+		}
+		cands[i] = cal
+		return nil
+	})
+	if ctxErr := ctx.Err(); ctxErr != nil {
+		return nil, fmt.Errorf("pipeline: interrupted during calibration: %w", ctxErr)
 	}
-	close(idx)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("pipeline: interrupted during calibration: %w", err)
-	}
-	select {
-	case err := <-errs:
+	if err != nil {
 		return nil, err
-	default:
-	}
-	for _, c := range cands {
-		if c == nil {
-			return nil, errors.New("pipeline: calibration incomplete")
-		}
 	}
 	return cands, nil
 }

@@ -1,10 +1,6 @@
 package stats
 
-import (
-	"errors"
-
-	"repro/internal/pattern"
-)
+import "repro/internal/pattern"
 
 // Builder accumulates corpus statistics for many generalization languages
 // in a single pass over the columns, encoding each distinct value into
@@ -42,34 +38,3 @@ func (b *Builder) AddColumn(values []string) {
 // Stats returns the per-language statistics, in the order the languages
 // were given to NewBuilder.
 func (b *Builder) Stats() []*LanguageStats { return b.stats }
-
-// Merge folds another builder's partial statistics into the receiver,
-// language by language. Both builders must have been constructed over the
-// same language list. Used by the sharded corpus pipeline: each worker folds
-// its share of columns into a private builder, and the shards are merged
-// into the final statistics.
-func (b *Builder) Merge(other *Builder) error {
-	if other == nil {
-		return errors.New("stats: cannot merge nil builder")
-	}
-	if len(b.stats) != len(other.stats) {
-		return errors.New("stats: builders cover different language sets")
-	}
-	for i, ls := range b.stats {
-		if err := ls.Merge(other.stats[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Canonicalize renumbers every language's pattern IDs into lexicographic
-// order, making merged statistics deterministic regardless of sharding.
-func (b *Builder) Canonicalize() error {
-	for _, ls := range b.stats {
-		if err := ls.Canonicalize(); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -4,11 +4,35 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/pattern"
 )
+
+// hash64 renders the ids key of a pattern string. It must agree with
+// Language.HashRuns on the pattern's runs; tests replace it to plant
+// collisions.
+var hash64 = pattern.Hash64
+
+// HashCollisionError reports two distinct patterns of one language that
+// share a 64-bit pattern hash. The hash index (ids) cannot tell them apart,
+// so the statistics would silently add one pattern's counts to the other's;
+// merging, canonicalizing and loading refuse such statistics instead.
+type HashCollisionError struct {
+	Language pattern.Language
+	Hash     uint64
+	Patterns [2]string
+}
+
+func (e *HashCollisionError) Error() string {
+	return fmt.Sprintf("stats: language %v: patterns %q and %q share hash %#016x",
+		e.Language, e.Patterns[0], e.Patterns[1], e.Hash)
+}
 
 // LanguageStats holds the corpus statistics of one generalization language:
 // how many columns each pattern occurs in, and how many columns each pair
@@ -89,11 +113,32 @@ func (ls *LanguageStats) internPattern(p string) uint32 {
 		return id
 	}
 	id := uint32(len(ls.patterns))
-	ls.ids[pattern.Hash64(p)] = id
+	ls.ids[hash64(p)] = id
 	ls.byString[p] = id
 	ls.patterns = append(ls.patterns, p)
 	ls.occ = append(ls.occ, 0)
 	return id
+}
+
+// checkIDs verifies that the hash index holds exactly one entry per
+// pattern. It costs O(1) unless the check fails, when it finds the
+// offending pair for the error.
+func (ls *LanguageStats) checkIDs() error {
+	if len(ls.ids) == len(ls.patterns) {
+		return nil
+	}
+	seen := make(map[uint64]string, len(ls.patterns))
+	for _, p := range ls.patterns {
+		h := hash64(p)
+		if q, dup := seen[h]; dup {
+			if q == p {
+				return fmt.Errorf("stats: language %v: duplicate pattern %q", ls.lang, p)
+			}
+			return &HashCollisionError{Language: ls.lang, Hash: h, Patterns: [2]string{q, p}}
+		}
+		seen[h] = p
+	}
+	return fmt.Errorf("stats: language %v: hash index holds %d entries for %d patterns", ls.lang, len(ls.ids), len(ls.patterns))
 }
 
 // satAdd32 adds saturating at the uint32 cap, so merging many shards of a
@@ -119,7 +164,8 @@ func (ls *LanguageStats) Merge(other *LanguageStats) error {
 	if ls.lang.ID != other.lang.ID {
 		return errors.New("stats: cannot merge statistics of different languages")
 	}
-	if _, ok := ls.pairs.(*MapPairStore); !ok {
+	exact, ok := ls.pairs.(*MapPairStore)
+	if !ok {
 		return errors.New("stats: merge target pair store is not exact")
 	}
 	otherExact, ok := other.pairs.(*MapPairStore)
@@ -127,6 +173,16 @@ func (ls *LanguageStats) Merge(other *LanguageStats) error {
 		return errors.New("stats: merge source pair store is not exact")
 	}
 	ls.n += other.n
+	if len(ls.patterns) == 0 && len(exact.m) == 0 {
+		// Merging into an empty store keeps the source's IDs: copy its
+		// tables whole instead of re-interning entry by entry.
+		ls.ids = maps.Clone(other.ids)
+		ls.byString = maps.Clone(other.byString)
+		ls.patterns = slices.Clone(other.patterns)
+		ls.occ = slices.Clone(other.occ)
+		exact.m = maps.Clone(otherExact.m)
+		return ls.checkIDs()
+	}
 	idMap := make([]uint32, len(other.patterns))
 	for i, p := range other.patterns {
 		id := ls.internPattern(p)
@@ -136,9 +192,9 @@ func (ls *LanguageStats) Merge(other *LanguageStats) error {
 	for k, v := range otherExact.m {
 		a := idMap[uint32(k>>32)]
 		b := idMap[uint32(k&0xffffffff)]
-		ls.pairs.Add(a, b, v)
+		exact.Add(a, b, v)
 	}
-	return nil
+	return ls.checkIDs()
 }
 
 // Canonicalize renumbers pattern IDs into lexicographic pattern order and
@@ -157,7 +213,7 @@ func (ls *LanguageStats) Canonicalize() error {
 	for i := range order {
 		order[i] = uint32(i)
 	}
-	sort.Slice(order, func(i, j int) bool { return ls.patterns[order[i]] < ls.patterns[order[j]] })
+	slices.SortFunc(order, func(a, b uint32) int { return strings.Compare(ls.patterns[a], ls.patterns[b]) })
 	perm := make([]uint32, len(order)) // old ID → new ID
 	patterns := make([]string, len(order))
 	occ := make([]uint32, len(order))
@@ -170,15 +226,17 @@ func (ls *LanguageStats) Canonicalize() error {
 	ls.ids = make(map[uint64]uint32, len(patterns))
 	ls.byString = make(map[string]uint32, len(patterns))
 	for id, p := range patterns {
-		ls.ids[pattern.Hash64(p)] = uint32(id)
+		ls.ids[hash64(p)] = uint32(id)
 		ls.byString[p] = uint32(id)
 	}
-	remapped := NewMapPairStore()
+	// perm is a bijection, so remapped keys stay distinct: plain stores
+	// into a map presized to the entry count.
+	remapped := make(map[uint64]uint32, len(exact.m))
 	for k, v := range exact.m {
-		remapped.Add(perm[uint32(k>>32)], perm[uint32(k&0xffffffff)], v)
+		remapped[PairKey(perm[uint32(k>>32)], perm[uint32(k&0xffffffff)])] = v
 	}
-	ls.pairs = remapped
-	return nil
+	ls.pairs = &MapPairStore{m: remapped}
+	return ls.checkIDs()
 }
 
 // AddColumnRuns records one corpus column given the category-run encodings
@@ -471,30 +529,24 @@ func (ls *LanguageStats) MarshalBinary() ([]byte, error) {
 	if !ok {
 		return nil, errors.New("stats: only exact stores serialize; compress after loading")
 	}
-	var buf bytes.Buffer
-	var tmp [8]byte
-	wu64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(tmp[:], v)
-		buf.Write(tmp[:])
+	size := 6*8 + exact.binarySize()
+	for _, p := range ls.patterns {
+		size += 8 + len(p) + 4
 	}
-	wu64(uint64(ls.lang.ID))
-	wu64(ls.n)
-	wu64(math.Float64bits(ls.smoothing))
-	wu64(uint64(ls.maxPatternsPerColumn))
-	wu64(uint64(len(ls.patterns)))
+	le := binary.LittleEndian
+	buf := make([]byte, 0, size)
+	buf = le.AppendUint64(buf, uint64(ls.lang.ID))
+	buf = le.AppendUint64(buf, ls.n)
+	buf = le.AppendUint64(buf, math.Float64bits(ls.smoothing))
+	buf = le.AppendUint64(buf, uint64(ls.maxPatternsPerColumn))
+	buf = le.AppendUint64(buf, uint64(len(ls.patterns)))
 	for i, p := range ls.patterns {
-		wu64(uint64(len(p)))
-		buf.WriteString(p)
-		binary.LittleEndian.PutUint32(tmp[:4], ls.occ[i])
-		buf.Write(tmp[:4])
+		buf = le.AppendUint64(buf, uint64(len(p)))
+		buf = append(buf, p...)
+		buf = le.AppendUint32(buf, ls.occ[i])
 	}
-	pairData, err := exact.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	wu64(uint64(len(pairData)))
-	buf.Write(pairData)
-	return buf.Bytes(), nil
+	buf = le.AppendUint64(buf, uint64(exact.binarySize()))
+	return exact.appendBinary(buf), nil
 }
 
 // UnmarshalBinary deserializes statistics produced by MarshalBinary.
@@ -556,8 +608,11 @@ func (ls *LanguageStats) UnmarshalBinary(data []byte) error {
 		}
 		ls.patterns[i] = string(pb)
 		ls.occ[i] = binary.LittleEndian.Uint32(tmp[:4])
-		ls.ids[pattern.Hash64(ls.patterns[i])] = uint32(i)
+		ls.ids[hash64(ls.patterns[i])] = uint32(i)
 		ls.byString[ls.patterns[i]] = uint32(i)
+	}
+	if err := ls.checkIDs(); err != nil {
+		return err
 	}
 	pl, err := ru64()
 	if err != nil {

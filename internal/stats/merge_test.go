@@ -199,7 +199,7 @@ func TestBuilderMergeMatchesSequential(t *testing.T) {
 			w2.AddColumn(c)
 		}
 	}
-	if err := w1.Merge(w2); err != nil {
+	if err := MergeAll(w1.Stats(), 3, w2.Stats()); err != nil {
 		t.Fatal(err)
 	}
 	for i := range langs {
@@ -207,7 +207,7 @@ func TestBuilderMergeMatchesSequential(t *testing.T) {
 	}
 
 	short := NewBuilder(langs[:1], DefaultSmoothing)
-	if err := w1.Merge(short); err == nil {
+	if err := MergeAll(w1.Stats(), 3, short.Stats()); err == nil {
 		t.Fatal("expected language-set mismatch error")
 	}
 }

@@ -8,9 +8,10 @@
 package stats
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
-	"sort"
+	"slices"
 
 	"repro/internal/sketch"
 )
@@ -78,23 +79,36 @@ func (s *MapPairStore) Merge(other *MapPairStore) {
 	}
 }
 
+// binarySize is the length of the store's MarshalBinary encoding: an entry
+// count, then 12 bytes per entry.
+func (s *MapPairStore) binarySize() int { return 8 + 12*len(s.m) }
+
 // MarshalBinary serializes the store with keys in sorted order for
 // determinism.
 func (s *MapPairStore) MarshalBinary() ([]byte, error) {
-	keys := make([]uint64, 0, len(s.m))
-	for k := range s.m {
-		keys = append(keys, k)
+	return s.appendBinary(make([]byte, 0, s.binarySize())), nil
+}
+
+// appendBinary appends the MarshalBinary encoding to buf. Entries are
+// collected with their counts and sorted by key, so encoding needs no
+// second lookup per key.
+func (s *MapPairStore) appendBinary(buf []byte) []byte {
+	type entry struct {
+		key uint64
+		n   uint32
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	buf := make([]byte, 8, 8+len(keys)*12)
-	binary.LittleEndian.PutUint64(buf, uint64(len(keys)))
-	var tmp [12]byte
-	for _, k := range keys {
-		binary.LittleEndian.PutUint64(tmp[0:], k)
-		binary.LittleEndian.PutUint32(tmp[8:], s.m[k])
-		buf = append(buf, tmp[:]...)
+	entries := make([]entry, 0, len(s.m))
+	for k, v := range s.m {
+		entries = append(entries, entry{k, v})
 	}
-	return buf, nil
+	slices.SortFunc(entries, func(a, b entry) int { return cmp.Compare(a.key, b.key) })
+	le := binary.LittleEndian
+	buf = le.AppendUint64(buf, uint64(len(entries)))
+	for _, e := range entries {
+		buf = le.AppendUint64(buf, e.key)
+		buf = le.AppendUint32(buf, e.n)
+	}
+	return buf
 }
 
 // UnmarshalBinary deserializes a store produced by MarshalBinary.
