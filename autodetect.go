@@ -29,7 +29,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/corpus"
-	"repro/internal/distsup"
 	"repro/internal/pattern"
 	"repro/internal/pipeline"
 )
@@ -56,12 +55,13 @@ type Config struct {
 
 // DefaultConfig returns the paper's defaults.
 func DefaultConfig() Config {
+	tc := core.DefaultTrainConfig()
 	return Config{
-		TargetPrecision: 0.95,
-		MemoryBudget:    64 << 20,
-		Smoothing:       0.1,
-		TrainingPairs:   50000,
-		Seed:            1,
+		TargetPrecision: tc.TargetPrecision,
+		MemoryBudget:    tc.MemoryBudget,
+		Smoothing:       tc.Smoothing,
+		TrainingPairs:   tc.DistSup.PositivePairs,
+		Seed:            tc.DistSup.Seed,
 	}
 }
 
@@ -123,17 +123,15 @@ func trainOn(c *corpus.Corpus, cfg Config) (*Model, error) {
 		tc.Smoothing = cfg.Smoothing
 	}
 	tc.SketchRatio = cfg.SketchRatio
-	ds := distsup.DefaultConfig()
 	if cfg.TrainingPairs > 0 {
-		ds.PositivePairs = cfg.TrainingPairs
-		ds.NegativePairs = cfg.TrainingPairs
+		tc.DistSup.PositivePairs = cfg.TrainingPairs
+		tc.DistSup.NegativePairs = cfg.TrainingPairs
 	}
 	if cfg.Seed != 0 {
-		ds.Seed = cfg.Seed
+		tc.DistSup.Seed = cfg.Seed
 	}
-	tc.DistSup = ds
-	// All training flows through the streaming pipeline; one worker and an
-	// uncapped sample reproduce the legacy in-memory Train path exactly.
+	// One worker keeps a single copy of each language's statistics; the
+	// uncapped sample draws training pairs from every column.
 	res, err := pipeline.Run(context.Background(), pipeline.NewSliceSource(c.Columns), pipeline.Options{
 		Workers: 1,
 		Train:   tc,

@@ -5,11 +5,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/pipeline"
 	"repro/internal/semantic"
 )
 
@@ -17,10 +18,11 @@ func main() {
 	// One corpus feeds both detectors.
 	c := corpus.Generate(corpus.WebProfile(), 6000, 5)
 
-	patternModel, _, err := core.Train(c, core.DefaultTrainConfig())
+	res, err := pipeline.Run(context.Background(), pipeline.NewSliceSource(c.Columns), pipeline.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	patternModel := res.Detector
 	valueModel, err := semantic.Train(c, semantic.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)

@@ -28,6 +28,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/distsup"
 	"repro/internal/jobs"
+	"repro/internal/pipeline"
 	"repro/internal/service"
 )
 
@@ -39,11 +40,12 @@ func main() {
 	ds := distsup.DefaultConfig()
 	ds.PositivePairs, ds.NegativePairs = 10000, 10000
 	cfg.DistSup = ds
-	det, report, err := core.Train(train, cfg)
+	res, err := pipeline.Run(context.Background(), pipeline.NewSliceSource(train.Columns), pipeline.Options{Train: cfg})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("model: %d languages, %d bytes\n", len(report.Selected), det.Bytes())
+	det := res.Detector
+	fmt.Printf("model: %d languages, %d bytes\n", len(res.Report.Selected), det.Bytes())
 
 	// The audit target: 2000 enterprise-style columns with ~3% planted
 	// errors (mixed phone formats, unit mismatches, stray punctuation...).

@@ -11,6 +11,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/distsup"
 	"repro/internal/pattern"
+	"repro/internal/pipeline"
 	"repro/internal/semantic"
 )
 
@@ -32,7 +33,12 @@ func trainedModel(t *testing.T) (*core.Detector, *semantic.Model) {
 		ds := distsup.DefaultConfig()
 		ds.PositivePairs, ds.NegativePairs = 2000, 2000
 		cfg.DistSup = ds
-		mdlDet, _, mdlErr = core.Train(c, cfg)
+		var res *pipeline.Result
+		res, mdlErr = pipeline.Run(context.Background(), pipeline.NewSliceSource(c.Columns), pipeline.Options{Workers: 1, Train: cfg})
+		if mdlErr != nil {
+			return
+		}
+		mdlDet = res.Detector
 		if mdlErr != nil {
 			return
 		}

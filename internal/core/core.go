@@ -6,10 +6,9 @@
 package core
 
 import (
-	"errors"
+	"context"
 	"fmt"
 
-	"repro/internal/corpus"
 	"repro/internal/distsup"
 	"repro/internal/pattern"
 	"repro/internal/stats"
@@ -37,7 +36,9 @@ type TrainConfig struct {
 	Aggregation Aggregation
 }
 
-// DefaultTrainConfig returns the paper's defaults at laptop scale.
+// DefaultTrainConfig returns the paper's defaults at laptop scale. It is
+// the one place they are written down: internal/pipeline fills zero
+// fields of its Options.Train from it.
 func DefaultTrainConfig() TrainConfig {
 	return TrainConfig{
 		TargetPrecision: 0.95,
@@ -70,7 +71,7 @@ type TrainReport struct {
 // per-language corpus statistics and distant-supervision training data —
 // so parameter sweeps (memory budgets, smoothing factors, sketch ratios,
 // precision targets) can recalibrate and reselect without another corpus
-// pass.
+// pass. internal/pipeline counts a corpus into one (Partial.Prepare).
 type Pipeline struct {
 	// Languages are the candidate languages, parallel to Stats.
 	Languages []pattern.Language
@@ -80,45 +81,28 @@ type Pipeline struct {
 	Data *distsup.Data
 }
 
-// NewPipeline runs the corpus passes of training: statistics for every
-// candidate language plus distant-supervision pair generation.
-func NewPipeline(c *corpus.Corpus, cfg TrainConfig) (*Pipeline, error) {
-	if c == nil || len(c.Columns) == 0 {
-		return nil, errors.New("core: empty training corpus")
-	}
-	if cfg.Smoothing == 0 {
-		cfg.Smoothing = stats.DefaultSmoothing
-	}
-	langs := cfg.Languages
-	if langs == nil {
-		langs = pattern.All()
-	}
-	ds := cfg.DistSup
-	if ds.PositivePairs == 0 && ds.NegativePairs == 0 {
-		ds = distsup.DefaultConfig()
-	}
-
-	builder := stats.NewBuilder(langs, cfg.Smoothing)
-	for _, col := range c.Columns {
-		builder.AddColumn(col.Values)
-	}
-	data, err := distsup.Generate(c, ds)
-	if err != nil {
-		return nil, fmt.Errorf("core: generating training data: %w", err)
-	}
-	return &Pipeline{Languages: langs, Stats: builder.Stats(), Data: data}, nil
-}
-
 // Calibrate derives thresholds, precision curves and coverage for every
-// candidate language at the given precision target.
-func (p *Pipeline) Calibrate(targetPrecision float64) ([]*Calibration, error) {
-	cands := make([]*Calibration, 0, len(p.Stats))
-	for _, ls := range p.Stats {
-		cal, err := Calibrate(ls, p.Data, targetPrecision)
-		if err != nil {
-			return nil, fmt.Errorf("core: calibrating %v: %w", ls.Language(), err)
+// candidate language at the given precision target, on up to workers
+// goroutines (workers ≤ 0 means one per CPU). Each candidate lands at its
+// language's index, so the result does not depend on workers.
+func (p *Pipeline) Calibrate(ctx context.Context, targetPrecision float64, workers int) ([]*Calibration, error) {
+	cands := make([]*Calibration, len(p.Stats))
+	err := stats.ForEachLanguage(len(p.Stats), workers, func(i int) error {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		cands = append(cands, cal)
+		cal, err := Calibrate(p.Stats[i], p.Data, targetPrecision)
+		if err != nil {
+			return fmt.Errorf("core: calibrating %v: %w", p.Stats[i].Language(), err)
+		}
+		cands[i] = cal
+		return nil
+	})
+	if ctxErr := ctx.Err(); ctxErr != nil {
+		return nil, fmt.Errorf("core: interrupted during calibration: %w", ctxErr)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return cands, nil
 }
@@ -169,34 +153,5 @@ func BuildDetector(cands []*Calibration, memoryBudget int, agg Aggregation, sket
 	if sketchRatio > 0 && sketchRatio < 1 {
 		report.SelectedBytes = det.Bytes()
 	}
-	return det, report, nil
-}
-
-// Train builds corpus statistics for every candidate language, generates
-// distant-supervision training data from the same corpus, calibrates each
-// language to the target precision, selects an ensemble under the memory
-// budget, and returns the ready-to-use detector.
-func Train(c *corpus.Corpus, cfg TrainConfig) (*Detector, *TrainReport, error) {
-	if cfg.TargetPrecision == 0 {
-		cfg.TargetPrecision = 0.95
-	}
-	if cfg.MemoryBudget == 0 {
-		cfg.MemoryBudget = 64 << 20
-	}
-	p, err := NewPipeline(c, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	cands, err := p.Calibrate(cfg.TargetPrecision)
-	if err != nil {
-		return nil, nil, err
-	}
-	det, report, err := BuildDetector(cands, cfg.MemoryBudget, cfg.Aggregation, cfg.SketchRatio)
-	if err != nil {
-		return nil, nil, err
-	}
-	report.CandidateLanguages = len(p.Languages)
-	report.TrainingExamples = len(p.Data.Examples)
-	report.CompatColumns = p.Data.CompatColumns
 	return det, report, nil
 }

@@ -2,14 +2,56 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/distsup"
 	"repro/internal/pattern"
+	"repro/internal/stats"
 )
+
+// refPipeline runs the corpus stages of training in memory: one
+// stats.Builder over every column, distant supervision over the whole
+// corpus. Production builds count through internal/pipeline, which this
+// package cannot import; cfg must carry every field (DefaultTrainConfig).
+func refPipeline(c *corpus.Corpus, cfg TrainConfig) (*Pipeline, error) {
+	langs := cfg.Languages
+	if langs == nil {
+		langs = pattern.All()
+	}
+	b := stats.NewBuilder(langs, cfg.Smoothing)
+	for _, col := range c.Columns {
+		b.AddColumn(col.Values)
+	}
+	data, err := distsup.Generate(c, cfg.DistSup)
+	if err != nil {
+		return nil, err
+	}
+	return &Pipeline{Languages: langs, Stats: b.Stats(), Data: data}, nil
+}
+
+// refTrain calibrates and selects over refPipeline's products.
+func refTrain(c *corpus.Corpus, cfg TrainConfig) (*Detector, *TrainReport, error) {
+	p, err := refPipeline(c, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	cands, err := p.Calibrate(context.Background(), cfg.TargetPrecision, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	det, rep, err := BuildDetector(cands, cfg.MemoryBudget, cfg.Aggregation, cfg.SketchRatio)
+	if err != nil {
+		return nil, nil, err
+	}
+	rep.CandidateLanguages = len(p.Languages)
+	rep.TrainingExamples = len(p.Data.Examples)
+	return det, rep, nil
+}
 
 // Heavy fixtures are trained once and shared: training with the full
 // 144-language candidate space is the expensive step.
@@ -33,7 +75,7 @@ func fullDetector(t testing.TB) (*Detector, *TrainReport) {
 		cfg := DefaultTrainConfig()
 		cfg.DistSup.PositivePairs = 5000
 		cfg.DistSup.NegativePairs = 5000
-		fullDet, fullRep, fullErr = Train(c, cfg)
+		fullDet, fullRep, fullErr = refTrain(c, cfg)
 	})
 	if fullErr != nil {
 		t.Fatal(fullErr)
@@ -51,7 +93,7 @@ func tinyDetector(t testing.TB) *Detector {
 		cfg.Languages = []pattern.Language{pattern.Crude(), pattern.L1(), pattern.L2()}
 		cfg.DistSup.PositivePairs = 1500
 		cfg.DistSup.NegativePairs = 1500
-		tinyDet, _, tinyErr = Train(c, cfg)
+		tinyDet, _, tinyErr = refTrain(c, cfg)
 	})
 	if tinyErr != nil {
 		t.Fatal(tinyErr)
@@ -215,15 +257,6 @@ func TestAggregationStrategiesDiffer(t *testing.T) {
 	}
 }
 
-func TestTrainValidation(t *testing.T) {
-	if _, _, err := Train(nil, DefaultTrainConfig()); err == nil {
-		t.Error("nil corpus should error")
-	}
-	if _, _, err := Train(&corpus.Corpus{}, DefaultTrainConfig()); err == nil {
-		t.Error("empty corpus should error")
-	}
-}
-
 func TestModelSaveLoadRoundTrip(t *testing.T) {
 	det := tinyDetector(t)
 	var buf bytes.Buffer
@@ -271,7 +304,7 @@ func TestTrainWithSketchCompression(t *testing.T) {
 		cfg.Languages = append(cfg.Languages, all[i])
 	}
 	cfg.SketchRatio = 0.1
-	det, _, err := Train(c, cfg)
+	det, _, err := refTrain(c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

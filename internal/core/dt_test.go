@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -29,11 +30,11 @@ func dtFixture(t *testing.T) (*Pipeline, []*Calibration) {
 		ds := distsup.DefaultConfig()
 		ds.PositivePairs, ds.NegativePairs = 3000, 3000
 		cfg.DistSup = ds
-		dtPipe, dtErr = NewPipeline(c, cfg)
+		dtPipe, dtErr = refPipeline(c, cfg)
 		if dtErr != nil {
 			return
 		}
-		dtCands, dtErr = dtPipe.Calibrate(0.95)
+		dtCands, dtErr = dtPipe.Calibrate(context.Background(), cfg.TargetPrecision, 0)
 	})
 	if dtErr != nil {
 		t.Fatal(dtErr)

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/pattern"
+	"repro/internal/pipeline"
 	"repro/internal/stats"
 )
 
@@ -180,10 +182,23 @@ func (s *Suite) trainConfig() core.TrainConfig {
 	return cfg
 }
 
+// options configures the suite's pipeline builds on the given number of
+// workers (0 means one per CPU).
+func (s *Suite) options(workers int) pipeline.Options {
+	return pipeline.Options{Workers: workers, Train: s.trainConfig()}
+}
+
 // Pipeline lazily builds statistics and training pairs.
 func (s *Suite) Pipeline() (*core.Pipeline, error) {
 	if s.pipe == nil {
-		p, err := core.NewPipeline(s.TrainCorpus(), s.trainConfig())
+		// One counting worker holds each language's statistics once: the
+		// full candidate space over the training corpus is the suite's
+		// largest allocation. The per-language stages use every CPU.
+		part, err := pipeline.CountPartial(context.Background(), pipeline.NewSliceSource(s.TrainCorpus().Columns), s.options(1))
+		if err != nil {
+			return nil, err
+		}
+		p, err := part.Prepare(s.options(0))
 		if err != nil {
 			return nil, err
 		}
@@ -192,15 +207,15 @@ func (s *Suite) Pipeline() (*core.Pipeline, error) {
 	return s.pipe, nil
 }
 
-// Calibrations lazily calibrates every candidate at the default 0.95
-// precision target.
+// Calibrations lazily calibrates every candidate at the default precision
+// target.
 func (s *Suite) Calibrations() ([]*core.Calibration, error) {
 	if s.cands == nil {
 		p, err := s.Pipeline()
 		if err != nil {
 			return nil, err
 		}
-		cands, err := p.Calibrate(0.95)
+		cands, err := p.Calibrate(context.Background(), s.trainConfig().TargetPrecision, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -217,7 +232,7 @@ func (s *Suite) Detector() (*core.Detector, *core.TrainReport, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		det, rep, err := core.BuildDetector(cands, 64<<20, core.AggMaxConfidence, 0)
+		det, rep, err := core.BuildDetector(cands, s.trainConfig().MemoryBudget, core.AggMaxConfidence, 0)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -499,7 +514,7 @@ func (s *Suite) Figure8a() (*Table, error) {
 		if sk >= 1 {
 			sk = 0 // exact
 		}
-		det, _, err := core.BuildDetector(cands, 64<<20, core.AggMaxConfidence, sk)
+		det, _, err := core.BuildDetector(cands, s.trainConfig().MemoryBudget, core.AggMaxConfidence, sk)
 		if err != nil {
 			return nil, err
 		}
@@ -597,11 +612,11 @@ func (s *Suite) Figure8c() (*Table, error) {
 				return nil, err
 			}
 		} else {
-			var err2 error
-			det, _, err2 = core.Train(tc.c, s.trainConfig())
-			if err2 != nil {
-				return nil, err2
+			res, err := pipeline.Run(context.Background(), pipeline.NewSliceSource(tc.c.Columns), s.options(1))
+			if err != nil {
+				return nil, err
 			}
+			det = res.Detector
 		}
 		r := EvaluateCases(&baselines.AutoDetect{Det: det}, cases, ks)
 		row := []string{tc.name, fmt.Sprintf("%d", tc.c.NumColumns())}
@@ -662,18 +677,19 @@ func (s *Suite) Figure17a() (*Table, error) {
 		Title:  fmt.Sprintf("precision@%d vs smoothing factor f on Ent-XLS (1:10)", k),
 		Header: []string{"f", fmt.Sprintf("p@%d", k)},
 	}
+	cfg := s.trainConfig()
 	defer func() {
-		p.SetSmoothing(stats.DefaultSmoothing)
+		p.SetSmoothing(cfg.Smoothing)
 		s.cands = nil
 		s.det = nil
 	}()
 	for _, f := range s.Scale.SmoothingFactors {
 		p.SetSmoothing(f)
-		cands, err := p.Calibrate(0.95)
+		cands, err := p.Calibrate(context.Background(), cfg.TargetPrecision, 0)
 		if err != nil {
 			return nil, err
 		}
-		det, _, err := core.BuildDetector(cands, 64<<20, core.AggMaxConfidence, 0)
+		det, _, err := core.BuildDetector(cands, cfg.MemoryBudget, core.AggMaxConfidence, 0)
 		if err != nil {
 			// f = 1 collapses NPMI to 0 everywhere: no language can fire.
 			t.Rows = append(t.Rows, []string{fmt.Sprintf("%.2f", f), "0.000"})
@@ -759,8 +775,8 @@ func (s *Suite) AblationSelection() (*Table, error) {
 		return nil
 	}
 
-	budget := 64 << 20
-	st, err := core.SelectGreedy(cands, budget)
+	cfg := s.trainConfig()
+	st, err := core.SelectGreedy(cands, cfg.MemoryBudget)
 	if err != nil {
 		return nil, err
 	}
@@ -768,7 +784,7 @@ func (s *Suite) AblationSelection() (*Table, error) {
 		return nil, err
 	}
 
-	dt, err := core.SelectDT(cands, p.Data, budget, 0.95, 16)
+	dt, err := core.SelectDT(cands, p.Data, cfg.MemoryBudget, cfg.TargetPrecision, 16)
 	if err != nil {
 		return nil, err
 	}

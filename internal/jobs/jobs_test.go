@@ -15,6 +15,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/distsup"
 	"repro/internal/pattern"
+	"repro/internal/pipeline"
 	"repro/internal/semantic"
 )
 
@@ -35,7 +36,12 @@ func testDetector(t *testing.T) *core.Detector {
 		ds := distsup.DefaultConfig()
 		ds.PositivePairs, ds.NegativePairs = 1500, 1500
 		cfg.DistSup = ds
-		mdlDet, _, mdlErr = core.Train(c, cfg)
+		var res *pipeline.Result
+		res, mdlErr = pipeline.Run(context.Background(), pipeline.NewSliceSource(c.Columns), pipeline.Options{Workers: 1, Train: cfg})
+		if mdlErr != nil {
+			return
+		}
+		mdlDet = res.Detector
 		if mdlErr != nil {
 			return
 		}

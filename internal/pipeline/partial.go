@@ -7,7 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/corpus"
@@ -44,98 +44,27 @@ type Partial struct {
 	workers int
 }
 
-// CountPartial streams src to exhaustion through the same lock-free
-// counting fan-out as Run, but stops at the merge barrier: no
-// canonicalization, no distant supervision, no calibration. Options is
-// resolved exactly like Run's, so a worker counting partition i of a corpus
-// and a single-process build over the whole corpus agree on every
-// configuration default. Checkpoint options are ignored — a distributed
-// worker's unit of durability is the uploaded shard, and a lost worker's
-// partition is recounted from scratch under its new lease.
+// CountPartial streams src to exhaustion through Run's counting fan-out,
+// but stops at the merge barrier: no canonicalization, no distant
+// supervision, no calibration. Options is resolved exactly like Run's, so a
+// worker counting partition i of a corpus and a single-process build over
+// the whole corpus agree on every configuration default. Checkpoint
+// options are ignored — a distributed worker's unit of durability is the
+// uploaded shard, and a lost worker's partition is recounted from scratch
+// under its new lease. An empty source yields a valid zero-column partial.
 func CountPartial(ctx context.Context, src ColumnSource, opts Options) (*Partial, error) {
-	if src == nil {
-		return nil, errors.New("pipeline: nil column source")
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	tc, ds, langs, workers := resolveTrain(opts)
-	if bc, ok := src.(interface{ BindContext(context.Context) }); ok {
-		bc.BindContext(ctx)
-	}
-	if am, ok := src.(interface{ AttachMetrics(*sourceMetrics) }); ok {
-		am.AttachMetrics(newSourceMetrics(opts.Metrics))
-	}
-	if cl, ok := src.(io.Closer); ok {
-		defer cl.Close()
-	}
-
-	p := &Partial{
-		Fingerprint: buildFingerprint(src.Fingerprint(), langs, tc.Smoothing, opts.SampleColumns, ds.Seed),
-		smp:         newSample(opts.SampleColumns, uint64(ds.Seed)),
-		workers:     workers,
-	}
-	p.stats = make([]*stats.LanguageStats, len(langs))
-	for i, l := range langs {
-		p.stats[i] = stats.NewLanguageStats(l, tc.Smoothing)
-	}
-
-	batches := make(chan []*corpus.Column, workers*2)
-	partials := make([]*stats.Builder, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		partials[w] = stats.NewBuilder(langs, tc.Smoothing)
-		wg.Add(1)
-		go func(pb *stats.Builder) {
-			defer wg.Done()
-			for batch := range batches {
-				for _, col := range batch {
-					pb.AddColumn(col.Values)
-				}
-			}
-		}(partials[w])
-	}
-
-	var batch []*corpus.Column
-	var srcErr error
-	for {
-		if err := ctx.Err(); err != nil {
-			srcErr = err
-			break
-		}
-		col, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			srcErr = err
-			break
-		}
-		p.smp.add(col)
-		batch = append(batch, col)
-		if len(batch) == columnBatchSize {
-			batches <- batch
-			batch = nil
-		}
-		p.Columns++
-		p.Values += uint64(len(col.Values))
-	}
-	if len(batch) > 0 {
-		batches <- batch
-	}
-	close(batches)
-	wg.Wait()
-	if srcErr != nil {
-		if errors.Is(srcErr, ctx.Err()) && ctx.Err() != nil {
-			return nil, fmt.Errorf("pipeline: partition count interrupted after %d columns: %w", p.Columns, ctx.Err())
-		}
-		return nil, fmt.Errorf("pipeline: reading source: %w", srcErr)
-	}
-
-	if err := mergeBuilders(p.stats, partials, workers); err != nil {
+	b, err := startBuild(ctx, src, opts)
+	if err != nil {
 		return nil, err
 	}
-	return p, nil
+	defer b.close()
+	if err := b.count(ctx); err != nil {
+		return nil, err
+	}
+	return b.partial(), nil
 }
 
 // Merge folds another partition's partial into the receiver. Statistics and
@@ -157,18 +86,53 @@ func (p *Partial) Merge(other *Partial) error {
 	return nil
 }
 
-// Finalize runs the post-counting stages over the (fully merged) partial
-// and returns the trained detector: the distributed coordinator's last
-// step, identical to what Run does after its own counting stage.
+// Prepare runs the stages between counting and calibration over the
+// (fully merged) partial: it canonicalizes the statistics in place and
+// draws the distant-supervision training pairs. The returned pipeline
+// shares the partial's statistics, so parameter sweeps can recalibrate
+// and reselect from it without another corpus pass.
+func (p *Partial) Prepare(opts Options) (*core.Pipeline, error) {
+	return p.prepare(newBuild(opts))
+}
+
+// prepare is Prepare on b's stage clock.
+func (p *Partial) prepare(b *build) (*core.Pipeline, error) {
+	if p.Columns == 0 {
+		return nil, errors.New("pipeline: no columns counted")
+	}
+	t0 := time.Now()
+	if err := stats.CanonicalizeAll(p.stats, b.workers); err != nil {
+		return nil, fmt.Errorf("pipeline: canonicalizing: %w", err)
+	}
+	b.addStage(StageMerge, time.Since(t0))
+
+	b.setStage(StageDistsup)
+	t0 = time.Now()
+	data, err := distsup.Generate(&corpus.Corpus{Name: "pipeline-sample", Columns: p.smp.finalize()}, b.ds)
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: generating training data: %w", err)
+	}
+	b.addStage(StageDistsup, time.Since(t0))
+	langs := make([]pattern.Language, len(p.stats))
+	for i, ls := range p.stats {
+		langs[i] = ls.Language()
+	}
+	return &core.Pipeline{Languages: langs, Stats: p.stats, Data: data}, nil
+}
+
+// Finalize prepares the partial and trains the detector: the distributed
+// coordinator's last step, identical to what Run does after its own
+// counting stage.
 func (p *Partial) Finalize(ctx context.Context, opts Options) (*core.Detector, *core.TrainReport, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if p.Columns == 0 {
-		return nil, nil, errors.New("pipeline: no columns counted")
+	b := newBuild(opts)
+	pipe, err := p.prepare(b)
+	if err != nil {
+		return nil, nil, err
 	}
-	tc, ds, _, workers := resolveTrain(opts)
-	return finalizeStats(ctx, p.stats, p.smp.finalize(), tc, ds, workers, nil, nil)
+	return b.train(ctx, pipe)
 }
 
 // SampleSize reports how many distant-supervision columns the partial holds.

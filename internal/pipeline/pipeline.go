@@ -50,15 +50,16 @@ type Options struct {
 	// round's shards, canonicalizing, serializing checkpoints and shards,
 	// and calibrating. Each language is folded by one goroutine into its
 	// own slot, so the bytes of checkpoints, shards and models do not
-	// depend on it. Workers=1 reproduces the legacy single-threaded Train
-	// exactly.
+	// depend on it.
 	Workers int
-	// Train carries the algorithm configuration; zero fields are defaulted
-	// exactly like core.Train.
+	// Train carries the algorithm configuration. Zero fields take
+	// core.DefaultTrainConfig's values, nil Languages means all 144
+	// candidates, and a DistSup without pair counts means
+	// distsup.DefaultConfig.
 	Train core.TrainConfig
 	// SampleColumns caps the bottom-k sample of columns kept for distant
-	// supervision. 0 keeps every column (exact equivalence with the
-	// in-memory Train path, at the cost of holding the corpus's values);
+	// supervision. 0 keeps every column in stream order, so training pairs
+	// are drawn from the whole corpus, at the cost of holding its values;
 	// production builds over file-resident corpora should set a bound
 	// (200k columns is plenty for 50k training pairs).
 	SampleColumns int
@@ -94,7 +95,8 @@ type Options struct {
 type Result struct {
 	// Detector is the trained, ready-to-serve model.
 	Detector *core.Detector
-	// Report summarizes training like core.Train's report.
+	// Report summarizes the candidate space, the training set and the
+	// selected ensemble.
 	Report *core.TrainReport
 	// Columns and Values count the corpus cells folded into the model,
 	// including checkpoint-restored ones.
@@ -121,21 +123,21 @@ const (
 	columnBatchSize        = 32
 )
 
-// resolveTrain applies the defaults Run documents: core.Train's training
-// defaults, the full language space, distsup.DefaultConfig, and NumCPU
-// workers. CountPartial applies the identical resolution, so a distributed
-// worker and a single-process build starting from the same Options count
-// under the same effective configuration.
+// resolveTrain applies the defaults Options documents and NumCPU workers.
+// Every entry point resolves through it, so a distributed worker and a
+// single-process build starting from the same Options count under the same
+// effective configuration.
 func resolveTrain(opts Options) (tc core.TrainConfig, ds distsup.Config, langs []pattern.Language, workers int) {
 	tc = opts.Train
+	def := core.DefaultTrainConfig()
 	if tc.TargetPrecision == 0 {
-		tc.TargetPrecision = 0.95
+		tc.TargetPrecision = def.TargetPrecision
 	}
 	if tc.MemoryBudget == 0 {
-		tc.MemoryBudget = 64 << 20
+		tc.MemoryBudget = def.MemoryBudget
 	}
 	if tc.Smoothing == 0 {
-		tc.Smoothing = stats.DefaultSmoothing
+		tc.Smoothing = def.Smoothing
 	}
 	langs = tc.Languages
 	if langs == nil {
@@ -143,7 +145,7 @@ func resolveTrain(opts Options) (tc core.TrainConfig, ds distsup.Config, langs [
 	}
 	ds = tc.DistSup
 	if ds.PositivePairs == 0 && ds.NegativePairs == 0 {
-		ds = distsup.DefaultConfig()
+		ds = def.DistSup
 	}
 	workers = opts.Workers
 	if workers <= 0 {
@@ -160,61 +162,25 @@ func resolveTrain(opts Options) (tc core.TrainConfig, ds distsup.Config, langs [
 // context error: re-running with the same source and options resumes and
 // produces the byte-identical model of an uninterrupted build.
 func Run(ctx context.Context, src ColumnSource, opts Options) (*Result, error) {
-	startTime := time.Now()
-	if src == nil {
-		return nil, errors.New("pipeline: nil column source")
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	tc, ds, langs, workers := resolveTrain(opts)
-	ckptEvery := opts.CheckpointEvery
-	if ckptEvery <= 0 {
-		ckptEvery = defaultCheckpointEvery
+	b, err := startBuild(ctx, src, opts)
+	if err != nil {
+		return nil, err
 	}
-	progressEvery := opts.ProgressEvery
-	if progressEvery <= 0 {
-		progressEvery = 2 * time.Second
-	}
-
-	b := &build{
-		src:       src,
-		langs:     langs,
-		tc:        tc,
-		ds:        ds,
-		workers:   workers,
-		ckptDir:   opts.CheckpointDir,
-		ckptEvery: ckptEvery,
-		clock:     newStageClock(),
-		startTime: startTime,
-		progress:  opts.Progress,
+	defer b.close()
+	b.ckptDir = opts.CheckpointDir
+	b.ckptEvery = opts.CheckpointEvery
+	if b.ckptEvery <= 0 {
+		b.ckptEvery = defaultCheckpointEvery
 	}
 	b.keepLast = opts.KeepLastCheckpoints
-	b.met = newPipelineMetrics(opts.Metrics)
-	b.met.setWorkers(workers)
-	// Fault-tolerant sources get the build context (so retry backoffs abort
-	// on cancellation) and the metrics registry (so budget burn is visible
-	// on /metrics while the build runs).
-	if bc, ok := src.(interface{ BindContext(context.Context) }); ok {
-		bc.BindContext(ctx)
-	}
-	if am, ok := src.(interface{ AttachMetrics(*sourceMetrics) }); ok {
-		am.AttachMetrics(newSourceMetrics(opts.Metrics))
-	}
-	if cl, ok := src.(io.Closer); ok {
-		defer cl.Close()
-	}
-	b.fingerprint = buildFingerprint(src.Fingerprint(), langs, tc.Smoothing, opts.SampleColumns, ds.Seed)
-	b.base = make([]*stats.LanguageStats, len(langs))
-	for i, l := range langs {
-		b.base[i] = stats.NewLanguageStats(l, tc.Smoothing)
-	}
-	b.smp = newSample(opts.SampleColumns, uint64(ds.Seed))
 
 	// Resume from the newest valid shard, falling back past torn or
 	// corrupted ones.
 	if b.ckptDir != "" {
-		ck, corrupt, err := loadLatestCheckpoint(b.ckptDir, b.fingerprint, langs)
+		ck, corrupt, err := loadLatestCheckpoint(b.ckptDir, b.fingerprint, b.langs)
 		if err != nil {
 			return nil, err
 		}
@@ -228,23 +194,6 @@ func Run(ctx context.Context, src ColumnSource, opts Options) (*Result, error) {
 		}
 	}
 
-	// Throughput reporter, active for the lifetime of the build.
-	if b.progress != nil {
-		tick := time.NewTicker(progressEvery)
-		done := make(chan struct{})
-		defer func() { tick.Stop(); close(done) }()
-		go func() {
-			for {
-				select {
-				case <-done:
-					return
-				case <-tick.C:
-					b.report()
-				}
-			}
-		}()
-	}
-
 	// Publish restored totals before counting so a scrape during the
 	// checkpoint skip phase already shows the resumed position.
 	b.met.progress(b.columns.Load(), b.values.Load())
@@ -252,11 +201,15 @@ func Run(ctx context.Context, src ColumnSource, opts Options) (*Result, error) {
 	if err := b.count(ctx); err != nil {
 		return nil, err
 	}
-	if b.columns.Load() == 0 {
+	part := b.partial()
+	if part.Columns == 0 {
 		return nil, errors.New("pipeline: source yielded no columns")
 	}
-
-	det, report, err := finalizeStats(ctx, b.base, b.smp.finalize(), tc, ds, workers, b.setStage, b.addStage)
+	p, err := part.prepare(b)
+	if err != nil {
+		return nil, err
+	}
+	det, report, err := b.train(ctx, p)
 	if err != nil {
 		return nil, err
 	}
@@ -274,7 +227,7 @@ func Run(ctx context.Context, src ColumnSource, opts Options) (*Result, error) {
 		CheckpointsWritten:        b.checkpointsWritten(),
 		CorruptCheckpointsSkipped: b.corruptSkipped,
 		Stages:                    b.clock.timings(),
-		Elapsed:                   time.Since(startTime),
+		Elapsed:                   time.Since(b.startTime),
 	}
 	if q, ok := src.(interface{ Quarantined() (uint64, uint64) }); ok {
 		res.FilesSkipped, res.ColumnsQuarantined = q.Quarantined()
@@ -282,7 +235,7 @@ func Run(ctx context.Context, src ColumnSource, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// build carries the state of one Run.
+// build carries the state of one Run or CountPartial.
 type build struct {
 	src         ColumnSource
 	langs       []pattern.Language
@@ -293,6 +246,8 @@ type build struct {
 	ckptEvery   int
 	fingerprint string
 
+	// base holds the merged statistics; nil until a fresh build's first
+	// barrier.
 	base []*stats.LanguageStats
 	smp  *sample
 
@@ -312,6 +267,75 @@ type build struct {
 	// delivery, so Options.Progress never runs concurrently with itself.
 	progMu sync.Mutex
 	stage  Stage
+	// stopProgress ends the throughput reporter, if one runs.
+	stopProgress func()
+}
+
+// newBuild resolves opts into a build that has no source yet: enough to
+// run the post-counting stages over statistics counted elsewhere.
+func newBuild(opts Options) *build {
+	tc, ds, langs, workers := resolveTrain(opts)
+	return &build{
+		langs: langs, tc: tc, ds: ds, workers: workers,
+		clock: newStageClock(), startTime: time.Now(),
+	}
+}
+
+// startBuild is the prologue Run and CountPartial share: resolve opts,
+// bind src to the build's context and metrics, and start the throughput
+// reporter. Checkpointing stays off; Run turns it on. The caller must
+// close the build.
+func startBuild(ctx context.Context, src ColumnSource, opts Options) (*build, error) {
+	if src == nil {
+		return nil, errors.New("pipeline: nil column source")
+	}
+	b := newBuild(opts)
+	b.src = src
+	b.progress = opts.Progress
+	b.met = newPipelineMetrics(opts.Metrics)
+	b.met.setWorkers(b.workers)
+	// Fault-tolerant sources get the build context (so retry backoffs abort
+	// on cancellation) and the metrics registry (so budget burn is visible
+	// on /metrics while the build runs).
+	if bc, ok := src.(interface{ BindContext(context.Context) }); ok {
+		bc.BindContext(ctx)
+	}
+	if am, ok := src.(interface{ AttachMetrics(*sourceMetrics) }); ok {
+		am.AttachMetrics(newSourceMetrics(opts.Metrics))
+	}
+	b.fingerprint = buildFingerprint(src.Fingerprint(), b.langs, b.tc.Smoothing, opts.SampleColumns, b.ds.Seed)
+	b.smp = newSample(opts.SampleColumns, uint64(b.ds.Seed))
+
+	if b.progress != nil {
+		every := opts.ProgressEvery
+		if every <= 0 {
+			every = 2 * time.Second
+		}
+		tick := time.NewTicker(every)
+		done := make(chan struct{})
+		b.stopProgress = func() { tick.Stop(); close(done) }
+		go func() {
+			for {
+				select {
+				case <-done:
+					return
+				case <-tick.C:
+					b.report()
+				}
+			}
+		}()
+	}
+	return b, nil
+}
+
+// close stops the throughput reporter and closes the source.
+func (b *build) close() {
+	if b.stopProgress != nil {
+		b.stopProgress()
+	}
+	if cl, ok := b.src.(io.Closer); ok {
+		cl.Close()
+	}
 }
 
 // addStage accumulates a stage duration on the clock and, when a metrics
@@ -374,7 +398,8 @@ func avgOr(values, columns uint64) float64 {
 
 // count runs the streaming fold: skip checkpoint-covered columns, then
 // repeat rounds of (fan out to workers → barrier → merge → checkpoint)
-// until the source drains or the context is cancelled.
+// until the source drains or the context is cancelled. Without a
+// checkpoint directory the whole stream is one round.
 func (b *build) count(ctx context.Context) error {
 	b.setStage(StageCount)
 
@@ -471,9 +496,16 @@ func (b *build) count(ctx context.Context) error {
 		wg.Wait()
 		b.addStage(StageCount, time.Since(roundStart))
 
-		// Barrier: fold the round's private shards into the base.
+		// Barrier: fold the round's private shards into the base. A fresh
+		// build's first barrier adopts worker 0's shard as the base:
+		// merging it into empty statistics would copy it whole, IDs and
+		// all, and hold both copies until the round ends.
 		mergeStart := time.Now()
-		if err := mergeBuilders(b.base, partials, b.workers); err != nil {
+		shards := partials
+		if b.base == nil {
+			b.base, shards = partials[0].Stats(), partials[1:]
+		}
+		if err := mergeBuilders(b.base, shards, b.workers); err != nil {
 			return err
 		}
 		b.addStage(StageMerge, time.Since(mergeStart))
@@ -514,56 +546,39 @@ func (b *build) count(ctx context.Context) error {
 	return nil
 }
 
-// finalizeStats runs the post-counting stages shared by Run and the
-// distributed-build coordinator: canonicalize the merged statistics, draw
-// distant-supervision training pairs from the sampled columns, calibrate
-// per-language thresholds, and select the final ensemble. The stage hooks
-// are nil-safe; Run passes its progress/metrics plumbing through them.
-func finalizeStats(ctx context.Context, base []*stats.LanguageStats, sampleCols []*corpus.Column,
-	tc core.TrainConfig, ds distsup.Config, workers int,
-	setStage func(Stage), addStage func(Stage, time.Duration)) (*core.Detector, *core.TrainReport, error) {
-	if setStage == nil {
-		setStage = func(Stage) {}
+// partial is the build's counted state.
+func (b *build) partial() *Partial {
+	return &Partial{
+		Fingerprint: b.fingerprint,
+		Columns:     b.columns.Load(),
+		Values:      b.values.Load(),
+		stats:       b.base,
+		smp:         b.smp,
+		workers:     b.workers,
 	}
-	if addStage == nil {
-		addStage = func(Stage, time.Duration) {}
-	}
+}
 
-	// Canonicalize the merged shard so downstream results do not depend on
-	// merge interleaving.
+// train calibrates every candidate of p, selects the ensemble and fills in
+// the report.
+func (b *build) train(ctx context.Context, p *core.Pipeline) (*core.Detector, *core.TrainReport, error) {
+	b.setStage(StageCalibrate)
 	t0 := time.Now()
-	if err := stats.CanonicalizeAll(base, workers); err != nil {
-		return nil, nil, fmt.Errorf("pipeline: canonicalizing: %w", err)
-	}
-	addStage(StageMerge, time.Since(t0))
-
-	setStage(StageDistsup)
-	t0 = time.Now()
-	sample := &corpus.Corpus{Name: "pipeline-sample", Columns: sampleCols}
-	data, err := distsup.Generate(sample, ds)
-	if err != nil {
-		return nil, nil, fmt.Errorf("pipeline: generating training data: %w", err)
-	}
-	addStage(StageDistsup, time.Since(t0))
-
-	setStage(StageCalibrate)
-	t0 = time.Now()
-	cands, err := calibrateAll(ctx, base, data, workers, tc.TargetPrecision)
+	cands, err := p.Calibrate(ctx, b.tc.TargetPrecision, b.workers)
 	if err != nil {
 		return nil, nil, err
 	}
-	addStage(StageCalibrate, time.Since(t0))
+	b.addStage(StageCalibrate, time.Since(t0))
 
-	setStage(StageSelect)
+	b.setStage(StageSelect)
 	t0 = time.Now()
-	det, report, err := core.BuildDetector(cands, tc.MemoryBudget, tc.Aggregation, tc.SketchRatio)
+	det, report, err := core.BuildDetector(cands, b.tc.MemoryBudget, b.tc.Aggregation, b.tc.SketchRatio)
 	if err != nil {
 		return nil, nil, err
 	}
-	addStage(StageSelect, time.Since(t0))
-	report.CandidateLanguages = len(base)
-	report.TrainingExamples = len(data.Examples)
-	report.CompatColumns = data.CompatColumns
+	b.addStage(StageSelect, time.Since(t0))
+	report.CandidateLanguages = len(p.Languages)
+	report.TrainingExamples = len(p.Data.Examples)
+	report.CompatColumns = p.Data.CompatColumns
 	return det, report, nil
 }
 
@@ -579,28 +594,4 @@ func mergeBuilders(base []*stats.LanguageStats, shards []*stats.Builder, workers
 		return fmt.Errorf("pipeline: merging shard: %w", err)
 	}
 	return nil
-}
-
-// calibrateAll derives per-language thresholds in parallel; results land at
-// their language's index, so the outcome is order-deterministic.
-func calibrateAll(ctx context.Context, base []*stats.LanguageStats, data *distsup.Data, workers int, targetPrecision float64) ([]*core.Calibration, error) {
-	cands := make([]*core.Calibration, len(base))
-	err := stats.ForEachLanguage(len(base), workers, func(i int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		cal, err := core.Calibrate(base[i], data, targetPrecision)
-		if err != nil {
-			return fmt.Errorf("pipeline: calibrating %v: %w", base[i].Language(), err)
-		}
-		cands[i] = cal
-		return nil
-	})
-	if ctxErr := ctx.Err(); ctxErr != nil {
-		return nil, fmt.Errorf("pipeline: interrupted during calibration: %w", ctxErr)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return cands, nil
 }

@@ -3,12 +3,8 @@ package pipeline
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
-	"flag"
-	"os"
-	"path/filepath"
-	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,11 +12,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/distsup"
 	"repro/internal/pattern"
-)
-
-var (
-	benchOut  = flag.String("pipeline.benchout", "", "write the benchmark smoke result (BENCH_pipeline.json) to this path")
-	benchCols = flag.Int("pipeline.benchcols", 4000, "corpus size, in columns, for the benchmark smoke")
+	"repro/internal/stats"
 )
 
 // testTrainConfig keeps the candidate space small enough for fast tests:
@@ -44,18 +36,42 @@ var probePairs = [][2]string{
 	{"3-2", "-"},
 }
 
-// TestRunMatchesLegacyTrain: the streaming pipeline must make the same
-// detection decisions as the in-memory core.Train path — same selected
-// languages, same thresholds, same pair verdicts — and worker count must
-// not change the serialized model by a single byte.
-func TestRunMatchesLegacyTrain(t *testing.T) {
-	c := corpus.Generate(corpus.WebProfile(), 1200, 23)
-	cfg := testTrainConfig()
-
-	legacy, legacyRep, err := core.Train(c, cfg)
+// referenceTrain trains in memory, without the streaming fan-out: one
+// stats.Builder over the whole corpus, distant supervision over every
+// column, then per-language calibration and selection.
+func referenceTrain(t *testing.T, c *corpus.Corpus, cfg core.TrainConfig) (*core.Detector, *core.TrainReport) {
+	t.Helper()
+	b := stats.NewBuilder(cfg.Languages, cfg.Smoothing)
+	for _, col := range c.Columns {
+		b.AddColumn(col.Values)
+	}
+	data, err := distsup.Generate(c, cfg.DistSup)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cands := make([]*core.Calibration, len(b.Stats()))
+	for i, ls := range b.Stats() {
+		if cands[i], err = core.Calibrate(ls, data, cfg.TargetPrecision); err != nil {
+			t.Fatal(err)
+		}
+	}
+	det, rep, err := core.BuildDetector(cands, cfg.MemoryBudget, cfg.Aggregation, cfg.SketchRatio)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep.TrainingExamples = len(data.Examples)
+	return det, rep
+}
+
+// TestRunMatchesInMemoryReference: the streaming pipeline must make the
+// same detection decisions as an in-memory reference build — same
+// selected languages, same thresholds, same pair verdicts — and worker
+// count must not change the serialized model by a single byte.
+func TestRunMatchesInMemoryReference(t *testing.T) {
+	c := corpus.Generate(corpus.WebProfile(), 1200, 23)
+	cfg := testTrainConfig()
+
+	ref, refRep := referenceTrain(t, c, cfg)
 
 	run := func(workers int) *Result {
 		t.Helper()
@@ -76,29 +92,29 @@ func TestRunMatchesLegacyTrain(t *testing.T) {
 	if r1.Values != uint64(c.NumValues()) {
 		t.Errorf("pipeline counted %d values, corpus has %d", r1.Values, c.NumValues())
 	}
-	if len(r1.Report.Selected) != len(legacyRep.Selected) {
-		t.Fatalf("selected %v vs legacy %v", r1.Report.Selected, legacyRep.Selected)
+	if len(r1.Report.Selected) != len(refRep.Selected) {
+		t.Fatalf("selected %v vs reference %v", r1.Report.Selected, refRep.Selected)
 	}
-	for i := range legacyRep.Selected {
-		if r1.Report.Selected[i] != legacyRep.Selected[i] {
-			t.Fatalf("language %d differs: %v vs %v", i, r1.Report.Selected[i], legacyRep.Selected[i])
+	for i := range refRep.Selected {
+		if r1.Report.Selected[i] != refRep.Selected[i] {
+			t.Fatalf("language %d differs: %v vs %v", i, r1.Report.Selected[i], refRep.Selected[i])
 		}
 	}
-	if r1.Report.Coverage != legacyRep.Coverage {
-		t.Errorf("coverage %d vs legacy %d", r1.Report.Coverage, legacyRep.Coverage)
+	if r1.Report.Coverage != refRep.Coverage {
+		t.Errorf("coverage %d vs reference %d", r1.Report.Coverage, refRep.Coverage)
 	}
-	if r1.Report.TrainingExamples != legacyRep.TrainingExamples {
-		t.Errorf("training examples %d vs legacy %d", r1.Report.TrainingExamples, legacyRep.TrainingExamples)
+	if r1.Report.TrainingExamples != refRep.TrainingExamples {
+		t.Errorf("training examples %d vs reference %d", r1.Report.TrainingExamples, refRep.TrainingExamples)
 	}
 	for i, cal := range r1.Detector.Languages() {
-		if want := legacy.Languages()[i].Theta; cal.Theta != want {
+		if want := ref.Languages()[i].Theta; cal.Theta != want {
 			t.Errorf("theta differs for %v: %v vs %v", cal.Stats.Language(), cal.Theta, want)
 		}
 	}
 	for _, p := range probePairs {
-		x, y := r1.Detector.ScorePair(p[0], p[1]), legacy.ScorePair(p[0], p[1])
+		x, y := r1.Detector.ScorePair(p[0], p[1]), ref.ScorePair(p[0], p[1])
 		if x.Flagged != y.Flagged || x.Confidence != y.Confidence {
-			t.Errorf("pair %v: pipeline %+v vs legacy %+v", p, x, y)
+			t.Errorf("pair %v: pipeline %+v vs reference %+v", p, x, y)
 		}
 	}
 
@@ -273,79 +289,61 @@ func TestRunProgressAndStages(t *testing.T) {
 	}
 }
 
+// TestCountPartialSharesRunFanOut: CountPartial counts through Run's loop
+// but keeps its own contract at the edges. An empty source is a valid
+// zero-column partial that still encodes and merges, while Run refuses
+// it; a cancelled count returns the context error and no partial.
+func TestCountPartialSharesRunFanOut(t *testing.T) {
+	opts := Options{Workers: 2, Train: testTrainConfig()}
+	empty, err := CountPartial(context.Background(), NewSliceSource(nil), opts)
+	if err != nil {
+		t.Fatalf("empty source: %v", err)
+	}
+	if empty.Columns != 0 || empty.Values != 0 || empty.SampleSize() != 0 {
+		t.Errorf("empty partial counted %d columns, %d values, %d sampled", empty.Columns, empty.Values, empty.SampleSize())
+	}
+	if len(empty.stats) != len(opts.Train.Languages) {
+		t.Fatalf("empty partial covers %d languages, want %d", len(empty.stats), len(opts.Train.Languages))
+	}
+	var buf bytes.Buffer
+	if err := EncodePartial(&buf, empty); err != nil {
+		t.Fatal(err)
+	}
+	back, err := DecodePartial(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := corpus.Generate(corpus.WebProfile(), 60, 9).Columns
+	full, err := CountPartial(context.Background(), NewSliceSource(cols), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := back.Merge(full); err != nil {
+		t.Fatalf("merging into a decoded empty partial: %v", err)
+	}
+	if back.Columns != uint64(len(cols)) {
+		t.Errorf("merged partial has %d columns, want %d", back.Columns, len(cols))
+	}
+	if _, err := Run(context.Background(), NewSliceSource(nil), opts); err == nil || !strings.Contains(err.Error(), "source yielded no columns") {
+		t.Errorf("Run on an empty source: err = %v, want \"source yielded no columns\"", err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	p, err := CountPartial(ctx, &cancelAfter{src: NewSliceSource(cols), n: 20, cancel: cancel}, opts)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled count: err = %v, want context.Canceled", err)
+	}
+	if p != nil {
+		t.Error("cancelled count returned a partial")
+	}
+}
+
 func TestRunValidation(t *testing.T) {
 	if _, err := Run(context.Background(), nil, Options{}); err == nil {
 		t.Error("nil source should error")
 	}
 	if _, err := Run(context.Background(), NewSliceSource(nil), Options{Train: testTrainConfig()}); err == nil {
 		t.Error("empty source should error")
-	}
-}
-
-// benchResult is one row of BENCH_pipeline.json.
-type benchResult struct {
-	Workers       int     `json:"workers"`
-	Columns       uint64  `json:"columns"`
-	Values        uint64  `json:"values"`
-	CountSeconds  float64 `json:"count_seconds"`
-	ColumnsPerSec float64 `json:"columns_per_sec"`
-	ValuesPerSec  float64 `json:"values_per_sec"`
-	TotalSeconds  float64 `json:"total_seconds"`
-}
-
-// TestBenchmarkSmoke measures counting throughput at 1, 4 and NumCPU
-// workers and writes BENCH_pipeline.json. It only runs when
-// -pipeline.benchout is set (CI does; plain `go test` skips it).
-func TestBenchmarkSmoke(t *testing.T) {
-	if *benchOut == "" {
-		t.Skip("benchmark smoke disabled; set -pipeline.benchout to enable")
-	}
-	cfg := testTrainConfig()
-	workerSet := []int{1, 4}
-	if n := runtime.NumCPU(); n != 1 && n != 4 {
-		workerSet = append(workerSet, n)
-	}
-	var rows []benchResult
-	for _, w := range workerSet {
-		src := NewGeneratedSource(corpus.WebProfile(), *benchCols, 77)
-		res, err := Run(context.Background(), src, Options{Workers: w, Train: cfg, SampleColumns: 2000})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var countSec float64
-		for _, st := range res.Stages {
-			if st.Stage == StageCount {
-				countSec = st.Duration.Seconds()
-			}
-		}
-		row := benchResult{
-			Workers:      w,
-			Columns:      res.Columns,
-			Values:       res.Values,
-			CountSeconds: countSec,
-			TotalSeconds: res.Elapsed.Seconds(),
-		}
-		if countSec > 0 {
-			row.ColumnsPerSec = float64(res.Columns) / countSec
-			row.ValuesPerSec = float64(res.Values) / countSec
-		}
-		rows = append(rows, row)
-		t.Logf("workers=%d: %.0f columns/sec (count stage %.2fs, total %.2fs)",
-			w, row.ColumnsPerSec, countSec, row.TotalSeconds)
-	}
-	blob, err := json.MarshalIndent(map[string]any{
-		"benchmark": "pipeline_count_throughput",
-		"unit":      "columns/sec",
-		"num_cpu":   runtime.NumCPU(),
-		"results":   rows,
-	}, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.MkdirAll(filepath.Dir(*benchOut), 0o755); err != nil && filepath.Dir(*benchOut) != "." {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(*benchOut, append(blob, '\n'), 0o644); err != nil {
-		t.Fatal(err)
 	}
 }

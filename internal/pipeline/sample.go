@@ -10,8 +10,9 @@ import (
 
 // sample is the distant-supervision column sample.
 //
-// With cap <= 0 every column is kept in stream order — the exact-equivalence
-// path that reproduces the in-memory core.Train byte for byte.
+// With cap <= 0 every column is kept in stream order, so distant
+// supervision draws its training pairs from the whole corpus exactly as it
+// would from the corpus in memory.
 //
 // With cap > 0 it is a deterministic *mergeable bottom-k* sketch: each
 // column's priority is a seeded hash of its content, and the sample is the

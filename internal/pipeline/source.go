@@ -29,8 +29,8 @@ type ColumnSource interface {
 	Fingerprint() string
 }
 
-// SliceSource streams an in-memory column slice. It exists so the legacy
-// Train path (whole corpus in memory) runs through the same pipeline.
+// SliceSource streams an in-memory column slice, so a corpus that is
+// already in memory trains through the same pipeline as one on disk.
 type SliceSource struct {
 	cols []*corpus.Column
 	pos  int

@@ -6,6 +6,7 @@ package registry
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/distsup"
 	"repro/internal/observe"
 	"repro/internal/pattern"
+	"repro/internal/pipeline"
 )
 
 var (
@@ -38,13 +40,13 @@ func testModels(t *testing.T) [3][]byte {
 			ds.PositivePairs, ds.NegativePairs = 1200, 1200
 			ds.Seed = seed
 			cfg.DistSup = ds
-			det, _, err := core.Train(c, cfg)
+			res, err := pipeline.Run(context.Background(), pipeline.NewSliceSource(c.Columns), pipeline.Options{Workers: 1, Train: cfg})
 			if err != nil {
 				modelsErr = err
 				return
 			}
 			var buf bytes.Buffer
-			if err := det.Save(&buf); err != nil {
+			if err := res.Detector.Save(&buf); err != nil {
 				modelsErr = err
 				return
 			}

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/distsup"
 	"repro/internal/pattern"
+	"repro/internal/pipeline"
 	"repro/internal/semantic"
 )
 
@@ -36,7 +38,12 @@ func trainedModel(t *testing.T) (*core.Detector, *semantic.Model) {
 		ds := distsup.DefaultConfig()
 		ds.PositivePairs, ds.NegativePairs = 2500, 2500
 		cfg.DistSup = ds
-		mdlDet, _, mdlErr = core.Train(c, cfg)
+		var res *pipeline.Result
+		res, mdlErr = pipeline.Run(context.Background(), pipeline.NewSliceSource(c.Columns), pipeline.Options{Workers: 1, Train: cfg})
+		if mdlErr != nil {
+			return
+		}
+		mdlDet = res.Detector
 		if mdlErr != nil {
 			return
 		}
