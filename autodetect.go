@@ -65,17 +65,10 @@ func DefaultConfig() Config {
 	}
 }
 
-// Finding is one suspected error in a column.
-type Finding struct {
-	// Value is the suspected erroneous value.
-	Value string
-	// Index is the row of the value's first occurrence.
-	Index int
-	// Partner is the value it conflicts with most confidently.
-	Partner string
-	// Confidence is the estimated precision of the prediction in [0,1].
-	Confidence float64
-}
+// Finding is one suspected error in a column: the suspect Value, the row
+// Index of its first occurrence, the Partner it conflicts with most
+// confidently, and the estimated precision of the call as Confidence.
+type Finding = core.Finding
 
 // PairVerdict is the verdict on a single value pair.
 type PairVerdict struct {
@@ -145,12 +138,7 @@ func trainOn(c *corpus.Corpus, cfg Config) (*Model, error) {
 // DetectColumn returns the suspected errors of a column, ranked by
 // descending confidence. A nil or single-valued column yields nothing.
 func (m *Model) DetectColumn(values []string) []Finding {
-	fs := m.det.DetectColumn(values)
-	out := make([]Finding, len(fs))
-	for i, f := range fs {
-		out[i] = Finding{Value: f.Value, Index: f.Index, Partner: f.Partner, Confidence: f.Confidence}
-	}
-	return out
+	return m.det.DetectColumn(values)
 }
 
 // ScorePair scores a single pair of values for compatibility.

@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"repro/internal/atomicio"
+	"repro/internal/audit"
 	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/corpus"
@@ -41,7 +42,6 @@ import (
 	"repro/internal/observe"
 	"repro/internal/pipeline"
 	"repro/internal/profile"
-	"repro/internal/repair"
 	"repro/internal/report"
 	"repro/internal/retry"
 )
@@ -293,7 +293,7 @@ func cmdDetect(args []string) error {
 	modelPath := fs.String("model", "model.bin", "trained model path")
 	in := fs.String("in", "", "input CSV file")
 	header := fs.Bool("header", true, "first CSV row is a header")
-	minConf := fs.Float64("min-confidence", 0.9, "report findings at or above this confidence")
+	minConf := fs.Float64("min-confidence", 0.9, "report findings at or above this confidence (<= 0 means 0.5)")
 	htmlOut := fs.String("html", "", "also write an HTML audit report to this path")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -321,22 +321,15 @@ func cmdDetect(args []string) error {
 	}
 	found := 0
 	for _, col := range cols {
-		perRow := map[int]report.Finding{}
-		for _, finding := range det.DetectColumn(col.Values) {
-			if finding.Confidence < *minConf {
-				continue
-			}
+		perRow := map[int]audit.Finding{}
+		for _, f := range audit.CheckColumn(context.Background(), det, nil, col.Values, *minConf) {
 			found++
-			rf := report.Finding{
-				Partner: finding.Partner, Confidence: finding.Confidence, Kind: "pattern",
-			}
 			line := fmt.Sprintf("%s: row %d: %q conflicts with %q (confidence %.3f)",
-				col.Name, finding.Index+boolToInt(*header), finding.Value, finding.Partner, finding.Confidence)
-			if sug, ok := repair.Suggest(col.Values, finding.Value); ok {
-				rf.Suggestion = sug.Proposed
-				line += fmt.Sprintf(" — suggest %q (%s)", sug.Proposed, sug.Rule)
+				col.Name, f.Index+boolToInt(*header), f.Value, f.Partner, f.Confidence)
+			if f.Suggestion != "" {
+				line += fmt.Sprintf(" — suggest %q (%s)", f.Suggestion, f.SuggestionRule)
 			}
-			perRow[finding.Index] = rf
+			perRow[f.Index] = f
 			fmt.Println(line)
 		}
 		rep.AddColumn(col.Name, col.Values, perRow)

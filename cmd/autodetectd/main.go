@@ -620,7 +620,7 @@ type coordParams struct {
 	Options     pipeline.Options
 }
 
-// buildSummary is the -build-summary payload (BENCH_distbuild.json in CI):
+// buildSummary is the -build-summary payload (distbuild-summary.json in CI):
 // the wall clock plus every fault-visibility counter, so a smoke harness
 // can assert not just that the build finished but that reassignment and
 // duplicate-handling actually happened.

@@ -68,48 +68,41 @@ func CheckColumnHinted(ctx context.Context, det *core.Detector, sem *semantic.Mo
 	if minConf <= 0 {
 		minConf = DefaultMinConfidence
 	}
-	var out []Finding
 	_, endPattern := observe.Span(ctx, "detect_pattern")
-	for _, f := range det.DetectColumn(values) {
-		if f.Confidence < minConf {
-			continue
-		}
-		sf := Finding{
-			Value: f.Value, Index: f.Index, Partner: f.Partner,
-			Confidence: f.Confidence, Kind: "pattern",
-		}
-		if sug, ok := repair.Suggest(values, f.Value); ok {
-			sf.Suggestion = sug.Proposed
-			sf.SuggestionRule = sug.Rule
-		}
-		out = append(out, sf)
-	}
+	out := appendKind(nil, det.DetectColumn(values), "pattern", values, minConf)
 	endPattern()
 	if sem != nil {
 		_, endSem := observe.Span(ctx, "detect_semantic")
-		for _, f := range sem.DetectColumn(values) {
-			if f.Confidence < minConf {
-				continue
-			}
-			out = append(out, Finding{
-				Value: f.Value, Index: f.Index, Partner: f.Partner,
-				Confidence: f.Confidence, Kind: "semantic",
-			})
-		}
+		out = appendKind(out, sem.DetectColumn(values), "semantic", nil, minConf)
 		endSem()
 	}
 	if hint != "" {
 		_, endDomain := observe.Span(ctx, "detect_domain")
-		for _, f := range semantic.CheckDomain(hint, values) {
-			if f.Confidence < minConf {
-				continue
-			}
-			out = append(out, Finding{
-				Value: f.Value, Index: f.Index, Partner: f.Partner,
-				Confidence: f.Confidence, Kind: "domain",
-			})
-		}
+		out = appendKind(out, semantic.CheckDomain(hint, values), "domain", nil, minConf)
 		endDomain()
+	}
+	return out
+}
+
+// appendKind appends the detector findings at or above minConf to out,
+// labelled kind. A non-nil column gets each finding's repair suggestion
+// rendered in its dominant format.
+func appendKind(out []Finding, fs []core.Finding, kind string, column []string, minConf float64) []Finding {
+	for _, f := range fs {
+		if f.Confidence < minConf {
+			continue
+		}
+		af := Finding{
+			Value: f.Value, Index: f.Index, Partner: f.Partner,
+			Confidence: f.Confidence, Kind: kind,
+		}
+		if column != nil {
+			if sug, ok := repair.Suggest(column, f.Value); ok {
+				af.Suggestion = sug.Proposed
+				af.SuggestionRule = sug.Rule
+			}
+		}
+		out = append(out, af)
 	}
 	return out
 }

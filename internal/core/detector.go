@@ -70,7 +70,11 @@ type PairScore struct {
 	ByLanguage []LangScore
 }
 
-// Finding is one suspected error in a column.
+// Finding is one suspected error in a column. It is every detector's
+// output shape: the pattern detector here, and the value-level and
+// schema-hinted domain detectors in internal/semantic, which document what
+// Partner and Confidence mean for them. internal/audit labels each with
+// its Kind at the API boundary.
 type Finding struct {
 	// Value is the suspected erroneous value.
 	Value string

@@ -12,6 +12,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc64"
@@ -88,4 +89,27 @@ func Read(r io.Reader, magic []byte, maxPayload uint64) ([]byte, error) {
 			ErrIntegrity, want, have)
 	}
 	return payload, nil
+}
+
+// WriteJSON wraps v's JSON encoding in the envelope and writes it to w.
+func WriteJSON(w io.Writer, magic []byte, v any) error {
+	payload, err := json.Marshal(v)
+	if err != nil {
+		return err
+	}
+	return Write(w, magic, payload)
+}
+
+// ReadJSON reads an enveloped JSON payload into v. Undecodable JSON
+// inside an intact envelope is wrapped in ErrIntegrity too: either way the
+// file is not trustworthy.
+func ReadJSON(r io.Reader, magic []byte, maxPayload uint64, v any) error {
+	payload, err := Read(r, magic, maxPayload)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(payload, v); err != nil {
+		return fmt.Errorf("%w: undecodable payload: %v", ErrIntegrity, err)
+	}
+	return nil
 }

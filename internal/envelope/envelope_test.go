@@ -80,3 +80,34 @@ func TestRejectsWrongMagic(t *testing.T) {
 		t.Fatalf("expected ErrIntegrity for wrong magic, got %v", err)
 	}
 }
+
+func TestJSONRoundTripAndUndecodablePayload(t *testing.T) {
+	type rec struct {
+		N int    `json:"n"`
+		S string `json:"s"`
+	}
+	var buf bytes.Buffer
+	if err := WriteJSON(&buf, testMagic, rec{N: 7, S: "x"}); err != nil {
+		t.Fatal(err)
+	}
+	var plain bytes.Buffer
+	if err := Write(&plain, testMagic, []byte(`{"n":7,"s":"x"}`)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), plain.Bytes()) {
+		t.Fatal("WriteJSON bytes differ from Write over the JSON encoding")
+	}
+	var back rec
+	if err := ReadJSON(&buf, testMagic, 1<<20, &back); err != nil || back != (rec{7, "x"}) {
+		t.Fatalf("ReadJSON = %+v, %v", back, err)
+	}
+
+	// An intact envelope around undecodable JSON is still corruption.
+	var bad bytes.Buffer
+	if err := Write(&bad, testMagic, []byte("{not json")); err != nil {
+		t.Fatal(err)
+	}
+	if err := ReadJSON(&bad, testMagic, 1<<20, &back); !errors.Is(err, ErrIntegrity) {
+		t.Fatalf("undecodable payload: err = %v, want ErrIntegrity", err)
+	}
+}

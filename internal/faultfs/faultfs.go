@@ -1,17 +1,17 @@
-// Package faultfs is the fault-injecting filesystem harness for the
-// training pipeline, generalizing internal/resilience/faultinject (which
-// targets HTTP serving) to the ingestion side: deterministic, seedable
-// injection of transient open failures that recover after N attempts,
-// permanently-broken paths, mid-read errors, short/torn writes, and
-// crash-point kill switches.
+// Package faultfs is the fault-injection harness: deterministic, seedable
+// faults for the ingestion side (transient open failures that recover
+// after N attempts, permanently-broken paths, mid-read errors, short/torn
+// writes, crash-point kill switches), for HTTP clients (Transport), and
+// for the serving stack (slow-loris, flaky, truncated and bit-flipped
+// streams; panicking and stalling handlers).
 //
 // Everything is deterministic in (Seed, path, attempt), so a chaos run is
 // reproducible: the same seed injects the same faults at the same places,
 // which is what lets property tests assert that a fault-riddled,
 // thrice-killed build converges to the byte-identical model of a clean one.
 //
-// Like faultinject, this is a test harness: production packages must not
-// import it outside of tests.
+// This is a test harness: production packages must not import it outside
+// of tests.
 package faultfs
 
 import (
@@ -112,7 +112,9 @@ func (f *FS) Open(path string) (io.ReadCloser, error) {
 				if err != nil {
 					return nil, err
 				}
-				return &faultReader{rc: rc, after: f.cfg.ReadFaultAfter, path: path}, nil
+				after := f.cfg.ReadFaultAfter
+				return readCloser{&FlakyReader{R: rc, After: after, Err: retry.Transient(fmt.Errorf(
+					"%w: transient read failure at offset %d of %s", ErrInjected, after, path))}, rc}, nil
 			}
 			return nil, retry.Transient(fmt.Errorf("%w: transient open failure %d/%d for %s",
 				ErrInjected, failed+1, f.cfg.RecoverAfter, path))
@@ -152,30 +154,6 @@ func splitmix64(x uint64) uint64 {
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
 }
-
-// faultReader delivers the stream up to `after` bytes, then returns one
-// injected transient error. Close closes the underlying file either way.
-type faultReader struct {
-	rc    io.ReadCloser
-	after int64
-	read  int64
-	path  string
-}
-
-func (r *faultReader) Read(p []byte) (int, error) {
-	if r.read >= r.after {
-		return 0, retry.Transient(fmt.Errorf("%w: transient read failure at offset %d of %s",
-			ErrInjected, r.read, r.path))
-	}
-	if rem := r.after - r.read; int64(len(p)) > rem {
-		p = p[:rem]
-	}
-	n, err := r.rc.Read(p)
-	r.read += int64(n)
-	return n, err
-}
-
-func (r *faultReader) Close() error { return r.rc.Close() }
 
 // ShortWriter silently accepts only the first Cap bytes and reports the
 // rest as written — a lying disk or a torn buffer flush. Wrap a checkpoint

@@ -177,7 +177,9 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 			return nil, err
 		}
 		t.truncates.Add(1)
-		resp.Body = &truncatedBody{rc: resp.Body, after: t.cfg.TruncateAfter, key: key}
+		after := t.cfg.TruncateAfter
+		resp.Body = readCloser{&FlakyReader{R: resp.Body, After: after, Err: retry.Transient(fmt.Errorf(
+			"%w: response to %s torn at offset %d", ErrInjected, key, after))}, resp.Body}
 		resp.ContentLength = -1
 		return resp, nil
 	case faultStall:
@@ -317,30 +319,6 @@ func drainRequest(req *http.Request) {
 	}
 }
 
-// truncatedBody delivers the response up to `after` bytes, then returns one
-// injected transient error — the read-side twin of faultReader.
-type truncatedBody struct {
-	rc    io.ReadCloser
-	after int64
-	read  int64
-	key   string
-}
-
-func (b *truncatedBody) Read(p []byte) (int, error) {
-	if b.read >= b.after {
-		return 0, retry.Transient(fmt.Errorf("%w: response to %s torn at offset %d",
-			ErrInjected, b.key, b.read))
-	}
-	if rem := b.after - b.read; int64(len(p)) > rem {
-		p = p[:rem]
-	}
-	n, err := b.rc.Read(p)
-	b.read += int64(n)
-	return n, err
-}
-
-func (b *truncatedBody) Close() error { return b.rc.Close() }
-
 // trickleBody delivers the response one byte per delay — a read-side
 // slow-loris. Cancelling the request context aborts the dribble.
 type trickleBody struct {
@@ -362,3 +340,25 @@ func (b *trickleBody) Read(p []byte) (int, error) {
 }
 
 func (b *trickleBody) Close() error { return b.rc.Close() }
+
+// PanicHandler panics with v on every request — a detector (or any
+// downstream dependency) blowing up mid-request.
+func PanicHandler(v any) http.Handler {
+	return http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+		panic(v)
+	})
+}
+
+// SlowHandler sleeps d before delegating to next, honoring request-context
+// cancellation so a timed-out request does not pin the goroutine for the
+// full delay.
+func SlowHandler(d time.Duration, next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-time.After(d):
+		case <-r.Context().Done():
+			return
+		}
+		next.ServeHTTP(w, r)
+	})
+}

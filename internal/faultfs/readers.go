@@ -1,19 +1,9 @@
-// Package faultinject provides the fault-injection primitives used to
-// prove the serving stack survives hostile conditions: slow-loris and
-// flaky request bodies, truncated or bit-flipped model streams, and
-// panicking or stalling handlers. It is a test harness, not production
-// code — production packages must not import it outside of tests.
-package faultinject
+package faultfs
 
 import (
-	"errors"
 	"io"
-	"net/http"
 	"time"
 )
-
-// ErrInjected is the default failure returned by injected faults.
-var ErrInjected = errors.New("faultinject: injected failure")
 
 // SlowReader delivers the underlying stream at most Chunk bytes per Read,
 // sleeping Delay before each chunk — a cooperative slow-loris client.
@@ -38,7 +28,9 @@ func (s *SlowReader) Read(p []byte) (int, error) {
 }
 
 // FlakyReader returns Err (ErrInjected if nil) once After bytes have been
-// delivered — a connection dying mid-body or mid-model.
+// delivered — a connection dying mid-body, a file read failing mid-stream,
+// or a response torn in flight. A stream shorter than After ends with its
+// own io.EOF before the fault fires.
 type FlakyReader struct {
 	R     io.Reader
 	After int64
@@ -60,6 +52,13 @@ func (f *FlakyReader) Read(p []byte) (int, error) {
 	n, err := f.R.Read(p)
 	f.read += int64(n)
 	return n, err
+}
+
+// readCloser pairs a wrapping reader with the Close of the stream it
+// wraps, so a faulted file or response body still releases its handle.
+type readCloser struct {
+	io.Reader
+	io.Closer
 }
 
 // Truncated yields only the first n bytes of r and then a clean EOF — a
@@ -85,26 +84,4 @@ func (f *FlipReader) Read(p []byte) (int, error) {
 	}
 	f.pos += int64(n)
 	return n, err
-}
-
-// PanicHandler panics with v on every request — a detector (or any
-// downstream dependency) blowing up mid-request.
-func PanicHandler(v any) http.Handler {
-	return http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
-		panic(v)
-	})
-}
-
-// SlowHandler sleeps d before delegating to next, honoring request-context
-// cancellation so a timed-out request does not pin the goroutine for the
-// full delay.
-func SlowHandler(d time.Duration, next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case <-time.After(d):
-		case <-r.Context().Done():
-			return
-		}
-		next.ServeHTTP(w, r)
-	})
 }

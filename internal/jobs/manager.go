@@ -308,11 +308,16 @@ func (m *Manager) Cancel(id string) (*State, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if cancel, ok := m.running[id]; ok {
-		cancel(errCancelRequested)
 		st, err := m.store.GetState(id)
 		if err != nil {
 			return nil, err
 		}
+		// A persisted terminal state is final even while its executor
+		// goroutine unwinds: the job finished, there is nothing to cancel.
+		if st.Status.Terminal() {
+			return st, ErrTerminal
+		}
+		cancel(errCancelRequested)
 		// Report the requested transition; the executor persists it.
 		st.Status = StatusCancelled
 		return st, nil

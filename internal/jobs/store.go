@@ -1,7 +1,6 @@
 package jobs
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -117,12 +116,8 @@ func (st *Store) List() ([]string, error) {
 }
 
 func writeEnveloped(path string, magic []byte, v any) error {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("jobs: encoding %s: %w", filepath.Base(path), err)
-	}
 	return atomicio.WriteTo(path, 0o644, func(w io.Writer) error {
-		return envelope.Write(w, magic, payload)
+		return envelope.WriteJSON(w, magic, v)
 	})
 }
 
@@ -135,14 +130,8 @@ func readEnveloped(path string, magic []byte, v any) error {
 		return fmt.Errorf("jobs: %w", err)
 	}
 	defer f.Close()
-	payload, err := envelope.Read(f, magic, maxFilePayload)
-	if err != nil {
+	if err := envelope.ReadJSON(f, magic, maxFilePayload, v); err != nil {
 		return fmt.Errorf("jobs: %s: %w", path, err)
-	}
-	if err := json.Unmarshal(payload, v); err != nil {
-		// A well-formed envelope with undecodable JSON is corruption too:
-		// surface it as an integrity failure so recovery treats both alike.
-		return fmt.Errorf("jobs: %s: %w: %v", path, envelope.ErrIntegrity, err)
 	}
 	return nil
 }

@@ -3,9 +3,7 @@ package pipeline
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -15,12 +13,6 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/faultfs"
 	"repro/internal/retry"
-)
-
-var (
-	chaosOut    = flag.String("pipeline.chaosout", "", "write the chaos-run summary (BENCH_chaos.json) to this path")
-	chaosCycles = flag.Int("pipeline.chaoscycles", 3, "forced kill/resume cycles in the chaos property test")
-	chaosRate   = flag.Float64("pipeline.chaosrate", 0.35, "transient fault rate for the chaos property test")
 )
 
 // killAfter wraps a DirSource and cancels the build's context once n
@@ -72,39 +64,28 @@ func chaosCorpusDir(t *testing.T, numColumns, perFile int, seed int64) (string, 
 	return dir, n
 }
 
-// chaosSummary is the BENCH_chaos.json payload published by CI.
-type chaosSummary struct {
-	Columns              int     `json:"columns"`
-	Files                int     `json:"files"`
-	Runs                 int     `json:"runs"`
-	Kills                int     `json:"kills"`
-	Resumes              int     `json:"resumes"`
-	TornShards           int     `json:"torn_shards"`
-	CorruptShardsSkipped int     `json:"corrupt_shards_skipped"`
-	TransientFaults      uint64  `json:"transient_faults_injected"`
-	IORetries            uint64  `json:"io_retries"`
-	FaultRate            float64 `json:"fault_rate"`
-	ByteIdentical        bool    `json:"byte_identical"`
-	Seconds              float64 `json:"seconds"`
+// chaosTally counts what the chaos run injected and survived.
+type chaosTally struct {
+	Runs, Kills, Resumes             int
+	TornShards, CorruptShardsSkipped int
+	TransientFaults, IORetries       uint64
 }
 
 // TestChaosKillResume is the end-to-end fault-tolerance property: a build
 // over a faulty filesystem — transient open and mid-read failures on every
 // run, a hard kill per cycle, and a torn (half-written) newest checkpoint
-// after each kill — must converge, after >= chaosCycles forced kill/resume
-// cycles, to a model byte-identical to a clean single-shot build over the
-// same directory.
+// after each kill — must converge, after >= cycles forced kill/resume
+// cycles at transient fault rate faultRate, to a model byte-identical to a
+// clean single-shot build over the same directory.
 func TestChaosKillResume(t *testing.T) {
 	const (
 		numColumns = 480
 		perFile    = 8
 		ckptEvery  = 60
+		cycles     = 4
+		faultRate  = 0.6
 	)
-	cycles := *chaosCycles
-	if cycles < 1 {
-		cycles = 1
-	}
-	dir, numFiles := chaosCorpusDir(t, numColumns, perFile, 101)
+	dir, _ := chaosCorpusDir(t, numColumns, perFile, 101)
 	cfg := testTrainConfig()
 	baseOpts := Options{
 		Workers:         3,
@@ -132,11 +113,7 @@ func TestChaosKillResume(t *testing.T) {
 	// Chaos build: every run sees a fresh fault schedule (new seed), each of
 	// the first `cycles` runs is killed mid-count, and after every kill the
 	// newest checkpoint shard is torn in half to simulate a crash mid-write.
-	sum := chaosSummary{
-		Columns:   numColumns,
-		Files:     numFiles,
-		FaultRate: *chaosRate,
-	}
+	var sum chaosTally
 	ckdir := t.TempDir()
 	opts := baseOpts
 	opts.CheckpointDir = ckdir
@@ -151,7 +128,7 @@ func TestChaosKillResume(t *testing.T) {
 	for run := 0; ; run++ {
 		fs := faultfs.New(faultfs.Config{
 			Seed:           uint64(7000 + run),
-			TransientRate:  *chaosRate,
+			TransientRate:  faultRate,
 			RecoverAfter:   2,
 			ReadFault:      run%2 == 1, // alternate open faults and mid-read faults
 			ReadFaultAfter: 256,
@@ -209,7 +186,7 @@ func TestChaosKillResume(t *testing.T) {
 			sum.TornShards++
 		}
 	}
-	sum.Seconds = time.Since(start).Seconds()
+	elapsed := time.Since(start)
 
 	if sum.Kills < cycles {
 		t.Errorf("forced %d kills, want >= %d", sum.Kills, cycles)
@@ -224,7 +201,7 @@ func TestChaosKillResume(t *testing.T) {
 		t.Error("no corrupt shard was skipped on resume; torn writes were not detected")
 	}
 	if sum.TransientFaults == 0 {
-		t.Error("fault injection produced no transient faults; raise -pipeline.chaosrate")
+		t.Error("fault injection produced no transient faults")
 	}
 	if final.Columns != uint64(numColumns) {
 		t.Errorf("chaos build covered %d columns, want %d", final.Columns, numColumns)
@@ -237,29 +214,10 @@ func TestChaosKillResume(t *testing.T) {
 	if err := final.Detector.Save(&gotModel); err != nil {
 		t.Fatal(err)
 	}
-	sum.ByteIdentical = bytes.Equal(gotModel.Bytes(), wantModel.Bytes())
-	if !sum.ByteIdentical {
+	if !bytes.Equal(gotModel.Bytes(), wantModel.Bytes()) {
 		t.Error("model after chaos kill/resume cycles differs from the clean single-shot build")
 	}
 	t.Logf("chaos: %d runs, %d kills, %d resumes, %d torn shards, %d corrupt skipped, %d transient faults, %d retries, %.2fs",
 		sum.Runs, sum.Kills, sum.Resumes, sum.TornShards, sum.CorruptShardsSkipped,
-		sum.TransientFaults, sum.IORetries, sum.Seconds)
-
-	if *chaosOut != "" {
-		blob, err := json.MarshalIndent(map[string]any{
-			"benchmark": "pipeline_chaos_kill_resume",
-			"result":    sum,
-		}, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dir := filepath.Dir(*chaosOut); dir != "." {
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := os.WriteFile(*chaosOut, append(blob, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+		sum.TransientFaults, sum.IORetries, elapsed.Seconds())
 }

@@ -2,32 +2,10 @@ package registry
 
 import (
 	"context"
-	"encoding/json"
-	"flag"
-	"os"
-	"path/filepath"
-	"runtime"
 	"sort"
 	"testing"
 	"time"
 )
-
-var registryBenchOut = flag.String("registry.benchout", "",
-	"write the registry pull-latency smoke result (BENCH_registry.json) to this path")
-
-// registryBench is the BENCH_registry.json payload: cold pulls download the
-// full model body; conditional polls are the fleet's steady-state 304s.
-type registryBench struct {
-	Benchmark       string  `json:"benchmark"`
-	ModelBytes      int     `json:"model_bytes"`
-	Pulls           int     `json:"pulls"`
-	NumCPU          int     `json:"num_cpu"`
-	ColdP50Millis   float64 `json:"cold_pull_p50_ms"`
-	ColdP99Millis   float64 `json:"cold_pull_p99_ms"`
-	Cond304P50      float64 `json:"conditional_poll_p50_ms"`
-	Cond304P99      float64 `json:"conditional_poll_p99_ms"`
-	NotModifiedHits float64 `json:"not_modified_hits"`
-}
 
 func quantileMillis(sorted []time.Duration, q float64) float64 {
 	if len(sorted) == 0 {
@@ -37,14 +15,11 @@ func quantileMillis(sorted []time.Duration, q float64) float64 {
 	return float64(sorted[i]) / float64(time.Millisecond)
 }
 
-// TestRegistrySmoke measures fleet pull latency against a live registry
-// server: cold pulls (full body + digest verification) and warm conditional
-// polls (304 deltas), writing p50/p99 to -registry.benchout (CI's
-// registry-smoke job sets it; plain `go test` skips).
+// TestRegistrySmoke pulls from a live registry server the way a fleet
+// does: cold pulls (full body + digest verification) and warm conditional
+// polls, each of which must be a 304 the server counts. Latency is logged
+// only.
 func TestRegistrySmoke(t *testing.T) {
-	if *registryBenchOut == "" {
-		t.Skip("registry smoke disabled; set -registry.benchout to enable")
-	}
 	models := testModels(t)
 	st, srv := newTestServer(t)
 	if _, _, err := st.Publish(models[0], "bench", "bench", ""); err != nil {
@@ -72,32 +47,10 @@ func TestRegistrySmoke(t *testing.T) {
 	sort.Slice(cold, func(i, j int) bool { return cold[i] < cold[j] })
 	sort.Slice(warm, func(i, j int) bool { return warm[i] < warm[j] })
 
-	out := registryBench{
-		Benchmark:       "registry_pull_latency",
-		ModelBytes:      len(models[0]),
-		Pulls:           pulls,
-		NumCPU:          runtime.NumCPU(),
-		ColdP50Millis:   quantileMillis(cold, 0.50),
-		ColdP99Millis:   quantileMillis(cold, 0.99),
-		Cond304P50:      quantileMillis(warm, 0.50),
-		Cond304P99:      quantileMillis(warm, 0.99),
-		NotModifiedHits: st.met.notModified.Value(),
-	}
-	if out.NotModifiedHits != pulls {
-		t.Fatalf("server counted %v 304s, want %d", out.NotModifiedHits, pulls)
+	if hits := st.met.notModified.Value(); hits != pulls {
+		t.Fatalf("server counted %v 304s, want %d", hits, pulls)
 	}
 	t.Logf("cold p50=%.2fms p99=%.2fms; 304 p50=%.2fms p99=%.2fms over %d pulls of %d bytes",
-		out.ColdP50Millis, out.ColdP99Millis, out.Cond304P50, out.Cond304P99, pulls, out.ModelBytes)
-	blob, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dir := filepath.Dir(*registryBenchOut); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := os.WriteFile(*registryBenchOut, append(blob, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
+		quantileMillis(cold, 0.50), quantileMillis(cold, 0.99),
+		quantileMillis(warm, 0.50), quantileMillis(warm, 0.99), pulls, len(models[0]))
 }

@@ -45,12 +45,7 @@
 package registry
 
 import (
-	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
-
-	"repro/internal/envelope"
 )
 
 // Endpoint paths, versioned like the distbuild protocol so a future
@@ -90,8 +85,8 @@ var (
 // Size caps for decode-time sanity: a corrupted length field must never
 // drive an unbounded allocation.
 const (
-	maxManifestBytes = int64(1) << 26 // 64 MiB of version history
-	maxMetaBytes     = int64(1) << 20 // 1 MiB per version record
+	maxManifestBytes = 1 << 26 // 64 MiB of version history
+	maxMetaBytes     = 1 << 20 // 1 MiB per version record
 
 	// DefaultMaxModelBytes caps published model payloads (2 GiB, matching
 	// the distbuild shard upload cap).
@@ -152,28 +147,4 @@ type manifestState struct {
 	Current  int           `json:"current"`
 	Pinned   bool          `json:"pinned"`
 	Versions []VersionInfo `json:"versions"`
-}
-
-// encodeEnvelopeJSON wraps v's JSON encoding in the CRC64 envelope.
-func encodeEnvelopeJSON(w io.Writer, magic []byte, v any) error {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	return envelope.Write(w, magic, payload)
-}
-
-// decodeEnvelopeJSON reads an enveloped JSON payload into v. Integrity
-// failures surface as envelope.ErrIntegrity; undecodable JSON inside an
-// intact envelope is wrapped in it too — either way the file is not
-// trustworthy.
-func decodeEnvelopeJSON(r io.Reader, magic []byte, maxPayload int64, v any) error {
-	payload, err := envelope.Read(r, magic, uint64(maxPayload))
-	if err != nil {
-		return err
-	}
-	if err := json.Unmarshal(payload, v); err != nil {
-		return fmt.Errorf("%w: undecodable payload: %v", envelope.ErrIntegrity, err)
-	}
-	return nil
 }

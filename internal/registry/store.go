@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/atomicio"
 	"repro/internal/core"
+	"repro/internal/envelope"
 	"repro/internal/observe"
 )
 
@@ -185,7 +186,7 @@ func (s *Store) loadManifest() (manifestState, bool) {
 		return man, false
 	}
 	defer f.Close()
-	if err := decodeEnvelopeJSON(f, magicManifest, maxManifestBytes, &man); err != nil {
+	if err := envelope.ReadJSON(f, magicManifest, maxManifestBytes, &man); err != nil {
 		s.logf("registry: manifest failed integrity check, rebuilding from version directories: %v", err)
 		return manifestState{}, false
 	}
@@ -202,7 +203,7 @@ func (s *Store) verifyVersion(n int) (VersionInfo, error) {
 	if err != nil {
 		return info, err
 	}
-	derr := decodeEnvelopeJSON(f, magicMeta, maxMetaBytes, &info)
+	derr := envelope.ReadJSON(f, magicMeta, maxMetaBytes, &info)
 	f.Close()
 	if derr != nil {
 		return info, fmt.Errorf("meta: %w", derr)
@@ -308,7 +309,7 @@ func (s *Store) Publish(raw []byte, fingerprint, source, traceparent string) (Ve
 		return VersionInfo{}, false, fmt.Errorf("registry: persisting v%d model: %w", n, err)
 	}
 	if err := atomicio.WriteTo(s.metaPath(n), 0o644, func(w io.Writer) error {
-		return encodeEnvelopeJSON(w, magicMeta, info)
+		return envelope.WriteJSON(w, magicMeta, info)
 	}); err != nil {
 		return VersionInfo{}, false, fmt.Errorf("registry: persisting v%d meta: %w", n, err)
 	}
@@ -467,7 +468,7 @@ func (s *Store) dropAndQuarantine(version int, cause error) error {
 // writeManifestLocked durably rewrites manifest.bin; call with s.mu held.
 func (s *Store) writeManifestLocked() error {
 	if err := atomicio.WriteTo(s.manifestPath(), 0o644, func(w io.Writer) error {
-		return encodeEnvelopeJSON(w, magicManifest, s.man)
+		return envelope.WriteJSON(w, magicManifest, s.man)
 	}); err != nil {
 		return fmt.Errorf("registry: writing manifest: %w", err)
 	}

@@ -8,6 +8,8 @@ import (
 	"html/template"
 	"io"
 	"time"
+
+	"repro/internal/audit"
 )
 
 // Cell is one rendered table cell.
@@ -15,19 +17,7 @@ type Cell struct {
 	// Value is the cell text.
 	Value string
 	// Finding is non-nil when the cell is a suspected error.
-	Finding *Finding
-}
-
-// Finding carries the verdict shown in the report.
-type Finding struct {
-	// Partner is the value the cell conflicts with.
-	Partner string
-	// Confidence is the estimated precision.
-	Confidence float64
-	// Kind is "pattern" or "semantic".
-	Kind string
-	// Suggestion, when non-empty, is the proposed repair.
-	Suggestion string
+	Finding *audit.Finding
 }
 
 // Column is one audited column.
@@ -56,7 +46,7 @@ type Report struct {
 
 // AddColumn appends a column built from raw values and a finding lookup
 // keyed by row index.
-func (r *Report) AddColumn(name string, values []string, findings map[int]Finding) {
+func (r *Report) AddColumn(name string, values []string, findings map[int]audit.Finding) {
 	col := Column{Name: name}
 	for i, v := range values {
 		c := Cell{Value: v}

@@ -5,15 +5,17 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/audit"
 )
 
 func buildReport() *Report {
 	r := &Report{Title: "Audit of demo.csv", ModelSummary: "4 languages, 1.2MB"}
-	r.AddColumn("dates", []string{"2011-01-01", "2011/06/20", "2013-11-30"}, map[int]Finding{
+	r.AddColumn("dates", []string{"2011-01-01", "2011/06/20", "2013-11-30"}, map[int]audit.Finding{
 		1: {Partner: "2011-01-01", Confidence: 0.993, Kind: "pattern", Suggestion: "2011-06-20"},
 	})
 	r.AddColumn("clean", []string{"1", "2", "3"}, nil)
-	r.AddColumn("states", []string{"Washington", "Seattle", "Texas"}, map[int]Finding{
+	r.AddColumn("states", []string{"Washington", "Seattle", "Texas"}, map[int]audit.Finding{
 		1: {Partner: "Washington", Confidence: 0.42, Kind: "semantic"},
 	})
 	return r
@@ -65,7 +67,7 @@ func TestRenderHTML(t *testing.T) {
 
 func TestRenderEscapesHTML(t *testing.T) {
 	r := &Report{Title: "<script>alert(1)</script>"}
-	r.AddColumn("c", []string{"<b>bold</b>", "x", "y"}, map[int]Finding{
+	r.AddColumn("c", []string{"<b>bold</b>", "x", "y"}, map[int]audit.Finding{
 		0: {Partner: "<i>p</i>", Confidence: 1, Kind: "pattern"},
 	})
 	var buf bytes.Buffer

@@ -12,7 +12,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/resilience/faultinject"
+	"repro/internal/faultfs"
 )
 
 func okHandler() http.Handler {
@@ -75,7 +75,7 @@ func TestRecoverTurnsPanicInto500(t *testing.T) {
 	h := Chain(
 		RequestID(),
 		Recover(func(string, ...any) { logged = true }),
-	)(faultinject.PanicHandler("detector exploded"))
+	)(faultfs.PanicHandler("detector exploded"))
 
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/check-column", nil))
@@ -100,7 +100,7 @@ func TestRecoverTurnsPanicInto500(t *testing.T) {
 func TestRecoverSurvivesRepeatedPanics(t *testing.T) {
 	// The real server must keep serving after a panic; exercise through a
 	// live httptest server rather than a recorder.
-	s := httptest.NewServer(Chain(RequestID(), Recover(nil))(faultinject.PanicHandler("boom")))
+	s := httptest.NewServer(Chain(RequestID(), Recover(nil))(faultfs.PanicHandler("boom")))
 	defer s.Close()
 	for i := 0; i < 3; i++ {
 		resp, err := http.Get(s.URL)
@@ -195,7 +195,7 @@ func TestTimeoutReturns504(t *testing.T) {
 		RequestID(),
 		Recover(nil),
 		Timeout(30*time.Millisecond),
-	)(faultinject.SlowHandler(5*time.Second, okHandler()))
+	)(faultfs.SlowHandler(5*time.Second, okHandler()))
 	s := httptest.NewServer(h)
 	defer s.Close()
 
@@ -274,7 +274,7 @@ func TestTimeoutPropagatesPanicToRecover(t *testing.T) {
 		RequestID(),
 		Recover(nil),
 		Timeout(time.Second),
-	)(faultinject.PanicHandler("inside timeout"))
+	)(faultfs.PanicHandler("inside timeout"))
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
 	if rec.Code != http.StatusInternalServerError {

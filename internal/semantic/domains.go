@@ -3,6 +3,8 @@ package semantic
 import (
 	"strconv"
 	"strings"
+
+	"repro/internal/core"
 )
 
 // Domain validators for schema-primed checks. Database introspection maps
@@ -44,8 +46,9 @@ func KnownDomain(domain string) bool {
 // format's. Each distinct non-conforming value is flagged once, at its
 // first occurrence, with confidence equal to the column's conformity rate
 // (the stronger the column's consensus, the more confident the outlier
-// call). Unknown domains return nil.
-func CheckDomain(domain string, values []string) []Finding {
+// call); Partner names the domain's format ("email format"). Unknown
+// domains return nil.
+func CheckDomain(domain string, values []string) []core.Finding {
 	valid := domainValidators[domain]
 	if valid == nil {
 		return nil
@@ -67,14 +70,14 @@ func CheckDomain(domain string, values []string) []Finding {
 	if rate < ConformityFloor {
 		return nil
 	}
-	var findings []Finding
+	var findings []core.Finding
 	seen := make(map[string]bool)
 	for i, v := range values {
 		if v == "" || valid(v) || seen[v] {
 			continue
 		}
 		seen[v] = true
-		findings = append(findings, Finding{
+		findings = append(findings, core.Finding{
 			Value:      v,
 			Index:      i,
 			Partner:    domain + " format",

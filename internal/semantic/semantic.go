@@ -17,6 +17,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/stats"
 )
@@ -40,18 +41,6 @@ type Config struct {
 // pairs well above any usable threshold.
 func DefaultConfig() Config {
 	return Config{MinSupport: 5, MaxValueLength: 40, Smoothing: 0.01, Threshold: -0.25}
-}
-
-// Finding is one suspected semantic error.
-type Finding struct {
-	// Value is the suspect.
-	Value string
-	// Index is the row of the first occurrence.
-	Index int
-	// Partner is the supported value it conflicts with most.
-	Partner string
-	// Confidence in [0,1] derives from the NPMI margin below the threshold.
-	Confidence float64
 }
 
 // Model holds value-level co-occurrence statistics.
@@ -166,10 +155,12 @@ func (m *Model) NPMI(v1, v2 string) (npmi float64, ok bool) {
 }
 
 // DetectColumn flags supported values that are value-level incompatible
-// with the column's other supported values. Findings are ranked by
+// with the column's other supported values. Partner is the supported value
+// a finding conflicts with most; Confidence derives from the NPMI margin
+// below the threshold. Findings are ranked by
 // descending confidence; columns with fewer than three supported distinct
 // values yield nothing.
-func (m *Model) DetectColumn(values []string) []Finding {
+func (m *Model) DetectColumn(values []string) []core.Finding {
 	type dv struct {
 		value        string
 		count, first int
@@ -224,12 +215,12 @@ func (m *Model) DetectColumn(values []string) []Finding {
 			}
 		}
 	}
-	var out []Finding
+	var out []core.Finding
 	for i := 0; i < n; i++ {
 		if bestPartner[i] < 0 || weight[i] == 0 {
 			continue
 		}
-		out = append(out, Finding{
+		out = append(out, core.Finding{
 			Value:      distinct[i].value,
 			Index:      distinct[i].first,
 			Partner:    distinct[bestPartner[i]].value,

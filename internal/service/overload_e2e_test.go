@@ -5,12 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"flag"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -27,27 +24,6 @@ import (
 	"repro/internal/retry"
 	"repro/internal/semantic"
 )
-
-var overloadBenchOut = flag.String("service.overloadout", "",
-	"write the overload chaos result (BENCH_overload.json) to this path")
-
-// overloadBench is the BENCH_overload.json payload: goodput of the
-// interactive tier after recovery plus the shed/bound evidence from the
-// chaos phases.
-type overloadBench struct {
-	Benchmark                   string  `json:"benchmark"`
-	OverloadFactor              int     `json:"overload_factor"`
-	ShedCritical                float64 `json:"shed_critical"`
-	ShedInteractive             float64 `json:"shed_interactive"`
-	ShedBackground              float64 `json:"shed_background"`
-	UpstreamRequestsDuringStall uint64  `json:"upstream_requests_during_stall"`
-	UpstreamRequestBound        uint64  `json:"upstream_request_bound"`
-	RegistryHitsDuringStall     int64   `json:"registry_hits_during_stall"`
-	RecoveredMillis             float64 `json:"recovered_ms"`
-	GoodputRequests             int     `json:"goodput_requests"`
-	GoodputP50Millis            float64 `json:"goodput_p50_ms"`
-	GoodputP99Millis            float64 `json:"goodput_p99_ms"`
-}
 
 // metricValue extracts one sample's value from a Prometheus text page.
 func metricValue(t *testing.T, page, series string) float64 {
@@ -376,36 +352,7 @@ func TestOverloadChaos(t *testing.T) {
 		metricValue(t, page, series) // existence is the assertion
 	}
 
-	out := overloadBench{
-		Benchmark:                   "overload_graceful_degradation",
-		OverloadFactor:              overloadFactor,
-		ShedCritical:                shedCrit,
-		ShedInteractive:             shedInt,
-		ShedBackground:              shedBg,
-		UpstreamRequestsDuringStall: stallReqs,
-		UpstreamRequestBound:        uint64(polls + burst),
-		RegistryHitsDuringStall:     0,
-		RecoveredMillis:             float64(recoveredIn) / float64(time.Millisecond),
-		GoodputRequests:             goodputRequests,
-		GoodputP50Millis:            quantileMillis(lat, 0.50),
-		GoodputP99Millis:            quantileMillis(lat, 0.99),
-	}
 	t.Logf("stall attempts=%d/%d sheds crit/int/bg=%v/%v/%v recovered=%.0fms goodput p50=%.2fms p99=%.2fms",
 		stallReqs, polls+burst, shedCrit, shedInt, shedBg,
-		out.RecoveredMillis, out.GoodputP50Millis, out.GoodputP99Millis)
-	if *overloadBenchOut == "" {
-		return
-	}
-	blob, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dir := filepath.Dir(*overloadBenchOut); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := os.WriteFile(*overloadBenchOut, append(blob, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
+		float64(recoveredIn)/float64(time.Millisecond), quantileMillis(lat, 0.50), quantileMillis(lat, 0.99))
 }

@@ -14,8 +14,8 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/faultfs"
 	"repro/internal/resilience"
-	"repro/internal/resilience/faultinject"
 	"repro/internal/semantic"
 )
 
@@ -250,7 +250,7 @@ func TestRequestTimeoutReturns504(t *testing.T) {
 	// A slow-loris body: one byte every 50ms keeps the handler blocked in
 	// Decode well past the 100ms deadline, while still finishing the
 	// client's body write in bounded time.
-	body := &faultinject.SlowReader{
+	body := &faultfs.SlowReader{
 		R:     strings.NewReader(`{"a":"2011-01-01","b":"2011/01/01"}`),
 		Delay: 50 * time.Millisecond,
 		Chunk: 1,
@@ -329,11 +329,11 @@ func TestCorruptedModelNeverServes(t *testing.T) {
 	valid := buf.Bytes()
 
 	faults := map[string]io.Reader{
-		"truncated-half":    faultinject.Truncated(bytes.NewReader(valid), int64(len(valid)/2)),
-		"truncated-1-short": faultinject.Truncated(bytes.NewReader(valid), int64(len(valid)-1)),
-		"flaky-io":          &faultinject.FlakyReader{R: bytes.NewReader(valid), After: int64(len(valid) / 3)},
-		"bit-flip-payload":  &faultinject.FlipReader{R: bytes.NewReader(valid), Offset: int64(len(valid) / 2), Mask: 0x40},
-		"bit-flip-trailer":  &faultinject.FlipReader{R: bytes.NewReader(valid), Offset: int64(len(valid) - 1), Mask: 0x01},
+		"truncated-half":    faultfs.Truncated(bytes.NewReader(valid), int64(len(valid)/2)),
+		"truncated-1-short": faultfs.Truncated(bytes.NewReader(valid), int64(len(valid)-1)),
+		"flaky-io":          &faultfs.FlakyReader{R: bytes.NewReader(valid), After: int64(len(valid) / 3)},
+		"bit-flip-payload":  &faultfs.FlipReader{R: bytes.NewReader(valid), Offset: int64(len(valid) / 2), Mask: 0x40},
+		"bit-flip-trailer":  &faultfs.FlipReader{R: bytes.NewReader(valid), Offset: int64(len(valid) - 1), Mask: 0x01},
 	}
 	for name, r := range faults {
 		if _, err := core.Load(r); !errors.Is(err, core.ErrCorruptModel) {
