@@ -45,7 +45,9 @@
 // atomically writes the finalized model — byte-identical to a
 // single-process `autodetect train` over the same directory and training
 // flags. Workers that crash mid-partition lose their lease after
-// -lease-ttl and the partition is reassigned.
+// -lease-ttl and the partition is reassigned. The coordinator serves
+// behind the same hardening chain as the detection API, with admission,
+// the request deadline and the body cap turned off.
 //
 // The versioned model registry connects producers to the serving fleet:
 //
@@ -76,7 +78,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
@@ -204,17 +205,34 @@ func main() {
 	recorder.Register(reg)
 	tracer := observe.NewTracer(recorder, nil)
 
-	trainConfig := func() core.TrainConfig {
-		cfg := core.DefaultTrainConfig()
-		ds := distsup.DefaultConfig()
-		ds.PositivePairs, ds.NegativePairs = *pairs, *pairs
-		ds.Seed = *seed
-		cfg.DistSup = ds
-		return cfg
+	// The hardened HTTP stack every serving mode shares; each mode adds its
+	// own tier and route rules.
+	stack := resilience.StackConfig{
+		MaxInFlight:    *maxInflight,
+		LatencyTarget:  *latencyTarget,
+		RequestTimeout: *requestTimeout,
+		MaxBodyBytes:   *maxBodyBytes,
+		Metrics:        reg,
+		Logger:         logger,
+		Tracer:         tracer,
+		Pprof:          *enablePprof,
+		TraceDebug:     *traceDebug,
 	}
-	// Distributed-build modes replace the serving stack entirely: the
-	// process runs one build to completion (or rides one out, as a worker)
-	// and exits.
+	ds := distsup.DefaultConfig()
+	ds.PositivePairs, ds.NegativePairs = *pairs, *pairs
+	ds.Seed = *seed
+	trainCfg := core.DefaultTrainConfig()
+	trainCfg.DistSup = ds
+	buildOpts := pipeline.Options{
+		Workers:       *workers,
+		Train:         trainCfg,
+		SampleColumns: *sample,
+		Metrics:       reg,
+	}
+
+	// Distributed-build and registry modes replace the detection API: the
+	// process serves one build to completion (or rides one out, as a
+	// worker) and exits, or serves the registry until signalled.
 	switch {
 	case *buildCoordinator && *buildWorkerURL != "":
 		fmt.Fprintln(os.Stderr, "autodetectd: -build-coordinator and -build-worker are mutually exclusive")
@@ -227,18 +245,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "autodetectd: -registry-serve needs -registry-dir")
 			os.Exit(2)
 		}
-		err := runRegistryServer(logger, reg, registryParams{
-			Dir:            *registryDir,
-			Addr:           *addr,
-			MaxInFlight:    *maxInflight,
-			RequestTimeout: *requestTimeout,
-			MaxBodyBytes:   *maxBodyBytes,
-			Drain:          *drainTimeout,
-			Tracer:         tracer,
-			Pprof:          *enablePprof,
-			TraceDebug:     *traceDebug,
-		})
-		if err != nil {
+		if err := runRegistryServer(logger, stack, *registryDir, *addr, *drainTimeout); err != nil {
 			fatal("registry server failed", "error", err)
 		}
 		return
@@ -247,7 +254,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "autodetectd: -build-coordinator needs -train-dir and -build-state")
 			os.Exit(2)
 		}
-		err := runBuildCoordinator(logger, reg, coordParams{
+		err := runBuildCoordinator(logger, stack, coordParams{
 			TrainDir:    *trainDir,
 			StateDir:    *buildState,
 			Partitions:  *buildPartitions,
@@ -257,15 +264,7 @@ func main() {
 			Summary:     *buildSummary,
 			RegistryURL: *registryURL,
 			Drain:       *drainTimeout,
-			Tracer:      tracer,
-			Pprof:       *enablePprof,
-			TraceDebug:  *traceDebug,
-			Options: pipeline.Options{
-				Workers:       *workers,
-				Train:         trainConfig(),
-				SampleColumns: *sample,
-				Metrics:       reg,
-			},
+			Options:     buildOpts,
 		})
 		if err != nil {
 			fatal("distributed build failed", "error", err)
@@ -282,36 +281,18 @@ func main() {
 		return
 	}
 
-	// buildFromDir streams the directory corpus through the sharded
-	// pipeline; it is re-invoked on SIGHUP / admin reload so the serving
-	// model tracks the table directory without a restart.
-	buildFromDir := func() (*core.Detector, error) {
-		src, err := pipeline.NewDirSourceWith(*trainDir, pipeline.DirConfig{
-			HasHeader:     true,
-			MaxBadFiles:   *maxBadFiles,
-			MaxBadFrac:    *maxBadFrac,
-			QuarantineDir: *quarantineDir,
-			Retry:         retry.Policy{MaxAttempts: *ioRetries},
-		})
-		if err != nil {
-			return nil, err
-		}
-		logger.Info("pipeline build starting",
-			"files", src.Files(), "train_dir", *trainDir, "workers", *workers,
-			"max_bad_files", *maxBadFiles, "max_bad_frac", *maxBadFrac, "io_retries", *ioRetries)
-		res, err := pipeline.Run(context.Background(), src, pipeline.Options{
-			Workers:       *workers,
-			Train:         trainConfig(),
-			SampleColumns: *sample,
-			Metrics:       reg,
-		})
+	// build streams src through the sharded pipeline; every in-process
+	// model, at startup and on each reload, is built here.
+	build := func(src pipeline.ColumnSource, opts pipeline.Options, attrs ...any) (*core.Detector, error) {
+		logger.Info("pipeline build starting", append(attrs, "workers", opts.Workers)...)
+		res, err := pipeline.Run(context.Background(), src, opts)
 		if err != nil {
 			return nil, err
 		}
 		logger.Info("pipeline build done",
 			"columns", res.Columns, "values", res.Values,
 			"elapsed", res.Elapsed.Round(time.Millisecond).String(),
-			"languages", len(res.Report.Selected))
+			"languages", len(res.Report.Selected), "model_bytes", res.Report.SelectedBytes)
 		if res.FilesSkipped > 0 || res.ColumnsQuarantined > 0 {
 			logger.Warn("degraded ingestion", "files_skipped", res.FilesSkipped,
 				"columns_quarantined", res.ColumnsQuarantined, "quarantine_dir", *quarantineDir)
@@ -319,86 +300,67 @@ func main() {
 		return res.Detector, nil
 	}
 
-	// buildFromDSN streams every table.column of the database through the
-	// same sharded pipeline; like buildFromDir it is re-invoked on SIGHUP /
-	// admin reload, re-introspecting so the model tracks the live schema.
-	buildFromDSN := func() (*core.Detector, error) {
-		src, err := dbsource.NewSource(context.Background(), dbsource.Config{
-			Driver:  *trainDriver,
-			DSN:     *trainDSN,
-			Retry:   retry.Policy{MaxAttempts: *ioRetries},
-			Metrics: reg,
-		})
-		if err != nil {
-			return nil, err
-		}
-		defer src.Close()
-		logger.Info("pipeline build starting", "driver", *trainDriver,
-			"db_columns", src.Len(), "schema_hash", src.SchemaHash(), "workers", *workers)
-		res, err := pipeline.Run(context.Background(), src, pipeline.Options{
-			Workers:       *workers,
-			Train:         trainConfig(),
-			SampleColumns: *sample,
-			Metrics:       reg,
-		})
-		if err != nil {
-			return nil, err
-		}
-		logger.Info("pipeline build done",
-			"columns", res.Columns, "values", res.Values,
-			"elapsed", res.Elapsed.Round(time.Millisecond).String(),
-			"languages", len(res.Report.Selected))
-		return res.Detector, nil
-	}
-
-	var det *core.Detector
-	var sem *semantic.Model
-	var initInfo service.ModelInfo
+	// One decision picks the model source. Its load function builds the
+	// first model and, except for the one-off synthetic corpus, is the
+	// reload hook behind SIGHUP and /v1/admin/reload: a file is re-read, a
+	// directory rescanned, a database re-introspected.
+	var load func() (*core.Detector, *semantic.Model, service.ModelInfo, error)
+	reloadable := true
 	switch {
 	case *modelPath != "":
-		var err error
-		det, initInfo, err = loadModelFile(*modelPath)
-		if err != nil {
-			if errors.Is(err, core.ErrCorruptModel) {
-				fatal("refusing to serve corrupt model", "model", *modelPath, "error", err)
-			}
-			fatal("model load failed", "model", *modelPath, "error", err)
+		load = func() (*core.Detector, *semantic.Model, service.ModelInfo, error) {
+			d, info, err := loadModelFile(*modelPath)
+			return d, nil, info, err
 		}
-		logger.Info("model loaded", "model", *modelPath,
-			"languages", len(det.Languages()), "model_bytes", det.Bytes())
 	case *trainDir != "":
-		var err error
-		det, err = buildFromDir()
-		if err != nil {
-			fatal("pipeline build failed", "train_dir", *trainDir, "error", err)
+		load = func() (*core.Detector, *semantic.Model, service.ModelInfo, error) {
+			src, err := pipeline.NewDirSourceWith(*trainDir, pipeline.DirConfig{
+				HasHeader:     true,
+				MaxBadFiles:   *maxBadFiles,
+				MaxBadFrac:    *maxBadFrac,
+				QuarantineDir: *quarantineDir,
+				Retry:         retry.Policy{MaxAttempts: *ioRetries},
+			})
+			if err != nil {
+				return nil, nil, service.ModelInfo{}, err
+			}
+			d, err := build(src, buildOpts, "files", src.Files(), "train_dir", *trainDir,
+				"max_bad_files", *maxBadFiles, "max_bad_frac", *maxBadFrac, "io_retries", *ioRetries)
+			return d, nil, service.ModelInfo{Source: "train-dir"}, err
 		}
-		initInfo = service.ModelInfo{Source: "train-dir"}
 	case *trainDSN != "":
-		var err error
-		det, err = buildFromDSN()
-		if err != nil {
-			fatal("pipeline build failed", "train_driver", *trainDriver, "error", err)
+		load = func() (*core.Detector, *semantic.Model, service.ModelInfo, error) {
+			src, err := dbsource.NewSource(context.Background(), dbsource.Config{
+				Driver:  *trainDriver,
+				DSN:     *trainDSN,
+				Retry:   retry.Policy{MaxAttempts: *ioRetries},
+				Metrics: reg,
+			})
+			if err != nil {
+				return nil, nil, service.ModelInfo{}, err
+			}
+			defer src.Close()
+			d, err := build(src, buildOpts, "driver", *trainDriver,
+				"db_columns", src.Len(), "schema_hash", src.SchemaHash())
+			return d, nil, service.ModelInfo{Source: "train-dsn"}, err
 		}
-		initInfo = service.ModelInfo{Source: "train-dsn"}
 	case *train:
-		logger.Info("training on synthetic corpus", "columns", *columns, "workers", *workers)
-		c := corpus.Generate(corpus.WebProfile(), *columns, *seed)
-		res, err := pipeline.Run(context.Background(), pipeline.NewSliceSource(c.Columns), pipeline.Options{
-			Workers: *workers,
-			Train:   trainConfig(),
-			Metrics: reg,
-		})
-		if err != nil {
-			fatal("training failed", "error", err)
+		reloadable = false
+		load = func() (*core.Detector, *semantic.Model, service.ModelInfo, error) {
+			c := corpus.Generate(corpus.WebProfile(), *columns, *seed)
+			opts := buildOpts
+			opts.SampleColumns = 0 // -train keeps every column, as it always has: same model bytes
+			d, err := build(pipeline.NewSliceSource(c.Columns), opts, "synthetic_columns", *columns)
+			if err != nil {
+				return nil, nil, service.ModelInfo{}, err
+			}
+			sem, err := semantic.Train(c, semantic.DefaultConfig())
+			if err != nil {
+				logger.Warn("semantic model unavailable", "error", err)
+				sem = nil
+			}
+			return d, sem, service.ModelInfo{Source: "synthetic"}, nil
 		}
-		det = res.Detector
-		logger.Info("training done",
-			"languages", len(res.Report.Selected), "model_bytes", res.Report.SelectedBytes)
-		if sem, err = semantic.Train(c, semantic.DefaultConfig()); err != nil {
-			logger.Warn("semantic model unavailable", "error", err)
-			sem = nil
-		}
-		initInfo = service.ModelInfo{Source: "synthetic"}
 	case *registryURL != "":
 		// No local model: start not-ready and let the registry puller
 		// deliver the first version; readyz flips once it applies.
@@ -407,6 +369,21 @@ func main() {
 	default:
 		fmt.Fprintln(os.Stderr, "autodetectd: need -model, -train-dir, -train-dsn, -train or -registry-url")
 		os.Exit(2)
+	}
+
+	var det *core.Detector
+	var sem *semantic.Model
+	var initInfo service.ModelInfo
+	if load != nil {
+		det, sem, initInfo, err = load()
+		if errors.Is(err, core.ErrCorruptModel) {
+			fatal("refusing to serve corrupt model", "model", *modelPath, "error", err)
+		}
+		if err != nil {
+			fatal("model load failed", "source", initInfo.Source, "error", err)
+		}
+		logger.Info("model loaded", "source", initInfo.Source,
+			"languages", len(det.Languages()), "model_bytes", det.Bytes())
 	}
 
 	svc := service.NewWithInfo(det, sem, initInfo)
@@ -421,13 +398,15 @@ func main() {
 	svc.EnablePprof = *enablePprof
 	svc.Tracer = tracer
 	svc.EnableTraceDebug = *traceDebug
+	if reloadable {
+		svc.Reload = load
+	}
 
 	// Batch audit jobs: durable queue + executor under -jobs-dir. Opened
 	// before the listener so jobs interrupted by the previous shutdown are
 	// already re-enqueued when the first poll arrives.
 	var jobMgr *jobs.Manager
 	if *jobsDir != "" {
-		var err error
 		jobMgr, err = jobs.Open(context.Background(), jobs.Config{
 			Dir:        *jobsDir,
 			Workers:    *jobWorkers,
@@ -448,8 +427,11 @@ func main() {
 			"job_timeout", jobTimeout.String(), "recovered", jobMgr.Recovered())
 	}
 	// Registry pulling: the puller polls the registry's pinned version and
-	// hot-swaps through the same atomic path as /v1/admin/reload.
-	var puller *registry.Puller
+	// hot-swaps through the same atomic path as /v1/admin/reload, and a
+	// reload forces an immediate poll instead of re-reading the local
+	// source.
+	pullCtx, pullCancel := context.WithCancel(context.Background())
+	defer pullCancel()
 	if *registryURL != "" {
 		// The pull path gets the full degradation kit: a breaker so a dead
 		// registry costs one local rejection per poll instead of a retry
@@ -458,7 +440,7 @@ func main() {
 		pullBreaker := resilience.NewBreaker(resilience.BreakerConfig{
 			Name:    "registry_pull",
 			Metrics: reg,
-			Logf:    func(format string, args ...any) { logger.Warn(fmt.Sprintf(format, args...)) },
+			Logf:    observe.Logf(logger, slog.LevelWarn),
 		})
 		svc.DegradedCheck = func() []string {
 			if pullBreaker.State() != resilience.BreakerClosed {
@@ -466,8 +448,7 @@ func main() {
 			}
 			return nil
 		}
-		var err error
-		puller, err = registry.NewPuller(registry.PullerConfig{
+		puller, err := registry.NewPuller(registry.PullerConfig{
 			URL:     *registryURL,
 			Poll:    *registryPoll,
 			Breaker: pullBreaker,
@@ -482,19 +463,15 @@ func main() {
 					SHA256: info.SHA256, PublishedUnixMs: info.PublishedUnixMs,
 				})
 			},
-			Logf:    func(format string, args ...any) { logger.Info(fmt.Sprintf(format, args...)) },
+			Logf:    observe.Logf(logger, slog.LevelInfo),
 			Metrics: reg,
 			Tracer:  tracer,
 		})
 		if err != nil {
 			fatal("registry puller setup failed", "registry", *registryURL, "error", err)
 		}
-	}
-	switch {
-	case puller != nil:
-		// Reload forces an immediate registry poll. The puller's Apply hook
-		// already swapped on change, so the handler's follow-up swap just
-		// re-stores the model it reports on.
+		// The puller's Apply hook already swapped on change, so the reload's
+		// follow-up swap just re-stores the model it reports on.
 		svc.Reload = func() (*core.Detector, *semantic.Model, service.ModelInfo, error) {
 			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 			defer cancel()
@@ -507,100 +484,82 @@ func main() {
 			}
 			return d, sm, svc.Info(), nil
 		}
-	case *modelPath != "":
-		// Hot reload re-reads the model file; the semantic model (only
-		// produced by -train) is not file-backed and stays as-is.
-		svc.Reload = func() (*core.Detector, *semantic.Model, service.ModelInfo, error) {
-			d, info, err := loadModelFile(*modelPath)
-			return d, sem, info, err
-		}
-	case *trainDir != "":
-		// Hot reload retrains over the (possibly updated) directory.
-		svc.Reload = func() (*core.Detector, *semantic.Model, service.ModelInfo, error) {
-			d, err := buildFromDir()
-			return d, sem, service.ModelInfo{Source: "train-dir"}, err
-		}
-	case *trainDSN != "":
-		// Hot reload re-introspects and retrains over the live database.
-		svc.Reload = func() (*core.Detector, *semantic.Model, service.ModelInfo, error) {
-			d, err := buildFromDSN()
-			return d, sem, service.ModelInfo{Source: "train-dsn"}, err
-		}
-	}
-
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           svc.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		IdleTimeout:       120 * time.Second,
-		MaxHeaderBytes:    1 << 20,
-	}
-
-	// The puller loop starts before the listener so a model-less replica
-	// converges on the registry's pinned version as soon as it is up.
-	pullCtx, pullCancel := context.WithCancel(context.Background())
-	defer pullCancel()
-	if puller != nil {
+		// The loop starts before the listener so a model-less replica
+		// converges on the registry's pinned version as soon as it is up.
 		go func() { _ = puller.Run(pullCtx) }()
 	}
 
-	// SIGHUP → hot reload through the same hook as /v1/admin/reload; the
-	// atomic swap means in-flight requests keep their model snapshot.
+	// SIGHUP → the same reload-and-swap as /v1/admin/reload; the atomic
+	// swap means in-flight requests keep their model snapshot.
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
 	go func() {
 		for range hup {
-			if svc.Reload == nil {
-				logger.Warn("SIGHUP ignored: no -model file, -train-dir or -registry-url to reload from")
-				continue
+			if _, _, _, err := svc.ReloadNow("SIGHUP"); errors.Is(err, service.ErrNoReload) {
+				logger.Warn("SIGHUP ignored: no -model file, -train-dir, -train-dsn or -registry-url to reload from")
 			}
-			d, sm, info, err := svc.Reload()
-			if err != nil {
-				logger.Error("SIGHUP reload failed, keeping current model", "error", err)
-				continue
-			}
-			if err := svc.SwapInfo(d, sm, info); err != nil {
-				logger.Error("SIGHUP swap failed", "error", err)
-				continue
-			}
-			logger.Info("SIGHUP reload succeeded",
-				"languages", len(d.Languages()), "model_bytes", d.Bytes(),
-				"model_version", info.Version, "model_source", info.Source)
 		}
 	}()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
 	logger.Info("listening", "addr", *addr,
 		"max_inflight", *maxInflight, "request_timeout", requestTimeout.String(),
 		"max_body_bytes", *maxBodyBytes, "pprof", *enablePprof)
-
-	select {
-	case err := <-errCh:
-		fatal("server failed", "error", err)
-	case <-ctx.Done():
-		stop() // restore default signal handling: a second ^C kills immediately
-		logger.Info("shutdown signal received, draining connections", "drain_timeout", drainTimeout.String())
-		shCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		defer cancel()
-		if err := srv.Shutdown(shCtx); err != nil {
-			logger.Error("drain incomplete, forcing close", "error", err)
-			_ = srv.Close()
+	err = listenAndDrain(logger, *addr, svc.Handler(), *drainTimeout, untilSignal)
+	if jobMgr != nil {
+		// Drain the executor after the listener: running jobs persist their
+		// per-column checkpoint and resume on the next boot.
+		jCtx, jCancel := context.WithTimeout(context.Background(), *drainTimeout)
+		if err := jobMgr.Close(jCtx); err != nil {
+			logger.Error("batch job drain incomplete", "error", err)
 		}
-		if jobMgr != nil {
-			// Drain the executor: running jobs persist their per-column
-			// checkpoint and resume on the next boot.
-			jCtx, jCancel := context.WithTimeout(context.Background(), *drainTimeout)
-			if err := jobMgr.Close(jCtx); err != nil {
-				logger.Error("batch job drain incomplete", "error", err)
-			}
-			jCancel()
-		}
-		logger.Info("shutdown complete")
+		jCancel()
 	}
+	if err != nil {
+		fatal("server failed", "error", err)
+	}
+	logger.Info("shutdown complete")
+}
+
+// listenAndDrain serves h on addr while work runs under a context that
+// SIGINT/SIGTERM cancel. When work returns, the server drains connections
+// for at most drain (then closes them) and work's error is returned; a
+// listener failure returns at once. Every HTTP mode runs through here.
+func listenAndDrain(logger *slog.Logger, addr string, h http.Handler, drain time.Duration, work func(ctx context.Context) error) error {
+	srv := &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: 5 * time.Second,
+		IdleTimeout:       120 * time.Second,
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.ListenAndServe() }()
+	workErr := make(chan error, 1)
+	go func() { workErr <- work(ctx) }()
+	var err error
+	select {
+	case err := <-serveErr:
+		return fmt.Errorf("server failed: %w", err)
+	case err = <-workErr:
+	}
+	if ctx.Err() != nil {
+		logger.Info("shutdown signal received, draining connections", "drain_timeout", drain.String())
+	}
+	stop() // restore default signal handling: a second ^C kills immediately
+	shCtx, cancel := context.WithTimeout(context.Background(), drain)
+	defer cancel()
+	if serr := srv.Shutdown(shCtx); serr != nil {
+		logger.Error("drain incomplete, forcing close", "error", serr)
+		_ = srv.Close()
+	}
+	return err
+}
+
+// untilSignal is the work of a server that runs until SIGINT/SIGTERM.
+func untilSignal(ctx context.Context) error {
+	<-ctx.Done()
+	return nil
 }
 
 // coordParams carries the -build-coordinator flag set.
@@ -614,9 +573,6 @@ type coordParams struct {
 	Summary     string
 	RegistryURL string
 	Drain       time.Duration
-	Tracer      *observe.Tracer
-	Pprof       bool
-	TraceDebug  bool
 	Options     pipeline.Options
 }
 
@@ -639,23 +595,25 @@ type buildSummary struct {
 }
 
 // runBuildCoordinator drives one distributed build end to end: serve the
-// distbuild protocol (plus /metrics) on addr, wait until every partition's
-// shard is accepted, merge and finalize, atomically write the model, then
-// drain. SIGINT/SIGTERM abort the build; accepted shards stay under
-// StateDir, so rerunning the same command resumes where it stopped.
-func runBuildCoordinator(logger *slog.Logger, reg *observe.Registry, p coordParams) error {
+// distbuild protocol on addr behind the shared hardened stack, wait until
+// every partition's shard is accepted, merge and finalize, atomically
+// write the model, then drain. SIGINT/SIGTERM abort the build; accepted
+// shards stay under StateDir, so rerunning the same command resumes where
+// it stopped.
+func runBuildCoordinator(logger *slog.Logger, stack resilience.StackConfig, p coordParams) error {
 	part, err := pipeline.NewDirPartitioner(p.TrainDir, pipeline.DirConfig{HasHeader: true})
 	if err != nil {
 		return err
 	}
+	reg := stack.Metrics
 	coord, err := distbuild.NewCoordinator(part, distbuild.CoordinatorConfig{
 		StateDir:   p.StateDir,
 		Partitions: p.Partitions,
 		LeaseTTL:   p.LeaseTTL,
 		Options:    p.Options,
 		Metrics:    reg,
-		Tracer:     p.Tracer,
-		Logf:       func(format string, args ...any) { logger.Info(fmt.Sprintf(format, args...)) },
+		Tracer:     stack.Tracer,
+		Logf:       observe.Logf(logger, slog.LevelInfo),
 	})
 	if err != nil {
 		return err
@@ -663,122 +621,97 @@ func runBuildCoordinator(logger *slog.Logger, reg *observe.Registry, p coordPara
 	// Finalize the build's root span no matter how the build ends, so the
 	// trace lands in the flight recorder (EndTrace is idempotent).
 	defer coord.EndTrace()
-	mux := http.NewServeMux()
-	mux.Handle("/", coord.Handler())
-	mux.Handle("GET /metrics", reg.Handler())
-	mux.Handle("/debug/", observe.DebugHandler(observe.DebugOptions{
-		Pprof:    p.Pprof,
-		Traces:   p.TraceDebug && p.Tracer != nil,
-		Recorder: debugRecorder(p.Tracer),
-	}))
-	srv := &http.Server{
-		Addr:              p.Addr,
-		Handler:           mux,
-		ReadHeaderTimeout: 5 * time.Second,
-		IdleTimeout:       120 * time.Second,
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
+	// Shard uploads are large and a lease must never be shed or cut short
+	// mid-build, so admission, the deadline and the body cap stay off; the
+	// coordinator keeps recovery, request IDs, metrics and access logs.
+	stack.MaxInFlight, stack.RequestTimeout, stack.MaxBodyBytes = 0, 0, 0
+	stack.Route = distbuild.RouteLabel
 	logger.Info("build coordinator listening", "addr", p.Addr,
 		"partitions", coord.Partitions(), "restored", coord.Restored(),
 		"lease_ttl", p.LeaseTTL.String(), "state_dir", p.StateDir)
 
 	start := time.Now()
-	waitCh := make(chan error, 1)
-	go func() { waitCh <- coord.Wait(ctx) }()
-	select {
-	case err := <-errCh:
-		return fmt.Errorf("coordinator server failed: %w", err)
-	case err := <-waitCh:
-		if err != nil {
+	return listenAndDrain(logger, p.Addr, resilience.Stack(coord.Handler(), stack), p.Drain, func(ctx context.Context) error {
+		if err := coord.Wait(ctx); err != nil {
 			logger.Warn("build interrupted; accepted shards persist, rerun to resume",
 				"state_dir", p.StateDir, "status", fmt.Sprintf("%+v", coord.Status()))
 			return err
 		}
-	}
-
-	// Keep serving while finalizing: lingering workers still polling for
-	// leases hear "done" and exit cleanly instead of retrying into a wall.
-	det, rep, err := coord.BuildModel(context.Background())
-	if err != nil {
-		return err
-	}
-	if err := atomicio.WriteTo(p.Out, 0o644, det.Save); err != nil {
-		return err
-	}
-	if p.RegistryURL != "" {
-		// Publish the finalized model so the serving fleet picks it up.
-		// Idempotent: a rerun of a finished build re-uploads the same bytes
-		// and is acknowledged as a duplicate. The publish rides the build
-		// trace: the registry persists the injected traceparent, and every
-		// replica's hot-swap span joins this build's timeline.
-		var buf bytes.Buffer
-		if err := det.Save(&buf); err != nil {
+		// The server stays up while finalizing: lingering workers still
+		// polling for leases hear "done" and exit cleanly instead of
+		// retrying into a wall.
+		det, rep, err := coord.BuildModel(context.Background())
+		if err != nil {
 			return err
 		}
-		fp := pipeline.BuildFingerprint(part.Fingerprint(), p.Options)
-		pubCtx, endPublish := observe.RecorderSpan(coord.TraceContext(), "publish_model")
-		pres, err := registry.PublishModel(pubCtx, p.RegistryURL,
-			buf.Bytes(), fp, "distbuild", registry.PublishOptions{
-				Retry: retry.Policy{MaxAttempts: 10},
-				Breaker: resilience.NewBreaker(resilience.BreakerConfig{
-					Name:    "registry_publish",
-					Metrics: reg,
-					Logf:    func(format string, args ...any) { logger.Warn(fmt.Sprintf(format, args...)) },
-				}),
-				Budget: resilience.NewRetryBudget(resilience.BudgetConfig{Name: "registry_publish", Metrics: reg}),
-			})
-		if err != nil {
-			observe.SetSpanError(pubCtx, err.Error())
-			endPublish()
-			return fmt.Errorf("model written to %s but registry publish failed: %w", p.Out, err)
+		if err := atomicio.WriteTo(p.Out, 0o644, det.Save); err != nil {
+			return err
 		}
-		endPublish()
-		logger.Info("model published to registry", "registry", p.RegistryURL,
-			"version", pres.Version, "status", pres.Status, "current", pres.Current,
-			"sha256", pres.SHA256)
-	}
-	// Finalize the build trace now — while the server is still up — so the
-	// completed timeline is visible on /debug/traces before drain.
-	coord.EndTrace()
-	st := coord.Status()
-	sum := buildSummary{
-		Partitions:      st.Partitions,
-		Restored:        coord.Restored(),
-		WallSeconds:     time.Since(start).Seconds(),
-		LeasesGranted:   st.LeasesGranted,
-		LeasesExpired:   st.LeasesExpired,
-		Reassignments:   st.Reassignments,
-		ShardsAccepted:  st.ShardsAccepted,
-		ShardsDuplicate: st.ShardsDuplicate,
-		ShardsRejected:  st.ShardsRejected,
-		Languages:       len(rep.Selected),
-		ModelBytes:      rep.SelectedBytes,
-	}
-	logger.Info("distributed build complete", "out", p.Out,
-		"partitions", sum.Partitions, "restored", sum.Restored,
-		"leases_granted", sum.LeasesGranted, "leases_expired", sum.LeasesExpired,
-		"reassignments", sum.Reassignments, "shards_accepted", sum.ShardsAccepted,
-		"shards_duplicate", sum.ShardsDuplicate, "shards_rejected", sum.ShardsRejected,
-		"languages", sum.Languages, "model_bytes", sum.ModelBytes,
-		"elapsed", time.Since(start).Round(time.Millisecond).String())
-	if p.Summary != "" {
+		if p.RegistryURL != "" {
+			// Publish the finalized model so the serving fleet picks it up.
+			// Idempotent: a rerun of a finished build re-uploads the same
+			// bytes and is acknowledged as a duplicate. The publish rides the
+			// build trace: the registry persists the injected traceparent,
+			// and every replica's hot-swap span joins this build's timeline.
+			var buf bytes.Buffer
+			if err := det.Save(&buf); err != nil {
+				return err
+			}
+			fp := pipeline.BuildFingerprint(part.Fingerprint(), p.Options)
+			pubCtx, endPublish := observe.RecorderSpan(coord.TraceContext(), "publish_model")
+			pres, err := registry.PublishModel(pubCtx, p.RegistryURL,
+				buf.Bytes(), fp, "distbuild", registry.PublishOptions{
+					Retry: retry.Policy{MaxAttempts: 10},
+					Breaker: resilience.NewBreaker(resilience.BreakerConfig{
+						Name:    "registry_publish",
+						Metrics: reg,
+						Logf:    observe.Logf(logger, slog.LevelWarn),
+					}),
+					Budget: resilience.NewRetryBudget(resilience.BudgetConfig{Name: "registry_publish", Metrics: reg}),
+				})
+			if err != nil {
+				observe.SetSpanError(pubCtx, err.Error())
+				endPublish()
+				return fmt.Errorf("model written to %s but registry publish failed: %w", p.Out, err)
+			}
+			endPublish()
+			logger.Info("model published to registry", "registry", p.RegistryURL,
+				"version", pres.Version, "status", pres.Status, "current", pres.Current,
+				"sha256", pres.SHA256)
+		}
+		// Finalize the build trace now — while the server is still up — so
+		// the completed timeline is visible on /debug/traces before drain.
+		coord.EndTrace()
+		st := coord.Status()
+		sum := buildSummary{
+			Partitions:      st.Partitions,
+			Restored:        coord.Restored(),
+			WallSeconds:     time.Since(start).Seconds(),
+			LeasesGranted:   st.LeasesGranted,
+			LeasesExpired:   st.LeasesExpired,
+			Reassignments:   st.Reassignments,
+			ShardsAccepted:  st.ShardsAccepted,
+			ShardsDuplicate: st.ShardsDuplicate,
+			ShardsRejected:  st.ShardsRejected,
+			Languages:       len(rep.Selected),
+			ModelBytes:      rep.SelectedBytes,
+		}
+		logger.Info("distributed build complete", "out", p.Out,
+			"partitions", sum.Partitions, "restored", sum.Restored,
+			"leases_granted", sum.LeasesGranted, "leases_expired", sum.LeasesExpired,
+			"reassignments", sum.Reassignments, "shards_accepted", sum.ShardsAccepted,
+			"shards_duplicate", sum.ShardsDuplicate, "shards_rejected", sum.ShardsRejected,
+			"languages", sum.Languages, "model_bytes", sum.ModelBytes,
+			"elapsed", time.Since(start).Round(time.Millisecond).String())
+		if p.Summary == "" {
+			return nil
+		}
 		raw, err := json.MarshalIndent(sum, "", "  ")
 		if err != nil {
 			return err
 		}
-		if err := atomicio.WriteFile(p.Summary, raw, 0o644); err != nil {
-			return err
-		}
-	}
-	shCtx, cancel := context.WithTimeout(context.Background(), p.Drain)
-	defer cancel()
-	if err := srv.Shutdown(shCtx); err != nil {
-		_ = srv.Close()
-	}
-	return nil
+		return atomicio.WriteFile(p.Summary, raw, 0o644)
+	})
 }
 
 // runBuildWorker joins a distributed build and works until the coordinator
@@ -796,11 +729,11 @@ func runBuildWorker(logger *slog.Logger, reg *observe.Registry, tracer *observe.
 		Breaker: resilience.NewBreaker(resilience.BreakerConfig{
 			Name:    "distbuild_worker",
 			Metrics: reg,
-			Logf:    func(format string, args ...any) { logger.Warn(fmt.Sprintf(format, args...)) },
+			Logf:    observe.Logf(logger, slog.LevelWarn),
 		}),
 		Budget: resilience.NewRetryBudget(resilience.BudgetConfig{Name: "distbuild_worker", Metrics: reg}),
 		Tracer: tracer,
-		Logf:   func(format string, args ...any) { logger.Info(fmt.Sprintf(format, args...)) },
+		Logf:   observe.Logf(logger, slog.LevelInfo),
 	})
 	if err != nil {
 		return err
@@ -810,116 +743,30 @@ func runBuildWorker(logger *slog.Logger, reg *observe.Registry, tracer *observe.
 	return nil
 }
 
-// registryParams carries the -registry-serve flag set.
-type registryParams struct {
-	Dir            string
-	Addr           string
-	MaxInFlight    int
-	RequestTimeout time.Duration
-	MaxBodyBytes   int64
-	Drain          time.Duration
-	Tracer         *observe.Tracer
-	Pprof          bool
-	TraceDebug     bool
-}
-
-// debugRecorder unwraps a possibly-nil tracer's flight recorder for the
-// DebugHandler mount.
-func debugRecorder(t *observe.Tracer) *observe.FlightRecorder {
-	if t == nil {
-		return nil
-	}
-	return t.Recorder()
-}
-
 // runRegistryServer serves the versioned model registry until
 // SIGINT/SIGTERM. The store rescans its directory on open — re-verifying
 // every stored version's digest and quarantining corrupt ones — so a
 // restarted registry never serves bytes it cannot vouch for. The API sits
-// behind the same hardening chain as the detection service; /v1/livez and
-// /metrics bypass the limiter so orchestrators and scrapes survive
-// overload.
-func runRegistryServer(logger *slog.Logger, reg *observe.Registry, p registryParams) error {
-	store, err := registry.Open(p.Dir, registry.Options{
-		Metrics: reg,
-		Logf:    func(format string, args ...any) { logger.Info(fmt.Sprintf(format, args...)) },
+// behind the same hardened stack as the detection service.
+func runRegistryServer(logger *slog.Logger, stack resilience.StackConfig, dir, addr string, drain time.Duration) error {
+	store, err := registry.Open(dir, registry.Options{
+		Metrics: stack.Metrics,
+		Logf:    observe.Logf(logger, slog.LevelInfo),
 	})
 	if err != nil {
 		return err
 	}
 	cur, pinned, versions := store.List()
-	logger.Info("registry open", "dir", p.Dir, "versions", len(versions),
+	logger.Info("registry open", "dir", dir, "versions", len(versions),
 		"current", cur, "pinned", pinned)
-
-	httpMetrics := resilience.NewHTTPMetrics(reg)
-	httpMetrics.Route = registry.RouteLabel
-	// The registry's traffic is fleet-internal: pulls and publishes retry
-	// under budgets, so they are background tier and shed first; the pin
-	// surface (an operator rolling back a bad model) is critical and never
-	// shed.
-	adm := resilience.NewAdmission(resilience.AdmissionConfig{
-		MaxConcurrency: p.MaxInFlight,
-		Metrics:        reg,
-		Tier: func(r *http.Request) resilience.Tier {
-			if strings.HasPrefix(r.URL.Path, registry.PathPin) {
-				return resilience.TierCritical
-			}
-			return resilience.TierBackground
-		},
-	})
-	hardened := resilience.Chain(
-		adm.Middleware(),
-		resilience.DeadlineBudget(p.RequestTimeout, nil, reg),
-		resilience.MaxBytes(p.MaxBodyBytes),
-	)(registry.NewServer(store).Handler())
-	root := http.NewServeMux()
-	root.HandleFunc("/v1/livez", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write([]byte(`{"status":"alive"}` + "\n"))
-	})
-	root.Handle("GET /metrics", reg.Handler())
-	root.Handle("/debug/", observe.DebugHandler(observe.DebugOptions{
-		Pprof:    p.Pprof,
-		Traces:   p.TraceDebug && p.Tracer != nil,
-		Recorder: debugRecorder(p.Tracer),
-	}))
-	root.Handle("/", hardened)
-	handler := resilience.Chain(
-		resilience.RequestID(),
-		resilience.Tracing(p.Tracer, registry.RouteLabel),
-		resilience.Metrics(httpMetrics),
-		resilience.AccessLog(logger),
-		resilience.Recover(func(format string, args ...any) { logger.Error(fmt.Sprintf(format, args...)) }),
-	)(root)
-
-	srv := &http.Server{
-		Addr:              p.Addr,
-		Handler:           handler,
-		ReadHeaderTimeout: 5 * time.Second,
-		IdleTimeout:       120 * time.Second,
-		MaxHeaderBytes:    1 << 20,
+	stack.Tier = registry.Tier
+	stack.Route = registry.RouteLabel
+	logger.Info("registry listening", "addr", addr,
+		"max_inflight", stack.MaxInFlight, "request_timeout", stack.RequestTimeout.String(),
+		"max_body_bytes", stack.MaxBodyBytes)
+	if err := listenAndDrain(logger, addr, resilience.Stack(registry.NewServer(store).Handler(), stack), drain, untilSignal); err != nil {
+		return err
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
-	logger.Info("registry listening", "addr", p.Addr,
-		"max_inflight", p.MaxInFlight, "request_timeout", p.RequestTimeout.String(),
-		"max_body_bytes", p.MaxBodyBytes)
-
-	select {
-	case err := <-errCh:
-		return fmt.Errorf("registry server failed: %w", err)
-	case <-ctx.Done():
-		stop()
-		logger.Info("shutdown signal received, draining connections", "drain_timeout", p.Drain.String())
-		shCtx, cancel := context.WithTimeout(context.Background(), p.Drain)
-		defer cancel()
-		if err := srv.Shutdown(shCtx); err != nil {
-			logger.Error("drain incomplete, forcing close", "error", err)
-			_ = srv.Close()
-		}
-		logger.Info("shutdown complete")
-	}
+	logger.Info("shutdown complete")
 	return nil
 }

@@ -25,7 +25,11 @@
 // and the binary pipeline shard encoding (AUTODETECT-SH/1) for data.
 package distbuild
 
-import "repro/internal/pipeline"
+import (
+	"net/http"
+
+	"repro/internal/pipeline"
+)
 
 // Endpoint paths. Versioned so a future protocol revision can coexist with
 // draining v1 workers.
@@ -35,6 +39,17 @@ const (
 	PathShard     = "/distbuild/v1/shard"
 	PathStatus    = "/distbuild/v1/status"
 )
+
+// RouteLabel bounds the route label cardinality of the coordinator's HTTP
+// metrics: each protocol endpoint keeps its path, anything else is
+// "other".
+func RouteLabel(r *http.Request) string {
+	switch p := r.URL.Path; p {
+	case PathLease, PathHeartbeat, PathShard, PathStatus:
+		return p
+	}
+	return "other"
+}
 
 // LeaseRequest asks the coordinator for a partition to count.
 type LeaseRequest struct {

@@ -2,6 +2,7 @@ package observe
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"log/slog"
 )
@@ -38,6 +39,19 @@ func NewLogger(w io.Writer, opts LogOptions) *slog.Logger {
 		l = l.With("component", opts.Component)
 	}
 	return l
+}
+
+// Logf adapts logger to the printf-shaped sinks lower layers take
+// (breakers, the registry puller and store, distbuild, panic recovery):
+// each call logs the formatted message at level. A nil logger yields a
+// nil func, which those sinks treat as "discard".
+func Logf(logger *slog.Logger, level slog.Level) func(format string, args ...any) {
+	if logger == nil {
+		return nil
+	}
+	return func(format string, args ...any) {
+		logger.Log(context.Background(), level, fmt.Sprintf(format, args...))
+	}
 }
 
 // correlate injects request_id and trace_id from the record's context.

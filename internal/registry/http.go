@@ -52,6 +52,17 @@ func RouteLabel(r *http.Request) string {
 	}
 }
 
+// Tier classifies registry requests for admission. The traffic is
+// fleet-internal: pulls and publishes retry under budgets, so they are
+// background and shed first; the pin surface (an operator rolling back a
+// bad model) is critical and never shed.
+func Tier(r *http.Request) resilience.Tier {
+	if strings.HasPrefix(r.URL.Path, PathPin) {
+		return resilience.TierCritical
+	}
+	return resilience.TierBackground
+}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)

@@ -67,9 +67,11 @@ func ParseDeadline(h http.Header) (time.Duration, bool) {
 	return time.Duration(ms) * time.Millisecond, true
 }
 
-// DeadlineBudget is deadline-propagating Timeout: each request runs under
-// min(def, inbound HeaderDeadline budget), and a request whose budget is
-// already below floor(r) is fast-failed with 504 before any work happens.
+// DeadlineBudget bounds each request's wall clock with a propagated
+// deadline: each request runs under min(def, inbound HeaderDeadline
+// budget); past it the client gets 504 while the handler's late writes are
+// discarded. A request whose budget is already below floor(r) is
+// fast-failed with 504 before any work happens.
 // floor may be nil (no fast-fail); def <= 0 disables the middleware
 // entirely. reg, when set, receives the deadline metric families.
 func DeadlineBudget(def time.Duration, floor func(*http.Request) time.Duration, reg *observe.Registry) Middleware {

@@ -1,20 +1,21 @@
 // Package resilience provides the composable HTTP middleware that hardens
-// the Auto-Detect serving stack: panic recovery, per-request timeouts,
-// body-size caps, request-ID propagation, and semaphore-based load
-// shedding. The paper frames Auto-Detect as an always-on "spell-checker
-// for data" background service (Appendix G); this package is what keeps
-// that service alive under panicking detectors, slow-loris clients,
-// oversized bodies, and overload.
+// the Auto-Detect serving stack: panic recovery, propagated per-request
+// deadlines, body-size caps, request-ID propagation, and tiered adaptive
+// admission control. The paper frames Auto-Detect as an always-on
+// "spell-checker for data" background service (Appendix G); this package
+// is what keeps that service alive under panicking detectors, slow-loris
+// clients, oversized bodies, and overload.
 //
-// Middleware compose outermost-first:
+// Every autodetectd mode serves behind the one chain Stack assembles:
 //
-//	h := resilience.Chain(
-//	    resilience.RequestID(),
-//	    resilience.Recover(log.Printf),
-//	    resilience.Limit(256, time.Second),
-//	    resilience.Timeout(30*time.Second),
-//	    resilience.MaxBytes(8<<20),
-//	)(mux)
+//	h := resilience.Stack(mux, resilience.StackConfig{
+//	    Tier:           tierOf,
+//	    Route:          routeLabel,
+//	    MaxInFlight:    256,
+//	    RequestTimeout: 30 * time.Second,
+//	    MaxBodyBytes:   8 << 20,
+//	    Metrics:        reg,
+//	})
 package resilience
 
 import (
@@ -25,7 +26,6 @@ import (
 	"fmt"
 	"net/http"
 	"runtime/debug"
-	"strconv"
 	"sync"
 	"time"
 
@@ -39,7 +39,7 @@ import (
 const DefaultRetryAfterSeconds = 5
 
 // DefaultRetryAfter is DefaultRetryAfterSeconds as a duration, for APIs
-// that take one (e.g. Limit).
+// that take one (e.g. AdmissionConfig.RetryAfter).
 const DefaultRetryAfter = DefaultRetryAfterSeconds * time.Second
 
 // Middleware wraps an http.Handler with one hardening concern.
@@ -175,59 +175,17 @@ func MaxBytes(n int64) Middleware {
 	}
 }
 
-// Limit admits at most n requests concurrently. Requests beyond the limit
-// are shed immediately with 429 and a Retry-After hint rather than queued
-// unboundedly — under overload, fast rejection keeps tail latency sane for
-// the requests that are admitted. n <= 0 disables the limiter.
-func Limit(n int, retryAfter time.Duration) Middleware {
-	return func(next http.Handler) http.Handler {
-		if n <= 0 {
-			return next
-		}
-		sem := make(chan struct{}, n)
-		secs := int(retryAfter / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			select {
-			case sem <- struct{}{}:
-				defer func() { <-sem }()
-				next.ServeHTTP(w, r)
-			default:
-				w.Header().Set("Retry-After", strconv.Itoa(secs))
-				writeError(w, r, http.StatusTooManyRequests, "server overloaded, retry later")
-			}
-		})
-	}
-}
-
 // readDeadlineSlack is how far past the request deadline the connection
 // read deadline is set, so the 504 is always written before a body read
 // fails and wakes the handler.
 const readDeadlineSlack = 100 * time.Millisecond
 
-// Timeout bounds each request to d: the handler runs with a deadline on
-// its context, and if it has not finished when the deadline fires the
-// client receives 504 while the handler's late writes are discarded. A
-// panic in the handler is re-raised on the serving goroutine so an outer
-// Recover middleware observes it. d <= 0 disables the timeout.
-func Timeout(d time.Duration) Middleware {
-	return func(next http.Handler) http.Handler {
-		if d <= 0 {
-			return next
-		}
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			serveWithDeadline(w, r, d, next)
-		})
-	}
-}
-
 // serveWithDeadline runs next under a per-request deadline d: the handler
 // gets a context with the deadline, and if it has not finished when the
 // deadline fires the client receives 504 while the handler's late writes
-// are discarded. Shared by Timeout (fixed d) and DeadlineBudget (d derived
-// from the inbound deadline header).
+// are discarded. A panic in the handler is re-raised on the serving
+// goroutine so an outer Recover middleware observes it. DeadlineBudget
+// derives d from the server default and the inbound deadline header.
 func serveWithDeadline(w http.ResponseWriter, r *http.Request, d time.Duration, next http.Handler) {
 	ctx, cancel := context.WithTimeout(r.Context(), d)
 	defer cancel()

@@ -146,7 +146,8 @@ func TestLimitSheds429WithRetryAfter(t *testing.T) {
 		<-release
 		w.WriteHeader(http.StatusOK)
 	})
-	s := httptest.NewServer(Chain(RequestID(), Limit(1, 2*time.Second))(blocked))
+	adm := NewAdmission(AdmissionConfig{MaxConcurrency: 1, RetryAfter: 2 * time.Second})
+	s := httptest.NewServer(Chain(RequestID(), adm.Middleware())(blocked))
 	defer s.Close()
 
 	var wg sync.WaitGroup
@@ -194,7 +195,7 @@ func TestTimeoutReturns504(t *testing.T) {
 	h := Chain(
 		RequestID(),
 		Recover(nil),
-		Timeout(30*time.Millisecond),
+		DeadlineBudget(30*time.Millisecond, nil, nil),
 	)(faultfs.SlowHandler(5*time.Second, okHandler()))
 	s := httptest.NewServer(h)
 	defer s.Close()
@@ -216,13 +217,13 @@ func TestTimeoutReturns504(t *testing.T) {
 // A slow-loris client that never finishes sending its body must still
 // receive the 504 at the deadline. The abandoned handler goroutine stays
 // blocked in Body.Read holding the server's request-body mutex, which
-// would stall the response flush forever if Timeout did not also bound
-// the connection read.
+// would stall the response flush forever if DeadlineBudget did not also
+// bound the connection read.
 func TestTimeoutRespondsDespiteSlowLorisBody(t *testing.T) {
 	h := Chain(
 		RequestID(),
 		Recover(nil),
-		Timeout(200*time.Millisecond),
+		DeadlineBudget(200*time.Millisecond, nil, nil),
 	)(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		_, _ = io.Copy(io.Discard, r.Body)
 		io.WriteString(w, "done")
@@ -257,7 +258,7 @@ func TestTimeoutRespondsDespiteSlowLorisBody(t *testing.T) {
 }
 
 func TestTimeoutPassesFastResponses(t *testing.T) {
-	h := Timeout(time.Second)(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := DeadlineBudget(time.Second, nil, nil)(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Custom", "yes")
 		w.WriteHeader(http.StatusTeapot)
 		io.WriteString(w, "fast")
@@ -273,7 +274,7 @@ func TestTimeoutPropagatesPanicToRecover(t *testing.T) {
 	h := Chain(
 		RequestID(),
 		Recover(nil),
-		Timeout(time.Second),
+		DeadlineBudget(time.Second, nil, nil),
 	)(faultfs.PanicHandler("inside timeout"))
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
@@ -283,7 +284,8 @@ func TestTimeoutPropagatesPanicToRecover(t *testing.T) {
 }
 
 func TestDisabledMiddlewareAreNoOps(t *testing.T) {
-	h := Chain(MaxBytes(0), Limit(0, time.Second), Timeout(0))(okHandler())
+	adm := NewAdmission(AdmissionConfig{MaxConcurrency: 0})
+	h := Chain(MaxBytes(0), adm.Middleware(), DeadlineBudget(0, nil, nil))(okHandler())
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
 	if rec.Code != http.StatusOK || rec.Body.String() != "ok" {

@@ -48,7 +48,7 @@ func TestMetricsMiddlewareRecordsRouteAndCode(t *testing.T) {
 }
 
 // TestMetricsCountsShedRequests wires the metrics middleware outside the
-// limiter, saturates it, and expects the shed 429 to show up both in the
+// admission gate, saturates it, and expects the shed 429 to show up both in the
 // per-code counter and the dedicated shed counter.
 func TestMetricsCountsShedRequests(t *testing.T) {
 	reg := observe.NewRegistry()
@@ -60,7 +60,8 @@ func TestMetricsCountsShedRequests(t *testing.T) {
 		<-release
 		w.WriteHeader(http.StatusOK)
 	})
-	h := Chain(Metrics(m), Limit(1, time.Second))(slow)
+	adm := NewAdmission(AdmissionConfig{MaxConcurrency: 1, RetryAfter: 2 * time.Second})
+	h := Chain(Metrics(m), adm.Middleware())(slow)
 
 	done := make(chan struct{})
 	go func() {

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/observe"
-	"repro/internal/resilience"
 	"repro/internal/sketch"
 )
 
@@ -16,7 +15,6 @@ import (
 // Handler/Swap use from the configured Metrics registry.
 type serverObs struct {
 	reg          *observe.Registry
-	http         *resilience.HTTPMetrics
 	modelLoaded  *observe.Gauge   // autodetect_model_loaded
 	modelBytes   *observe.Gauge   // autodetect_model_bytes
 	modelLangs   *observe.Gauge   // autodetect_model_languages
@@ -39,7 +37,8 @@ var knownRoutes = map[string]bool{
 	"/metrics":         true,
 }
 
-func routeLabel(r *http.Request) string {
+// RouteLabel maps a request to its bounded metrics and span label.
+func RouteLabel(r *http.Request) string {
 	if knownRoutes[r.URL.Path] {
 		return r.URL.Path
 	}
@@ -69,8 +68,6 @@ func (s *Server) observability() *serverObs {
 			reg = observe.NewRegistry()
 		}
 		o := &serverObs{reg: reg}
-		o.http = resilience.NewHTTPMetrics(reg)
-		o.http.Route = routeLabel
 		o.modelLoaded = reg.Gauge("autodetect_model_loaded",
 			"1 when a model is loaded and the server is ready, 0 before the first load.")
 		o.modelBytes = reg.Gauge("autodetect_model_bytes",

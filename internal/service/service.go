@@ -16,11 +16,12 @@
 // audit that runs in the background, survives restarts, and pages its
 // findings through GET /v1/jobs/{id}/results.
 //
-// Every request flows through the internal/resilience hardening chain:
-// request-ID injection, panic recovery, load shedding (429 + Retry-After
-// past MaxInFlight), a per-request deadline, and a body-size cap. The
-// probe endpoints bypass the limiter and deadline so orchestrators can
-// still see a live process under overload.
+// Every request flows through the internal/resilience hardening chain
+// (resilience.Stack): request-ID injection, panic recovery, tiered load
+// shedding (429 + Retry-After past MaxInFlight), a propagated per-request
+// deadline, and a body-size cap. The probe endpoints bypass the limiter
+// and deadline so orchestrators can still see a live process under
+// overload.
 //
 // The model is held behind an atomic pointer: reloads swap the detector
 // and semantic model together, and every request snapshots the pair once,
@@ -118,17 +119,12 @@ type Server struct {
 	// /v1/readyz (e.g. "registry_breaker_open" from the daemon's puller
 	// breaker). Empty means healthy.
 	DegradedCheck func() []string
-	// Reload, when set, is invoked by POST /v1/admin/reload (and by the
-	// daemon's SIGHUP handler) to produce a replacement model plus its
-	// provenance. A nil hook makes the endpoint answer 501.
+	// Reload, when set, produces a replacement model plus its provenance
+	// for ReloadNow (POST /v1/admin/reload and the daemon's SIGHUP
+	// handler). A nil hook makes the endpoint answer 501.
 	Reload func() (*core.Detector, *semantic.Model, ModelInfo, error)
-	// Logf receives panic reports and reload outcomes (nil discards).
-	// Deprecated in favour of Logger; kept for callers that only have a
-	// printf-shaped sink.
-	Logf func(format string, args ...any)
-	// Logger, when set, receives structured per-request access logs and
-	// lifecycle events with request-ID correlation. It takes precedence
-	// over Logf for panic/reload reporting.
+	// Logger, when set, receives structured per-request access logs,
+	// panic reports and reload outcomes with request-ID correlation.
 	Logger *slog.Logger
 	// Metrics is the registry behind GET /metrics. Read once at the first
 	// Handler/Swap call; nil gets a private registry.
@@ -153,10 +149,6 @@ type Server struct {
 	// variant of POST /v1/jobs). Off by default: a submitted DSN makes
 	// the server dial out, so operators opt in explicitly (-db-audit).
 	AllowDBAudit bool
-
-	// adm is the tiered admission controller built by Handler; tests reach
-	// it to observe the adaptive limit.
-	adm *resilience.Admission
 }
 
 // New returns a server; sem may be nil to disable value-level checks, and
@@ -298,71 +290,21 @@ func (s *Server) Handler() http.Handler {
 	api.HandleFunc("/v1/jobs/{id}", s.handleJob)
 	api.HandleFunc("/v1/jobs/{id}/results", s.handleJobResults)
 
-	// The flat inflight semaphore is replaced by the tiered AIMD admission
-	// controller: one adaptive limit, three priorities, background shed
-	// first. Deadline propagation replaces the fixed per-request timeout:
-	// an inbound X-Deadline-Ms budget tightens the default, and interactive
-	// requests already out of budget are 504ed before any work.
-	s.adm = resilience.NewAdmission(resilience.AdmissionConfig{
-		MaxConcurrency: s.MaxInFlight,
-		Target:         s.LatencyTarget,
-		RetryAfter:     resilience.DefaultRetryAfter,
-		Tier:           serviceTier,
+	return resilience.Stack(api, resilience.StackConfig{
+		Tier:           Tier,
+		DeadlineFloor:  s.deadlineFloor,
+		Route:          RouteLabel,
+		MaxInFlight:    s.MaxInFlight,
+		LatencyTarget:  s.LatencyTarget,
+		RequestTimeout: s.RequestTimeout,
+		MaxBodyBytes:   s.MaxBodyBytes,
 		Metrics:        obs.reg,
+		Logger:         s.Logger,
+		Tracer:         s.Tracer,
+		Pprof:          s.EnablePprof,
+		TraceDebug:     s.EnableTraceDebug,
+		Unshed:         map[string]http.Handler{"/v1/readyz": http.HandlerFunc(s.handleReadyz)},
 	})
-	hardened := resilience.Chain(
-		s.adm.Middleware(),
-		resilience.DeadlineBudget(s.RequestTimeout, s.deadlineFloor, obs.reg),
-		resilience.MaxBytes(s.MaxBodyBytes),
-	)(api)
-
-	// Probes and the metrics scrape sit outside the limiter and deadline:
-	// an orchestrator must be able to distinguish "alive but shedding
-	// load" from "dead", and the scrape that would explain an overload
-	// must not itself be shed.
-	root := http.NewServeMux()
-	root.HandleFunc("/v1/livez", s.handleLivez)
-	root.HandleFunc("/v1/readyz", s.handleReadyz)
-	root.Handle("/metrics", obs.reg.Handler())
-	// pprof and the trace viewer share one gated mount; a disabled
-	// surface 404s exactly like an unknown path.
-	root.Handle("/debug/", observe.DebugHandler(observe.DebugOptions{
-		Pprof:    s.EnablePprof,
-		Traces:   s.EnableTraceDebug && s.Tracer != nil,
-		Recorder: s.recorder(),
-	}))
-	root.Handle("/", hardened)
-
-	// Metrics outermost after RequestID and Tracing so 429s, 504s and
-	// recovered 500s are all counted and carry trace exemplars; the
-	// access log inside Metrics but outside Recover sees the final
-	// status of every request with request_id and trace_id attached.
-	return resilience.Chain(
-		resilience.RequestID(),
-		resilience.Tracing(s.Tracer, routeLabel),
-		resilience.Metrics(obs.http),
-		resilience.AccessLog(s.Logger),
-		resilience.Recover(s.recoverLogf()),
-	)(root)
-}
-
-// recorder returns the tracer's flight recorder, or nil without one.
-func (s *Server) recorder() *observe.FlightRecorder {
-	if s.Tracer == nil {
-		return nil
-	}
-	return s.Tracer.Recorder()
-}
-
-// recoverLogf adapts the configured logger for the panic-recovery
-// middleware, preferring the structured logger.
-func (s *Server) recoverLogf() func(format string, args ...any) {
-	if s.Logger != nil {
-		return func(format string, args ...any) {
-			s.Logger.Error(fmt.Sprintf(format, args...))
-		}
-	}
-	return s.Logf
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -419,15 +361,11 @@ func (s *Server) ready(w http.ResponseWriter, r *http.Request) *model {
 	return m
 }
 
-func (s *Server) handleLivez(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "alive"})
-}
-
-// serviceTier classifies API requests for the admission controller. The
-// probes and /metrics never reach it (mounted outside the hardened chain);
-// within the chain only the admin surface is critical — an operator
-// diagnosing or reloading an overloaded replica must get through.
-func serviceTier(r *http.Request) resilience.Tier {
+// Tier classifies API requests for the admission controller. The probes
+// and /metrics never reach it (mounted outside the hardened chain); within
+// the chain only the admin surface is critical — an operator diagnosing or
+// reloading an overloaded replica must get through.
+func Tier(r *http.Request) resilience.Tier {
 	p := r.URL.Path
 	switch {
 	case strings.HasPrefix(p, "/v1/admin/"):
@@ -515,22 +453,15 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	if s.Reload == nil {
+	det, sem, info, err := s.ReloadNow("admin")
+	switch {
+	case errors.Is(err, ErrNoReload):
 		writeErr(w, r, http.StatusNotImplemented, "no reload hook configured")
 		return
-	}
-	det, sem, info, err := s.Reload()
-	if err != nil {
-		s.logf("reload failed: %v", err)
+	case err != nil:
 		writeErr(w, r, http.StatusInternalServerError, "reload failed: "+err.Error())
 		return
 	}
-	if err := s.SwapInfo(det, sem, info); err != nil {
-		writeErr(w, r, http.StatusInternalServerError, err.Error())
-		return
-	}
-	s.logf("reload succeeded: %d languages, %d bytes, version %d, source %q",
-		len(det.Languages()), det.Bytes(), info.Version, info.Source)
 	writeJSON(w, http.StatusOK, healthResponse{
 		Status:    "reloaded",
 		Languages: len(det.Languages()),
@@ -542,14 +473,33 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) logf(format string, args ...any) {
+// ErrNoReload is ReloadNow's answer when no Reload hook is configured.
+var ErrNoReload = errors.New("service: no reload hook configured")
+
+// ReloadNow runs the Reload hook and atomically swaps its model in,
+// keeping the current model on any failure. It is the one reload path:
+// POST /v1/admin/reload and the daemon's SIGHUP handler both come through
+// here, and trigger names which one in the outcome log line.
+func (s *Server) ReloadNow(trigger string) (*core.Detector, *semantic.Model, ModelInfo, error) {
+	if s.Reload == nil {
+		return nil, nil, ModelInfo{}, ErrNoReload
+	}
+	det, sem, info, err := s.Reload()
+	if err == nil {
+		err = s.SwapInfo(det, sem, info)
+	}
+	if err != nil {
+		if s.Logger != nil {
+			s.Logger.Error("model reload failed, keeping current model", "trigger", trigger, "error", err)
+		}
+		return nil, nil, ModelInfo{}, err
+	}
 	if s.Logger != nil {
-		s.Logger.Info(fmt.Sprintf(format, args...))
-		return
+		s.Logger.Info("model reloaded", "trigger", trigger,
+			"languages", len(det.Languages()), "model_bytes", det.Bytes(),
+			"model_version", info.Version, "model_source", info.Source)
 	}
-	if s.Logf != nil {
-		s.Logf(format, args...)
-	}
+	return det, sem, info, nil
 }
 
 // checkColumn scores one column through the shared audit helper — the
