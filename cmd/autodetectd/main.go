@@ -437,11 +437,7 @@ func main() {
 		// registry costs one local rejection per poll instead of a retry
 		// storm, and a retry budget bounding fleet-wide amplification. An
 		// open breaker surfaces on /v1/readyz as degraded-but-serving.
-		pullBreaker := resilience.NewBreaker(resilience.BreakerConfig{
-			Name:    "registry_pull",
-			Metrics: reg,
-			Logf:    observe.Logf(logger, slog.LevelWarn),
-		})
+		pullBreaker, pullRetry := guard("registry_pull", reg, logger, retry.Policy{})
 		svc.DegradedCheck = func() []string {
 			if pullBreaker.State() != resilience.BreakerClosed {
 				return []string{"registry_breaker_open"}
@@ -451,8 +447,8 @@ func main() {
 		puller, err := registry.NewPuller(registry.PullerConfig{
 			URL:     *registryURL,
 			Poll:    *registryPoll,
+			Retry:   pullRetry,
 			Breaker: pullBreaker,
-			Budget:  resilience.NewRetryBudget(resilience.BudgetConfig{Name: "registry_pull", Metrics: reg}),
 			Apply: func(info registry.VersionInfo, raw []byte) error {
 				d, err := core.Load(bytes.NewReader(raw))
 				if err != nil {
@@ -658,17 +654,10 @@ func runBuildCoordinator(logger *slog.Logger, stack resilience.StackConfig, p co
 				return err
 			}
 			fp := pipeline.BuildFingerprint(part.Fingerprint(), p.Options)
+			pubBreaker, pubRetry := guard("registry_publish", reg, logger, retry.Policy{MaxAttempts: 10})
 			pubCtx, endPublish := observe.RecorderSpan(coord.TraceContext(), "publish_model")
-			pres, err := registry.PublishModel(pubCtx, p.RegistryURL,
-				buf.Bytes(), fp, "distbuild", registry.PublishOptions{
-					Retry: retry.Policy{MaxAttempts: 10},
-					Breaker: resilience.NewBreaker(resilience.BreakerConfig{
-						Name:    "registry_publish",
-						Metrics: reg,
-						Logf:    observe.Logf(logger, slog.LevelWarn),
-					}),
-					Budget: resilience.NewRetryBudget(resilience.BudgetConfig{Name: "registry_publish", Metrics: reg}),
-				})
+			pres, err := registry.PublishModel(pubCtx, p.RegistryURL, buf.Bytes(), fp, "distbuild",
+				registry.PublishOptions{Retry: pubRetry, Breaker: pubBreaker})
 			if err != nil {
 				observe.SetSpanError(pubCtx, err.Error())
 				endPublish()
@@ -721,19 +710,15 @@ func runBuildWorker(logger *slog.Logger, reg *observe.Registry, tracer *observe.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	logger.Info("build worker starting", "coordinator", coordinator, "dir", dir, "workers", workers)
+	breaker, pol := guard("distbuild_worker", reg, logger, retry.Policy{MaxAttempts: 10})
 	st, err := distbuild.RunWorker(ctx, distbuild.WorkerConfig{
 		Coordinator: coordinator,
 		Dir:         dir,
 		Workers:     workers,
-		Retry:       retry.Policy{MaxAttempts: 10},
-		Breaker: resilience.NewBreaker(resilience.BreakerConfig{
-			Name:    "distbuild_worker",
-			Metrics: reg,
-			Logf:    observe.Logf(logger, slog.LevelWarn),
-		}),
-		Budget: resilience.NewRetryBudget(resilience.BudgetConfig{Name: "distbuild_worker", Metrics: reg}),
-		Tracer: tracer,
-		Logf:   observe.Logf(logger, slog.LevelInfo),
+		Retry:       pol,
+		Breaker:     breaker,
+		Tracer:      tracer,
+		Logf:        observe.Logf(logger, slog.LevelInfo),
 	})
 	if err != nil {
 		return err
@@ -741,6 +726,18 @@ func runBuildWorker(logger *slog.Logger, reg *observe.Registry, tracer *observe.
 	logger.Info("build worker done", "partitions_counted", st.PartitionsCounted,
 		"leases_lost", st.LeasesLost, "waits", st.Waits, "breaker_waits", st.BreakerWaits)
 	return nil
+}
+
+// guard builds the breaker and the retry budget that protect one outbound
+// dependency, both labelled name in the metrics, and returns pol spending
+// from that budget.
+func guard(name string, reg *observe.Registry, logger *slog.Logger, pol retry.Policy) (*resilience.Breaker, retry.Policy) {
+	pol.Budget = resilience.NewRetryBudget(resilience.BudgetConfig{Name: name, Metrics: reg})
+	return resilience.NewBreaker(resilience.BreakerConfig{
+		Name:    name,
+		Metrics: reg,
+		Logf:    observe.Logf(logger, slog.LevelWarn),
+	}), pol
 }
 
 // runRegistryServer serves the versioned model registry until

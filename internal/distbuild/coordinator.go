@@ -207,21 +207,11 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-type errBody struct {
-	Error string `json:"error"`
-}
-
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil || req.Worker == "" {
 		c.reject("request")
-		writeJSON(w, http.StatusBadRequest, errBody{Error: "lease request needs a worker name"})
+		resilience.WriteError(w, r, http.StatusBadRequest, "lease request needs a worker name")
 		return
 	}
 	c.mu.Lock()
@@ -229,13 +219,13 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	c.observeExpiry()
 	if c.table.allDone() {
 		c.mu.Unlock()
-		writeJSON(w, http.StatusOK, LeaseResponse{Done: true})
+		resilience.WriteJSON(w, http.StatusOK, LeaseResponse{Done: true})
 		return
 	}
 	idx, reassigned, ok := c.table.acquire(req.Worker)
 	c.mu.Unlock()
 	if !ok {
-		writeJSON(w, http.StatusOK, LeaseResponse{Wait: true, RetryAfterSeconds: leaseWaitFallback})
+		resilience.WriteJSON(w, http.StatusOK, LeaseResponse{Wait: true, RetryAfterSeconds: leaseWaitFallback})
 		return
 	}
 	c.met.inc(c.met.leasesGranted)
@@ -245,7 +235,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	} else {
 		c.logf("distbuild: partition %d leased to %s", idx, req.Worker)
 	}
-	writeJSON(w, http.StatusOK, LeaseResponse{
+	resilience.WriteJSON(w, http.StatusOK, LeaseResponse{
 		Partition:   idx,
 		Partitions:  c.n,
 		TTLMillis:   c.cfg.LeaseTTL.Milliseconds(),
@@ -281,7 +271,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil || req.Worker == "" {
 		c.reject("request")
-		writeJSON(w, http.StatusBadRequest, errBody{Error: "heartbeat needs a worker name and partition"})
+		resilience.WriteError(w, r, http.StatusBadRequest, "heartbeat needs a worker name and partition")
 		return
 	}
 	c.mu.Lock()
@@ -290,7 +280,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	err := c.table.heartbeat(req.Worker, req.Partition)
 	c.mu.Unlock()
 	if err != nil {
-		writeJSON(w, http.StatusGone, errBody{Error: "lease lost: partition reassigned or completed"})
+		resilience.WriteError(w, r, http.StatusGone, "lease lost: partition reassigned or completed")
 		return
 	}
 	c.met.inc(c.met.heartbeats)
@@ -316,7 +306,7 @@ func (c *Coordinator) handleShard(w http.ResponseWriter, r *http.Request) {
 	idx, err := strconv.Atoi(q.Get("partition"))
 	if err != nil || idx < 0 || idx >= c.n {
 		c.reject("request")
-		writeJSON(w, http.StatusBadRequest, errBody{Error: "bad or missing partition index"})
+		resilience.WriteError(w, r, http.StatusBadRequest, "bad or missing partition index")
 		return
 	}
 	worker := q.Get("worker")
@@ -325,7 +315,7 @@ func (c *Coordinator) handleShard(w http.ResponseWriter, r *http.Request) {
 		// The upload died mid-flight (reset, timeout): retryable.
 		c.reject("integrity")
 		w.Header().Set("Retry-After", strconv.Itoa(resilience.DefaultRetryAfterSeconds))
-		writeJSON(w, http.StatusServiceUnavailable, errBody{Error: "shard upload interrupted, retry"})
+		resilience.WriteError(w, r, http.StatusServiceUnavailable, "shard upload interrupted, retry")
 		return
 	}
 	p, err := pipeline.DecodePartial(bytes.NewReader(raw))
@@ -333,13 +323,13 @@ func (c *Coordinator) handleShard(w http.ResponseWriter, r *http.Request) {
 		c.reject("integrity")
 		c.logf("distbuild: partition %d from %s failed integrity: %v", idx, worker, err)
 		w.Header().Set("Retry-After", strconv.Itoa(resilience.DefaultRetryAfterSeconds))
-		writeJSON(w, http.StatusServiceUnavailable, errBody{Error: "shard failed integrity check, re-upload"})
+		resilience.WriteError(w, r, http.StatusServiceUnavailable, "shard failed integrity check, re-upload")
 		return
 	}
 	if p.Fingerprint != c.expected[idx] {
 		c.reject("fingerprint")
 		c.logf("distbuild: partition %d from %s has fingerprint %q, want %q", idx, worker, p.Fingerprint, c.expected[idx])
-		writeJSON(w, http.StatusConflict, errBody{Error: "shard fingerprint does not match this build"})
+		resilience.WriteError(w, r, http.StatusConflict, "shard fingerprint does not match this build")
 		return
 	}
 
@@ -352,13 +342,13 @@ func (c *Coordinator) handleShard(w http.ResponseWriter, r *http.Request) {
 			c.nDuplicate.Add(1)
 			c.met.inc(c.met.shardsDuplicate)
 			c.logf("distbuild: partition %d duplicate upload from %s acknowledged", idx, worker)
-			writeJSON(w, http.StatusOK, map[string]string{"status": "duplicate"})
+			resilience.WriteJSON(w, http.StatusOK, map[string]string{"status": "duplicate"})
 			return
 		}
 		// Same fingerprint but different bytes should be impossible for
 		// honest workers; refuse rather than guess.
 		c.reject("conflict")
-		writeJSON(w, http.StatusConflict, errBody{Error: "partition already completed with different shard bytes"})
+		resilience.WriteError(w, r, http.StatusConflict, "partition already completed with different shard bytes")
 		return
 	}
 	// Persist before acknowledging: once the worker sees 200 the shard
@@ -368,7 +358,7 @@ func (c *Coordinator) handleShard(w http.ResponseWriter, r *http.Request) {
 		c.reject("integrity")
 		c.logf("distbuild: persisting partition %d: %v", idx, err)
 		w.Header().Set("Retry-After", strconv.Itoa(resilience.DefaultRetryAfterSeconds))
-		writeJSON(w, http.StatusServiceUnavailable, errBody{Error: "could not persist shard, retry"})
+		resilience.WriteError(w, r, http.StatusServiceUnavailable, "could not persist shard, retry")
 		return
 	}
 	c.accepted[idx] = sum
@@ -384,11 +374,11 @@ func (c *Coordinator) handleShard(w http.ResponseWriter, r *http.Request) {
 	if done {
 		c.maybeDone()
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "accepted"})
+	resilience.WriteJSON(w, http.StatusOK, map[string]string{"status": "accepted"})
 }
 
 func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.Status())
+	resilience.WriteJSON(w, http.StatusOK, c.Status())
 }
 
 // Status snapshots build progress.

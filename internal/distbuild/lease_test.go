@@ -12,9 +12,9 @@ type fakeClock struct{ t time.Time }
 func newFakeClock() *fakeClock {
 	return &fakeClock{t: time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)}
 }
-func (c *fakeClock) now() time.Time              { return c.t }
-func (c *fakeClock) advance(d time.Duration)     { c.t = c.t.Add(d) }
-func tickAt(tb *leaseTable, c *fakeClock)        { tb.tick(c.now()) }
+func (c *fakeClock) now() time.Time          { return c.t }
+func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
+func tickAt(tb *leaseTable, c *fakeClock)    { tb.tick(c.now()) }
 
 // TestLeaseGrantHeartbeatComplete: the happy path through the state
 // machine.

@@ -188,13 +188,16 @@ func TestFleetPublishHotSwapRollback(t *testing.T) {
 	defer rsrv.Close()
 
 	// --- Publish the distributed build, exactly like the coordinator. ---
-	pol := retry.Policy{MaxAttempts: 8, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond}
-	res, err := registry.Publish(ctx, rsrv.Client(), rsrv.URL, modelV1, fpV1, "distbuild", pol)
+	pub := registry.PublishOptions{
+		Client: rsrv.Client(),
+		Retry:  retry.Policy{MaxAttempts: 8, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond},
+	}
+	res, err := registry.PublishModel(ctx, rsrv.URL, modelV1, fpV1, "distbuild", pub)
 	if err != nil || res.Status != "accepted" || res.Version != 1 {
 		t.Fatalf("publish v1: %+v err=%v", res, err)
 	}
 	// A rerun of the same finished build is an idempotent duplicate.
-	if res, err = registry.Publish(ctx, rsrv.Client(), rsrv.URL, modelV1, fpV1, "distbuild", pol); err != nil || res.Status != "duplicate" {
+	if res, err = registry.PublishModel(ctx, rsrv.URL, modelV1, fpV1, "distbuild", pub); err != nil || res.Status != "duplicate" {
 		t.Fatalf("re-publish v1: %+v err=%v", res, err)
 	}
 
@@ -223,7 +226,7 @@ func TestFleetPublishHotSwapRollback(t *testing.T) {
 		t.Fatal(err)
 	}
 	fpV2 := pipeline.BuildFingerprint(part2.Fingerprint(), opts2)
-	if res, err = registry.Publish(ctx, rsrv.Client(), rsrv.URL, modelV2, fpV2, "distbuild", pol); err != nil || res.Version != 2 {
+	if res, err = registry.PublishModel(ctx, rsrv.URL, modelV2, fpV2, "distbuild", pub); err != nil || res.Version != 2 {
 		t.Fatalf("publish v2: %+v err=%v", res, err)
 	}
 	waitForVersion(t, replicas, 2, modelV2)

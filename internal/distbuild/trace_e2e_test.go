@@ -112,9 +112,12 @@ func TestFleetTraceCausality(t *testing.T) {
 	defer rsrv.Close()
 
 	// --- Publish under a publish_model span, as the coordinator does. ---
-	pol := retry.Policy{MaxAttempts: 8, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond}
+	pubOpts := registry.PublishOptions{
+		Client: rsrv.Client(),
+		Retry:  retry.Policy{MaxAttempts: 8, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond},
+	}
 	pubCtx, endPublish := observe.RecorderSpan(coord.TraceContext(), "publish_model")
-	res, err := registry.Publish(pubCtx, rsrv.Client(), rsrv.URL, model, fp, "distbuild", pol)
+	res, err := registry.PublishModel(pubCtx, rsrv.URL, model, fp, "distbuild", pubOpts)
 	endPublish()
 	if err != nil || res.Version != 1 {
 		t.Fatalf("publish: %+v err=%v", res, err)

@@ -6,11 +6,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -19,11 +17,6 @@ import (
 	"repro/internal/resilience"
 	"repro/internal/retry"
 )
-
-// DefaultAttemptTimeout bounds each individual coordinator call a worker
-// makes, so one hung request (a stalled upload over a flaky link) is
-// abandoned and retried instead of pinning the worker forever.
-const DefaultAttemptTimeout = time.Minute
 
 // WorkerConfig configures RunWorker.
 type WorkerConfig struct {
@@ -44,15 +37,13 @@ type WorkerConfig struct {
 	HTTP *http.Client
 	// Retry shapes every coordinator call. Zero-value fields take the
 	// retry package defaults; AttemptTimeout additionally defaults to
-	// DefaultAttemptTimeout.
+	// resilience.DefaultAttemptTimeout. Retry.Budget, when set, bounds
+	// retry amplification across all coordinator calls.
 	Retry retry.Policy
 	// Breaker, when set, guards the coordinator dependency: every call asks
 	// Allow first, and while open the worker sits out a cooldown instead of
 	// hammering a coordinator that is down or drowning.
 	Breaker *resilience.Breaker
-	// Budget, when set, bounds retry amplification across all coordinator
-	// calls; folded into Retry.Budget unless that is already set.
-	Budget retry.Budget
 	// Tracer, when set, records a per-lease counting span into its flight
 	// recorder as a child of the coordinator's build trace (joined via
 	// the lease's traceparent) and injects the span context into every
@@ -85,10 +76,10 @@ const breakerCooldown = time.Second
 
 // worker carries the per-run state of RunWorker.
 type worker struct {
-	cfg    WorkerConfig
-	client *http.Client
-	logf   func(format string, args ...any)
-	part   *pipeline.DirPartitioner // lazily opened on the first lease
+	cfg  WorkerConfig
+	call resilience.Client
+	logf func(format string, args ...any)
+	part *pipeline.DirPartitioner // lazily opened on the first lease
 }
 
 // RunWorker participates in a distributed build until the coordinator
@@ -110,19 +101,10 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) (WorkerStats, error) {
 		host, _ := os.Hostname()
 		cfg.Name = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
-	if cfg.Retry.AttemptTimeout == 0 {
-		cfg.Retry.AttemptTimeout = DefaultAttemptTimeout
-	}
-	if cfg.Retry.Budget == nil {
-		cfg.Retry.Budget = cfg.Budget
-	}
 	w := &worker{
-		cfg:    cfg,
-		client: cfg.HTTP,
-		logf:   cfg.Logf,
-	}
-	if w.client == nil {
-		w.client = http.DefaultClient
+		cfg:  cfg,
+		call: resilience.Client{HTTP: cfg.HTTP, Retry: cfg.Retry, Breaker: cfg.Breaker, Peer: "coordinator"},
+		logf: cfg.Logf,
 	}
 	if w.logf == nil {
 		w.logf = func(string, ...any) {}
@@ -293,83 +275,36 @@ func (w *worker) postJSON(ctx context.Context, path string, in, out any) error {
 	return w.do(ctx, w.cfg.Coordinator+path, "application/json", body, out)
 }
 
-// do issues one coordinator call under the worker's retry policy, creating
-// a fresh request (and body reader) per attempt so retries of a torn upload
-// resend from byte zero.
+// do issues one coordinator call under the worker's retry policy and
+// breaker. Every coordinator endpoint is idempotent, so a retried upload
+// resending from byte zero is safe even when the original landed.
 func (w *worker) do(ctx context.Context, url, contentType string, body []byte, out any) error {
-	attempt := func(actx context.Context) error {
+	return w.call.Do(ctx, 1<<20, func(actx context.Context) (*http.Request, error) {
 		req, err := http.NewRequestWithContext(actx, http.MethodPost, url, bytes.NewReader(body))
-		if err != nil {
-			return err
+		if err == nil {
+			req.Header.Set("Content-Type", contentType)
 		}
-		req.Header.Set("Content-Type", contentType)
-		observe.Inject(actx, req.Header)
-		resilience.AttachDeadline(actx, req.Header, 0)
-		resp, err := w.client.Do(req)
-		if err != nil {
-			// Transport-level failures (resets, refused connections,
-			// injected faults) are transient by construction: every
-			// coordinator endpoint is idempotent, so resending is safe
-			// even when the original request was actually delivered.
-			return retry.Transient(err)
-		}
-		defer resp.Body.Close()
-		raw, rerr := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		switch {
-		case resp.StatusCode == http.StatusOK:
+		return req, err
+	}, func(resp *http.Response, raw []byte) error {
+		switch resp.StatusCode {
+		case http.StatusOK:
 			if out != nil {
 				if err := json.Unmarshal(raw, out); err != nil {
 					// A torn or short response body is a network fault, not
 					// a protocol violation; the request itself was already
-					// processed, and every endpoint is idempotent, so
-					// re-asking is safe.
-					if rerr != nil {
-						err = rerr
-					}
+					// processed, so re-asking is safe.
 					return retry.Transient(fmt.Errorf("distbuild: bad coordinator response: %w", err))
 				}
 			}
 			return nil
-		case resp.StatusCode == http.StatusNoContent:
+		case http.StatusNoContent:
 			return nil
-		case resp.StatusCode == http.StatusGone:
-			return fmt.Errorf("%w: %s", errLeaseLost, httpMessage(resp.StatusCode, raw))
-		case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode >= 500:
-			// A shedding coordinator's Retry-After hint is the backoff
-			// floor: the worker never comes back sooner than asked.
-			return resilience.RetryAfterFloor(
-				retry.Transient(errors.New(httpMessage(resp.StatusCode, raw))), resp.Header)
+		case http.StatusGone:
+			return fmt.Errorf("%w: %w", errLeaseLost, w.call.Refusal(resp.StatusCode, raw))
 		default:
-			return errors.New(httpMessage(resp.StatusCode, raw))
+			return w.call.Refusal(resp.StatusCode, raw)
 		}
-	}
-	return w.cfg.Retry.DoCtx(ctx, func(actx context.Context) error {
-		if b := w.cfg.Breaker; b != nil {
-			if aerr := b.Allow(); aerr != nil {
-				// Non-transient: collapses the retry loop into one local
-				// rejection while the breaker is open.
-				return aerr
-			}
-			err := attempt(actx)
-			rerr := err
-			if errors.Is(rerr, errLeaseLost) {
-				rerr = nil // a 410 is the coordinator answering; healthy
-			}
-			b.Record(rerr)
-			return err
-		}
-		return attempt(actx)
 	})
-}
-
-// httpMessage renders a coordinator error response for wrapping, favoring
-// the JSON error envelope's message when present.
-func httpMessage(status int, raw []byte) string {
-	var eb errBody
-	if json.Unmarshal(raw, &eb) == nil && eb.Error != "" {
-		return fmt.Sprintf("coordinator answered %d: %s", status, eb.Error)
-	}
-	return fmt.Sprintf("coordinator answered %d: %s", status, strings.TrimSpace(string(raw)))
 }
 
 // sleep waits d honoring ctx.

@@ -31,13 +31,13 @@ func TestParseTraceparentRejectsHostileValues(t *testing.T) {
 	bad := []string{
 		"",
 		"00",
-		valid + "x",                      // oversized
-		valid[:54],                       // truncated
-		strings.ToUpper(valid),           // uppercase hex
-		"01" + valid[2:],                 // future version
+		valid + "x",            // oversized
+		valid[:54],             // truncated
+		strings.ToUpper(valid), // uppercase hex
+		"01" + valid[2:],       // future version
 		strings.Replace(valid, "-", "_", 1),
-		"00-" + strings.Repeat("0", 32) + "-" + valid[36:],      // zero trace ID
-		valid[:36] + strings.Repeat("0", 16) + "-01",            // zero span ID
+		"00-" + strings.Repeat("0", 32) + "-" + valid[36:],           // zero trace ID
+		valid[:36] + strings.Repeat("0", 16) + "-01",                 // zero span ID
 		"00-" + strings.Repeat("g", 32) + "-" + valid[36:52] + "-01", // non-hex
 		strings.Repeat("A", 55),
 		valid[:53] + "zz", // non-hex flags

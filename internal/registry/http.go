@@ -63,24 +63,11 @@ func Tier(r *http.Request) resilience.Tier {
 	return resilience.TierBackground
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, r *http.Request, status int, msg string) {
-	writeJSON(w, status, map[string]string{
-		"error":      msg,
-		"request_id": resilience.RequestIDFrom(r.Context()),
-	})
-}
-
 // writeRetryable is the 503 + Retry-After shape shared with distbuild: the
 // condition is expected to clear, the client should retry.
 func writeRetryable(w http.ResponseWriter, r *http.Request, msg string) {
 	w.Header().Set("Retry-After", strconv.Itoa(resilience.DefaultRetryAfterSeconds))
-	writeErr(w, r, http.StatusServiceUnavailable, msg)
+	resilience.WriteError(w, r, http.StatusServiceUnavailable, msg)
 }
 
 // publishResponse is the body of publish and pin responses.
@@ -113,7 +100,7 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	}
 	if int64(len(raw)) > s.store.maxModel {
 		met.reject("request")
-		writeErr(w, r, http.StatusRequestEntityTooLarge,
+		resilience.WriteError(w, r, http.StatusRequestEntityTooLarge,
 			fmt.Sprintf("model exceeds %d bytes", s.store.maxModel))
 		return
 	}
@@ -140,10 +127,10 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 		return
 	case errors.Is(err, ErrConflict):
 		met.reject("conflict")
-		writeErr(w, r, http.StatusConflict, err.Error())
+		resilience.WriteError(w, r, http.StatusConflict, err.Error())
 		return
 	case err != nil:
-		writeErr(w, r, http.StatusInternalServerError, err.Error())
+		resilience.WriteError(w, r, http.StatusInternalServerError, err.Error())
 		return
 	}
 	status := "accepted"
@@ -151,7 +138,7 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 		status = "duplicate"
 	}
 	cur, _, _ := s.store.List()
-	writeJSON(w, http.StatusOK, publishResponse{
+	resilience.WriteJSON(w, http.StatusOK, publishResponse{
 		Status: status, Version: info.Version, SHA256: info.SHA256,
 		Bytes: info.Bytes, Current: cur,
 	})
@@ -169,7 +156,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	if versions == nil {
 		versions = []VersionInfo{}
 	}
-	writeJSON(w, http.StatusOK, listResponse{Current: cur, Pinned: pinned, Versions: versions})
+	resilience.WriteJSON(w, http.StatusOK, listResponse{Current: cur, Pinned: pinned, Versions: versions})
 }
 
 // handleGet serves one version's bytes. "current" resolves the pin. A
@@ -183,18 +170,18 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	case "current":
 		info, ok = s.store.Current()
 		if !ok {
-			writeErr(w, r, http.StatusNotFound, "no model published yet")
+			resilience.WriteError(w, r, http.StatusNotFound, "no model published yet")
 			return
 		}
 	default:
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 {
 			met.reject("request")
-			writeErr(w, r, http.StatusBadRequest, "version must be a positive integer or \"current\"")
+			resilience.WriteError(w, r, http.StatusBadRequest, "version must be a positive integer or \"current\"")
 			return
 		}
 		if info, ok = s.store.Info(n); !ok {
-			writeErr(w, r, http.StatusNotFound, fmt.Sprintf("version %d not found", n))
+			resilience.WriteError(w, r, http.StatusNotFound, fmt.Sprintf("version %d not found", n))
 			return
 		}
 	}
@@ -226,10 +213,10 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		writeRetryable(w, r, err.Error())
 		return
 	case errors.Is(err, ErrNotFound):
-		writeErr(w, r, http.StatusNotFound, err.Error())
+		resilience.WriteError(w, r, http.StatusNotFound, err.Error())
 		return
 	case err != nil:
-		writeErr(w, r, http.StatusInternalServerError, err.Error())
+		resilience.WriteError(w, r, http.StatusInternalServerError, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -267,12 +254,12 @@ func (s *Server) handlePin(w http.ResponseWriter, r *http.Request) {
 	var req pinRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
 		met.reject("request")
-		writeErr(w, r, http.StatusBadRequest, "bad JSON: "+err.Error())
+		resilience.WriteError(w, r, http.StatusBadRequest, "bad JSON: "+err.Error())
 		return
 	}
 	if !req.Latest && req.Version < 1 {
 		met.reject("request")
-		writeErr(w, r, http.StatusBadRequest, `pin needs "version" >= 1 or "latest": true`)
+		resilience.WriteError(w, r, http.StatusBadRequest, `pin needs "version" >= 1 or "latest": true`)
 		return
 	}
 	target := req.Version
@@ -282,19 +269,19 @@ func (s *Server) handlePin(w http.ResponseWriter, r *http.Request) {
 	info, rollback, err := s.store.Pin(target)
 	switch {
 	case errors.Is(err, ErrNotFound):
-		writeErr(w, r, http.StatusNotFound, err.Error())
+		resilience.WriteError(w, r, http.StatusNotFound, err.Error())
 		return
 	case errors.Is(err, ErrCorrupt):
 		// The pin target failed digest verification and was quarantined:
 		// the request names a version that can never be served.
 		met.reject("integrity")
-		writeErr(w, r, http.StatusConflict, err.Error())
+		resilience.WriteError(w, r, http.StatusConflict, err.Error())
 		return
 	case err != nil:
-		writeErr(w, r, http.StatusInternalServerError, err.Error())
+		resilience.WriteError(w, r, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, publishResponse{
+	resilience.WriteJSON(w, http.StatusOK, publishResponse{
 		Status: "pinned", Version: info.Version, SHA256: info.SHA256,
 		Bytes: info.Bytes, Current: info.Version, Rollback: rollback,
 	})

@@ -6,10 +6,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
+	"net/url"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -35,18 +34,14 @@ type PullerConfig struct {
 	// inject fault-injecting transports here.
 	HTTP *http.Client
 	// Retry shapes each poll round. Zero-value fields take the retry
-	// package defaults; AttemptTimeout additionally defaults to a minute
-	// so one hung download is abandoned and restarted.
+	// package defaults; AttemptTimeout additionally defaults to
+	// resilience.DefaultAttemptTimeout so one hung download is abandoned
+	// and restarted. Retry.Budget, when set, bounds retry amplification.
 	Retry retry.Policy
 	// Breaker, when set, guards the registry dependency: every attempt asks
 	// Allow first, and an open breaker aborts the whole poll round with one
-	// cheap ErrBreakerOpen instead of a storm of doomed requests. Outcomes
-	// feed back in (304/200/404 count as registry-healthy).
+	// cheap ErrBreakerOpen instead of a storm of doomed requests.
 	Breaker *resilience.Breaker
-	// Budget, when set, bounds retry amplification: each retry of a failed
-	// attempt spends a token, each success deposits a fraction of one.
-	// Folded into Retry.Budget unless that is already set.
-	Budget retry.Budget
 	// MaxModelBytes caps accepted downloads (default DefaultMaxModelBytes).
 	MaxModelBytes int64
 	// Apply receives each newly pulled version's digest-verified bytes.
@@ -73,10 +68,10 @@ type PullerConfig struct {
 // Apply. Registry restarts and 503s are ridden out: a failed round is
 // logged and the next tick tries again, forever.
 type Puller struct {
-	cfg    PullerConfig
-	client *http.Client
-	logf   func(format string, args ...any)
-	met    *pullerMetrics
+	cfg  PullerConfig
+	call resilience.Client
+	logf func(format string, args ...any)
+	met  *pullerMetrics
 
 	// mu serializes poll rounds: the Run loop and a forced PullNow from
 	// the admin-reload path may race, and Apply must never run twice
@@ -101,15 +96,11 @@ func NewPuller(cfg PullerConfig) (*Puller, error) {
 	if cfg.MaxModelBytes <= 0 {
 		cfg.MaxModelBytes = DefaultMaxModelBytes
 	}
-	if cfg.Retry.AttemptTimeout == 0 {
-		cfg.Retry.AttemptTimeout = time.Minute
-	}
-	if cfg.Retry.Budget == nil {
-		cfg.Retry.Budget = cfg.Budget
-	}
-	p := &Puller{cfg: cfg, client: cfg.HTTP, logf: cfg.Logf, met: newPullerMetrics(cfg.Metrics)}
-	if p.client == nil {
-		p.client = http.DefaultClient
+	p := &Puller{
+		cfg:  cfg,
+		call: resilience.Client{HTTP: cfg.HTTP, Retry: cfg.Retry, Breaker: cfg.Breaker, Peer: "registry"},
+		logf: cfg.Logf,
+		met:  newPullerMetrics(cfg.Metrics),
 	}
 	if p.logf == nil {
 		p.logf = func(string, ...any) {}
@@ -156,39 +147,21 @@ func (p *Puller) PullNow(ctx context.Context) (VersionInfo, bool, error) {
 	var raw []byte
 	changed := false
 	start := time.Now()
-	attempt := func(actx context.Context) error {
+	newRequest := func(actx context.Context) (*http.Request, error) {
 		p.met.inc(p.met.polls)
 		req, err := http.NewRequestWithContext(actx, http.MethodGet,
 			p.cfg.URL+PathModels+"/current", nil)
-		if err != nil {
-			return err
-		}
-		if p.etag != "" {
+		if err == nil && p.etag != "" {
 			req.Header.Set("If-None-Match", p.etag)
 		}
-		resilience.AttachDeadline(actx, req.Header, 0)
-		resp, err := p.client.Do(req)
-		if err != nil {
-			// Transport-level failures (resets, refused connections during a
-			// registry restart, injected faults) are transient: polling is
-			// idempotent, re-asking is always safe.
-			return retry.Transient(err)
-		}
-		defer resp.Body.Close()
-		switch {
-		case resp.StatusCode == http.StatusNotModified:
-			io.Copy(io.Discard, resp.Body)
+		return req, err
+	}
+	err := p.call.Do(ctx, p.cfg.MaxModelBytes, newRequest, func(resp *http.Response, body []byte) error {
+		switch resp.StatusCode {
+		case http.StatusNotModified:
 			p.met.inc(p.met.notModified)
-			changed = false
 			return nil
-		case resp.StatusCode == http.StatusOK:
-			body, rerr := io.ReadAll(io.LimitReader(resp.Body, p.cfg.MaxModelBytes+1))
-			if rerr != nil {
-				return retry.Transient(fmt.Errorf("registry: download interrupted: %w", rerr))
-			}
-			if int64(len(body)) > p.cfg.MaxModelBytes {
-				return fmt.Errorf("registry: model exceeds %d-byte cap", p.cfg.MaxModelBytes)
-			}
+		case http.StatusOK:
 			want := resp.Header.Get(HeaderSHA256)
 			if want == "" {
 				return errors.New("registry: response missing " + HeaderSHA256)
@@ -217,34 +190,11 @@ func (p *Puller) PullNow(ctx context.Context) (VersionInfo, bool, error) {
 			raw = body
 			changed = true
 			return nil
-		case resp.StatusCode == http.StatusNotFound:
-			io.Copy(io.Discard, resp.Body)
+		case http.StatusNotFound:
 			return errNoModel
-		case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode >= 500:
-			// An overloaded registry's Retry-After hint becomes the backoff
-			// floor: never hammer a server that asked for breathing room.
-			return resilience.RetryAfterFloor(
-				retry.Transient(errors.New(httpMessage(resp))), resp.Header)
 		default:
-			return errors.New(httpMessage(resp))
+			return p.call.Refusal(resp.StatusCode, body)
 		}
-	}
-	err := p.cfg.Retry.DoCtx(ctx, func(actx context.Context) error {
-		if b := p.cfg.Breaker; b != nil {
-			if aerr := b.Allow(); aerr != nil {
-				// ErrBreakerOpen is not transient: the whole round collapses
-				// into this one rejection, costing the registry nothing.
-				return aerr
-			}
-			err := attempt(actx)
-			rerr := err
-			if errors.Is(rerr, errNoModel) {
-				rerr = nil // the registry answered; empty is healthy
-			}
-			b.Record(rerr)
-			return err
-		}
-		return attempt(actx)
 	})
 	if errors.Is(err, errNoModel) {
 		// Nothing published yet: quietly poll again next tick.
@@ -293,7 +243,7 @@ func (p *Puller) apply(ctx context.Context, info VersionInfo, raw []byte) error 
 	return nil
 }
 
-// PublishResult is what Publish reports back to the producer.
+// PublishResult is what PublishModel reports back to the producer.
 type PublishResult struct {
 	Status  string `json:"status"` // "accepted" or "duplicate"
 	Version int    `json:"version"`
@@ -306,123 +256,42 @@ type PublishResult struct {
 type PublishOptions struct {
 	// Client issues the upload (default http.DefaultClient).
 	Client *http.Client
-	// Retry shapes the upload attempts; AttemptTimeout defaults to a
-	// minute.
+	// Retry shapes the upload attempts; AttemptTimeout defaults to
+	// resilience.DefaultAttemptTimeout. Retry.Budget, when set, bounds
+	// retry amplification.
 	Retry retry.Policy
 	// Breaker, when set, guards the registry: an open breaker fails the
 	// publish fast with ErrBreakerOpen instead of burning attempts against
 	// a dead upstream (the coordinator's finalize step keeps the artifacts
 	// and can re-publish once it closes).
 	Breaker *resilience.Breaker
-	// Budget, when set, bounds retry amplification; folded into
-	// Retry.Budget unless that is already set.
-	Budget retry.Budget
-}
-
-// Publish uploads model bytes to a registry under a retry policy — kept as
-// a thin wrapper over PublishModel for existing callers.
-func Publish(ctx context.Context, client *http.Client, baseURL string, raw []byte, fingerprint, source string, pol retry.Policy) (PublishResult, error) {
-	return PublishModel(ctx, baseURL, raw, fingerprint, source, PublishOptions{Client: client, Retry: pol})
 }
 
 // PublishModel uploads model bytes to a registry — the producer-side
-// client used by the distbuild coordinator's finalize step and
-// `autodetect train`. Transport failures, 429s, and 5xx answers are
-// retried with any Retry-After hint honored as a backoff floor (publish is
-// idempotent: a retry of a landed upload is acknowledged as a duplicate);
-// a 409 conflict is permanent.
+// client used by the distbuild coordinator's finalize step. Transport
+// failures, 429s, and 5xx answers are retried with any Retry-After hint
+// honored as a backoff floor (publish is idempotent: a retry of a landed
+// upload is acknowledged as a duplicate); a 409 conflict is permanent.
 func PublishModel(ctx context.Context, baseURL string, raw []byte, fingerprint, source string, opts PublishOptions) (PublishResult, error) {
-	client := opts.Client
-	if client == nil {
-		client = http.DefaultClient
-	}
-	pol := opts.Retry
-	if pol.AttemptTimeout == 0 {
-		pol.AttemptTimeout = time.Minute
-	}
-	if pol.Budget == nil {
-		pol.Budget = opts.Budget
-	}
-	url := baseURL + PathModels + "?fingerprint=" + urlQueryEscape(fingerprint) + "&source=" + urlQueryEscape(source)
+	call := resilience.Client{HTTP: opts.Client, Retry: opts.Retry, Breaker: opts.Breaker, Peer: "registry"}
+	target := baseURL + PathModels + "?fingerprint=" + url.QueryEscape(fingerprint) + "&source=" + url.QueryEscape(source)
 	var res PublishResult
-	attempt := func(actx context.Context) error {
-		req, err := http.NewRequestWithContext(actx, http.MethodPost, url, bytes.NewReader(raw))
-		if err != nil {
-			return err
+	err := call.Do(ctx, 1<<20, func(actx context.Context) (*http.Request, error) {
+		req, err := http.NewRequestWithContext(actx, http.MethodPost, target, bytes.NewReader(raw))
+		if err == nil {
+			req.Header.Set("Content-Type", "application/octet-stream")
 		}
-		req.Header.Set("Content-Type", "application/octet-stream")
-		observe.Inject(actx, req.Header)
-		resilience.AttachDeadline(actx, req.Header, 0)
-		resp, err := client.Do(req)
-		if err != nil {
-			return retry.Transient(err)
+		return req, err
+	}, func(resp *http.Response, body []byte) error {
+		if resp.StatusCode != http.StatusOK {
+			return call.Refusal(resp.StatusCode, body)
 		}
-		defer resp.Body.Close()
-		body, rerr := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		switch {
-		case resp.StatusCode == http.StatusOK:
-			if err := json.Unmarshal(body, &res); err != nil {
-				if rerr != nil {
-					err = rerr
-				}
-				// Torn response to a landed upload: re-ask, the registry
-				// answers "duplicate".
-				return retry.Transient(fmt.Errorf("registry: bad publish response: %w", err))
-			}
-			return nil
-		case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode >= 500:
-			return resilience.RetryAfterFloor(
-				retry.Transient(errors.New(httpMessage(resp, body...))), resp.Header)
-		default:
-			return errors.New(httpMessage(resp, body...))
+		if err := json.Unmarshal(body, &res); err != nil {
+			// Torn response to a landed upload: re-ask, the registry
+			// answers "duplicate".
+			return retry.Transient(fmt.Errorf("registry: bad publish response: %w", err))
 		}
-	}
-	err := pol.DoCtx(ctx, func(actx context.Context) error {
-		if b := opts.Breaker; b != nil {
-			if aerr := b.Allow(); aerr != nil {
-				return aerr
-			}
-			err := attempt(actx)
-			b.Record(err)
-			return err
-		}
-		return attempt(actx)
+		return nil
 	})
 	return res, err
-}
-
-// httpMessage renders an error response, favoring the JSON error
-// envelope's message when present. The body is read here unless the
-// caller already consumed it and passes the bytes along.
-func httpMessage(resp *http.Response, body ...byte) string {
-	raw := body
-	if raw == nil {
-		raw, _ = io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	}
-	var eb struct {
-		Error string `json:"error"`
-	}
-	if json.Unmarshal(raw, &eb) == nil && eb.Error != "" {
-		return fmt.Sprintf("registry answered %d: %s", resp.StatusCode, eb.Error)
-	}
-	return fmt.Sprintf("registry answered %d: %s", resp.StatusCode, strings.TrimSpace(string(raw)))
-}
-
-// urlQueryEscape is the tiny subset of url.QueryEscape needed for
-// fingerprints (hex) and source names, kept dependency-light.
-func urlQueryEscape(s string) string {
-	const hexDigits = "0123456789ABCDEF"
-	var b strings.Builder
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' ||
-			c == '-' || c == '_' || c == '.' || c == '~' {
-			b.WriteByte(c)
-			continue
-		}
-		b.WriteByte('%')
-		b.WriteByte(hexDigits[c>>4])
-		b.WriteByte(hexDigits[c&0xf])
-	}
-	return b.String()
 }

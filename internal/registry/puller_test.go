@@ -279,19 +279,22 @@ func TestPullerRunLoop(t *testing.T) {
 func TestPublishClient(t *testing.T) {
 	models := testModels(t)
 	_, srv := newTestServer(t)
-	pol := retry.Policy{MaxAttempts: 8, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}
+	pub := PublishOptions{
+		Client: srv.Client(),
+		Retry:  retry.Policy{MaxAttempts: 8, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
+	}
 
-	res, err := Publish(context.Background(), srv.Client(), srv.URL, models[0], "fp-1", "test", pol)
+	res, err := PublishModel(context.Background(), srv.URL, models[0], "fp-1", "test", pub)
 	if err != nil || res.Status != "accepted" || res.Version != 1 {
 		t.Fatalf("publish: %+v err=%v", res, err)
 	}
 	// Idempotent retry: same bytes acknowledged as duplicate.
-	res, err = Publish(context.Background(), srv.Client(), srv.URL, models[0], "fp-1", "test", pol)
+	res, err = PublishModel(context.Background(), srv.URL, models[0], "fp-1", "test", pub)
 	if err != nil || res.Status != "duplicate" || res.Version != 1 {
 		t.Fatalf("re-publish: %+v err=%v", res, err)
 	}
 	// Conflict is permanent: no retry storm, a clear error.
-	if _, err = Publish(context.Background(), srv.Client(), srv.URL, models[1], "fp-1", "test", pol); err == nil {
+	if _, err = PublishModel(context.Background(), srv.URL, models[1], "fp-1", "test", pub); err == nil {
 		t.Fatal("conflicting publish succeeded")
 	}
 
@@ -300,8 +303,8 @@ func TestPublishClient(t *testing.T) {
 		Seed:     11,
 		DropRate: 0.5,
 	})
-	res, err = Publish(context.Background(), &http.Client{Transport: faulty},
-		srv.URL, models[1], "fp-2", "test", pol)
+	pub.Client = &http.Client{Transport: faulty}
+	res, err = PublishModel(context.Background(), srv.URL, models[1], "fp-2", "test", pub)
 	if err != nil || res.Version != 2 {
 		t.Fatalf("faulty publish: %+v err=%v", res, err)
 	}

@@ -113,6 +113,7 @@ func profileColumn(column []string, flagged string) (columnProfile, bool) {
 	g := pattern.Crude()
 	counts := map[string]int{}
 	samples := map[string]string{}
+	var order []string // patterns in order of first occurrence
 	total := 0
 	for _, v := range column {
 		if v == "" || v == flagged {
@@ -125,14 +126,17 @@ func profileColumn(column []string, flagged string) (columnProfile, bool) {
 		total++
 		if _, ok := samples[p]; !ok {
 			samples[p] = v
+			order = append(order, p)
 		}
 	}
 	if total == 0 {
 		return columnProfile{}, false
 	}
+	// A tie goes to the pattern seen first in the column, so the same
+	// column always gets the same suggestion.
 	best, bestN := "", 0
-	for p, n := range counts {
-		if n > bestN {
+	for _, p := range order {
+		if n := counts[p]; n > bestN {
 			best, bestN = p, n
 		}
 	}

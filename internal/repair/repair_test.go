@@ -143,3 +143,26 @@ func TestHelpers(t *testing.T) {
 		t.Errorf("renderLike dec = %q", got)
 	}
 }
+
+// TestSuggestTieIsDeterministic: two formats tie for dominance, so the
+// one whose first value comes earliest in the column wins, on every call.
+func TestSuggestTieIsDeterministic(t *testing.T) {
+	col := []string{"2011-06-20", "06/21/2011", "2011-06-22", "06/23/2011", "2011-06-24."}
+	type answer struct {
+		s  Suggestion
+		ok bool
+	}
+	seen := map[answer]int{}
+	for i := 0; i < 1000; i++ {
+		s, ok := Suggest(col, "2011-06-24.")
+		seen[answer{s, ok}]++
+	}
+	if len(seen) != 1 {
+		t.Fatalf("1000 calls gave %d different answers: %v", len(seen), seen)
+	}
+	for a := range seen {
+		if !a.ok || a.s.Proposed != "2011-06-24" || a.s.Rule != "strip-noise" {
+			t.Fatalf("Suggest = %+v ok=%t, want strip-noise to the first-seen ISO format", a.s, a.ok)
+		}
+	}
+}

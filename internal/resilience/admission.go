@@ -229,7 +229,7 @@ func (a *Admission) Middleware() Middleware {
 					a.sheds.With(tier.String()).Inc()
 				}
 				w.Header().Set("Retry-After", strconv.Itoa(secs))
-				writeError(w, r, http.StatusTooManyRequests,
+				WriteError(w, r, http.StatusTooManyRequests,
 					"server overloaded ("+tier.String()+" tier shed), retry later")
 				return
 			}

@@ -9,7 +9,7 @@ import (
 	"repro/internal/observe"
 )
 
-// ErrBreakerOpen is returned by Allow and Do while the breaker is open (or
+// ErrBreakerOpen is returned by Allow while the breaker is open (or
 // half-open with its probe already in flight). It is deliberately NOT
 // transient: a retry.Policy's default classifier fails fast on it, so an
 // open breaker collapses a whole retry loop into one cheap rejection
@@ -75,8 +75,8 @@ type BreakerConfig struct {
 }
 
 // Breaker is a closed/open/half-open circuit breaker guarding one
-// downstream dependency. Calls feed outcomes in via Record (or the Do
-// wrapper); once consecutive failures or the windowed error rate cross
+// downstream dependency. Calls feed outcomes in via Record (Client.Do does
+// so for every outbound attempt); once consecutive failures or the windowed error rate cross
 // their thresholds the breaker opens, rejecting calls instantly until
 // OpenTimeout elapses. The first call after that is admitted as a probe:
 // success closes the breaker (full reset), failure re-opens it for another
@@ -212,17 +212,6 @@ func (b *Breaker) Record(err error) {
 	to := b.state
 	b.mu.Unlock()
 	b.announce(from, to)
-}
-
-// Do runs op under breaker admission: rejected fast with ErrBreakerOpen
-// when open, outcome recorded otherwise.
-func (b *Breaker) Do(ctx context.Context, op func(ctx context.Context) error) error {
-	if err := b.Allow(); err != nil {
-		return err
-	}
-	err := op(ctx)
-	b.Record(err)
-	return err
 }
 
 // maybeHalfOpenLocked transitions open→half-open once the timeout elapses.

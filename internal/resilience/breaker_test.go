@@ -197,17 +197,14 @@ func TestBreakerDoAndMetrics(t *testing.T) {
 			transitions = append(transitions, from.String()+">"+to.String())
 		},
 	})
-	ctx := context.Background()
-	op := func(err error) func(context.Context) error {
-		return func(context.Context) error { return err }
+	for _, outcome := range []error{nil, errBoom, errBoom} {
+		if err := b.Allow(); err != nil {
+			t.Fatalf("Allow while closed = %v", err)
+		}
+		b.Record(outcome)
 	}
-	if err := b.Do(ctx, op(nil)); err != nil {
-		t.Fatalf("Do(success) = %v", err)
-	}
-	_ = b.Do(ctx, op(errBoom))
-	_ = b.Do(ctx, op(errBoom))
-	if err := b.Do(ctx, op(nil)); !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("Do while open = %v, want ErrBreakerOpen", err)
+	if err := b.Allow(); !errors.Is(err, ErrBreakerOpen) {
+		t.Fatalf("Allow while open = %v, want ErrBreakerOpen", err)
 	}
 	var sb strings.Builder
 	if err := reg.WriteText(&sb); err != nil {

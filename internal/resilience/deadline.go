@@ -100,7 +100,7 @@ func DeadlineBudget(def time.Duration, floor func(*http.Request) time.Duration, 
 					if fastFails != nil {
 						fastFails.Inc()
 					}
-					writeError(w, r, http.StatusGatewayTimeout, fmt.Sprintf(
+					WriteError(w, r, http.StatusGatewayTimeout, fmt.Sprintf(
 						"deadline budget %s below the %s floor for this route; not starting doomed work", d, f))
 					return
 				}
@@ -113,8 +113,8 @@ func DeadlineBudget(def time.Duration, floor func(*http.Request) time.Duration, 
 // RetryAfterFloor wraps err with the response's Retry-After hint as a
 // backoff floor (retry.After), so a retrying client never comes back
 // sooner than the overloaded server asked it to. Absent or malformed
-// hints return err unchanged. Shared by the registry puller, the publish
-// client, and the distbuild worker client.
+// hints return err unchanged. Client.Do applies it to every 429 and 5xx
+// answer.
 func RetryAfterFloor(err error, h http.Header) error {
 	if floor, ok := ParseRetryAfter(h.Get("Retry-After")); ok {
 		return retry.After(err, floor)

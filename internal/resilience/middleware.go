@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime/debug"
+	"strings"
 	"sync"
 	"time"
 
@@ -119,16 +120,34 @@ func validRequestID(s string) bool {
 	return true
 }
 
-// errorBody is the JSON error envelope shared by all middleware replies.
+// errorBody is the JSON error envelope every server in the fleet writes
+// (WriteError) and every outbound Client reads (errorMessage).
 type errorBody struct {
 	Error     string `json:"error"`
 	RequestID string `json:"request_id,omitempty"`
 }
 
-func writeError(w http.ResponseWriter, r *http.Request, status int, msg string) {
+// WriteJSON writes v as a JSON response with the given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(errorBody{Error: msg, RequestID: RequestIDFrom(r.Context())})
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// WriteError writes the JSON error envelope: msg plus the request's ID,
+// which the stack always sets.
+func WriteError(w http.ResponseWriter, r *http.Request, status int, msg string) {
+	WriteJSON(w, status, errorBody{Error: msg, RequestID: RequestIDFrom(r.Context())})
+}
+
+// errorMessage reads the JSON error envelope: its message when body is
+// one, else the trimmed body.
+func errorMessage(body []byte) string {
+	var eb errorBody
+	if json.Unmarshal(body, &eb) == nil && eb.Error != "" {
+		return eb.Error
+	}
+	return strings.TrimSpace(string(body))
 }
 
 // Recover converts a handler panic into a 500 response carrying the
@@ -151,7 +170,7 @@ func Recover(logf func(format string, args ...any)) Middleware {
 					logf("panic serving %s %s (request %s): %v\n%s",
 						r.Method, r.URL.Path, RequestIDFrom(r.Context()), p, debug.Stack())
 				}
-				writeError(w, r, http.StatusInternalServerError, "internal server error")
+				WriteError(w, r, http.StatusInternalServerError, "internal server error")
 			}()
 			next.ServeHTTP(w, r)
 		})
@@ -226,7 +245,7 @@ func serveWithDeadline(w http.ResponseWriter, r *http.Request, d time.Duration, 
 		// 504 and whatever a ctx-aware handler writes on its way
 		// out.
 		tw.abandon()
-		writeError(w, r, http.StatusGatewayTimeout,
+		WriteError(w, r, http.StatusGatewayTimeout,
 			fmt.Sprintf("request exceeded %s deadline", d))
 	}
 }

@@ -104,12 +104,12 @@ func TestHostileCorrelationHeadersRejected(t *testing.T) {
 	}))
 
 	hostileIDs := []string{
-		strings.Repeat("a", 129),              // oversized
-		"id with spaces",                      // whitespace
-		"id\"with\"quotes",                    // quote injection into logfmt
-		"id\nwith=newline",                    // log line injection
-		"id\x00nul",                           // control bytes
-		"café",                                // non-ASCII
+		strings.Repeat("a", 129), // oversized
+		"id with spaces",         // whitespace
+		"id\"with\"quotes",       // quote injection into logfmt
+		"id\nwith=newline",       // log line injection
+		"id\x00nul",              // control bytes
+		"café",                   // non-ASCII
 	}
 	for _, hostile := range hostileIDs {
 		req := httptest.NewRequest("GET", "/v1/health", nil)

@@ -110,7 +110,7 @@ type jobResultsResponse struct {
 // jobsEnabled answers 501 when the batch subsystem is not configured.
 func (s *Server) jobsEnabled(w http.ResponseWriter, r *http.Request) bool {
 	if s.Jobs == nil {
-		writeErr(w, r, http.StatusNotImplemented,
+		resilience.WriteError(w, r, http.StatusNotImplemented,
 			"batch jobs disabled (start the server with a jobs directory)")
 		return false
 	}
@@ -121,20 +121,20 @@ func (s *Server) jobsEnabled(w http.ResponseWriter, r *http.Request) bool {
 func writeJobErr(w http.ResponseWriter, r *http.Request, err error) {
 	switch {
 	case errors.Is(err, jobs.ErrNotFound):
-		writeErr(w, r, http.StatusNotFound, "no such job")
+		resilience.WriteError(w, r, http.StatusNotFound, "no such job")
 	case errors.Is(err, jobs.ErrQueueFull):
 		w.Header().Set("Retry-After", strconv.Itoa(resilience.DefaultRetryAfterSeconds))
-		writeErr(w, r, http.StatusTooManyRequests, "job queue full, retry later")
+		resilience.WriteError(w, r, http.StatusTooManyRequests, "job queue full, retry later")
 	case errors.Is(err, jobs.ErrClosed):
-		writeErr(w, r, http.StatusServiceUnavailable, "server draining, not accepting jobs")
+		resilience.WriteError(w, r, http.StatusServiceUnavailable, "server draining, not accepting jobs")
 	case errors.Is(err, jobs.ErrTooLarge):
-		writeErr(w, r, http.StatusRequestEntityTooLarge, err.Error())
+		resilience.WriteError(w, r, http.StatusRequestEntityTooLarge, err.Error())
 	case errors.Is(err, jobs.ErrDatabase):
-		writeErr(w, r, http.StatusBadRequest, err.Error())
+		resilience.WriteError(w, r, http.StatusBadRequest, err.Error())
 	case errors.Is(err, envelope.ErrIntegrity):
-		writeErr(w, r, http.StatusInternalServerError, "job record corrupt on disk")
+		resilience.WriteError(w, r, http.StatusInternalServerError, "job record corrupt on disk")
 	default:
-		writeErr(w, r, http.StatusInternalServerError, err.Error())
+		resilience.WriteError(w, r, http.StatusInternalServerError, err.Error())
 	}
 }
 
@@ -149,7 +149,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		s.handleJobList(w, r)
 	default:
-		writeErr(w, r, http.StatusMethodNotAllowed, "POST or GET only")
+		resilience.WriteError(w, r, http.StatusMethodNotAllowed, "POST or GET only")
 	}
 }
 
@@ -163,7 +163,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	for col, hint := range req.Hints {
 		if !semantic.KnownDomain(hint) {
-			writeErr(w, r, http.StatusBadRequest,
+			resilience.WriteError(w, r, http.StatusBadRequest,
 				fmt.Sprintf("unknown domain hint %q for column %q", hint, col))
 			return
 		}
@@ -173,7 +173,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(req.Columns) == 0 {
-		writeErr(w, r, http.StatusBadRequest, "columns is empty")
+		resilience.WriteError(w, r, http.StatusBadRequest, "columns is empty")
 		return
 	}
 	total := 0
@@ -181,7 +181,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		total += len(vs)
 	}
 	if s.MaxTableValues > 0 && total > s.MaxTableValues {
-		writeErr(w, r, http.StatusRequestEntityTooLarge,
+		resilience.WriteError(w, r, http.StatusRequestEntityTooLarge,
 			fmt.Sprintf("table has %d values, at most %d per job", total, s.MaxTableValues))
 		return
 	}
@@ -190,7 +190,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJobErr(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, jobStatusFrom(st))
+	resilience.WriteJSON(w, http.StatusAccepted, jobStatusFrom(st))
 }
 
 // handleJobSubmitDB admits a whole-database audit. The capability is off
@@ -199,20 +199,20 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 // failing fast on unreachable DSNs or bad table filters.
 func (s *Server) handleJobSubmitDB(w http.ResponseWriter, r *http.Request, req *jobSubmitRequest) {
 	if !s.AllowDBAudit {
-		writeErr(w, r, http.StatusForbidden,
+		resilience.WriteError(w, r, http.StatusForbidden,
 			"database audits disabled (start the server with -db-audit)")
 		return
 	}
 	if len(req.Columns) > 0 {
-		writeErr(w, r, http.StatusBadRequest, "columns and database are mutually exclusive")
+		resilience.WriteError(w, r, http.StatusBadRequest, "columns and database are mutually exclusive")
 		return
 	}
 	if len(req.Hints) > 0 {
-		writeErr(w, r, http.StatusBadRequest, "database submissions derive hints from the schema; hints is not accepted")
+		resilience.WriteError(w, r, http.StatusBadRequest, "database submissions derive hints from the schema; hints is not accepted")
 		return
 	}
 	if req.Database.DSN == "" {
-		writeErr(w, r, http.StatusBadRequest, "database.dsn is empty")
+		resilience.WriteError(w, r, http.StatusBadRequest, "database.dsn is empty")
 		return
 	}
 	st, err := s.Jobs.SubmitDB(r.Context(), jobs.DBRequest{
@@ -226,7 +226,7 @@ func (s *Server) handleJobSubmitDB(w http.ResponseWriter, r *http.Request, req *
 		writeJobErr(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, jobStatusFrom(st))
+	resilience.WriteJSON(w, http.StatusAccepted, jobStatusFrom(st))
 }
 
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
@@ -241,7 +241,7 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 	for _, st := range states {
 		out.Jobs = append(out.Jobs, jobStatusFrom(st))
 	}
-	writeJSON(w, http.StatusOK, out)
+	resilience.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleJob serves GET (status) and DELETE (cancel / delete) on
@@ -258,24 +258,24 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 			writeJobErr(w, r, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, jobStatusFrom(st))
+		resilience.WriteJSON(w, http.StatusOK, jobStatusFrom(st))
 	case http.MethodDelete:
 		st, err := s.Jobs.Cancel(id)
 		switch {
 		case err == nil:
-			writeJSON(w, http.StatusAccepted, jobStatusFrom(st))
+			resilience.WriteJSON(w, http.StatusAccepted, jobStatusFrom(st))
 		case errors.Is(err, jobs.ErrTerminal):
 			// The job already finished: DELETE removes its record instead.
 			if err := s.Jobs.Delete(id); err != nil {
 				writeJobErr(w, r, err)
 				return
 			}
-			writeJSON(w, http.StatusOK, map[string]string{"id": id, "status": "deleted"})
+			resilience.WriteJSON(w, http.StatusOK, map[string]string{"id": id, "status": "deleted"})
 		default:
 			writeJobErr(w, r, err)
 		}
 	default:
-		writeErr(w, r, http.StatusMethodNotAllowed, "GET or DELETE only")
+		resilience.WriteError(w, r, http.StatusMethodNotAllowed, "GET or DELETE only")
 	}
 }
 
@@ -285,7 +285,7 @@ func (s *Server) handleJobResults(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if r.Method != http.MethodGet {
-		writeErr(w, r, http.StatusMethodNotAllowed, "GET only")
+		resilience.WriteError(w, r, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	page, ok := queryInt(w, r, "page", 0)
@@ -341,7 +341,7 @@ func (s *Server) handleJobResults(w http.ResponseWriter, r *http.Request) {
 		next := page + 1
 		resp.NextPage = &next
 	}
-	writeJSON(w, http.StatusOK, resp)
+	resilience.WriteJSON(w, http.StatusOK, resp)
 }
 
 // queryInt parses a non-negative integer query parameter, answering 400
@@ -353,7 +353,7 @@ func queryInt(w http.ResponseWriter, r *http.Request, key string, def int) (int,
 	}
 	v, err := strconv.Atoi(raw)
 	if err != nil || v < 0 {
-		writeErr(w, r, http.StatusBadRequest, fmt.Sprintf("bad %s: want a non-negative integer", key))
+		resilience.WriteError(w, r, http.StatusBadRequest, fmt.Sprintf("bad %s: want a non-negative integer", key))
 		return 0, false
 	}
 	return v, true

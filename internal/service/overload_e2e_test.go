@@ -91,9 +91,8 @@ func TestOverloadChaos(t *testing.T) {
 	puller, err := registry.NewPuller(registry.PullerConfig{
 		URL:     regSrv.URL,
 		HTTP:    &http.Client{Transport: ft},
-		Retry:   retry.Policy{MaxAttempts: 4, BaseDelay: 2 * time.Millisecond, MaxDelay: 10 * time.Millisecond, AttemptTimeout: 100 * time.Millisecond},
+		Retry:   retry.Policy{MaxAttempts: 4, BaseDelay: 2 * time.Millisecond, MaxDelay: 10 * time.Millisecond, AttemptTimeout: 100 * time.Millisecond, Budget: budget},
 		Breaker: breaker,
-		Budget:  budget,
 		Apply:   func(registry.VersionInfo, []byte) error { return nil },
 		Metrics: mreg,
 	})

@@ -307,30 +307,17 @@ func (s *Server) Handler() http.Handler {
 	})
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, r *http.Request, status int, msg string) {
-	writeJSON(w, status, map[string]string{
-		"error":      msg,
-		"request_id": resilience.RequestIDFrom(r.Context()),
-	})
-}
-
 // decodeJSON enforces method, content type, and the body cap, then decodes
 // the request body into v. It writes the error response and returns false
 // on any failure.
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	if r.Method != http.MethodPost {
-		writeErr(w, r, http.StatusMethodNotAllowed, "POST only")
+		resilience.WriteError(w, r, http.StatusMethodNotAllowed, "POST only")
 		return false
 	}
 	ct := r.Header.Get("Content-Type")
 	if mt, _, err := mime.ParseMediaType(ct); err != nil || mt != "application/json" {
-		writeErr(w, r, http.StatusUnsupportedMediaType, "Content-Type must be application/json")
+		resilience.WriteError(w, r, http.StatusUnsupportedMediaType, "Content-Type must be application/json")
 		return false
 	}
 	if s.MaxBodyBytes > 0 {
@@ -341,11 +328,11 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool 
 	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			writeErr(w, r, http.StatusRequestEntityTooLarge,
+			resilience.WriteError(w, r, http.StatusRequestEntityTooLarge,
 				fmt.Sprintf("request body exceeds %d bytes", mbe.Limit))
 			return false
 		}
-		writeErr(w, r, http.StatusBadRequest, "bad JSON: "+err.Error())
+		resilience.WriteError(w, r, http.StatusBadRequest, "bad JSON: "+err.Error())
 		return false
 	}
 	return true
@@ -355,7 +342,7 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool 
 func (s *Server) ready(w http.ResponseWriter, r *http.Request) *model {
 	m := s.snapshot()
 	if m == nil {
-		writeErr(w, r, http.StatusServiceUnavailable, "no model loaded")
+		resilience.WriteError(w, r, http.StatusServiceUnavailable, "no model loaded")
 		return nil
 	}
 	return m
@@ -397,7 +384,7 @@ type readyzResponse struct {
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	m := s.snapshot()
 	if m == nil {
-		writeErr(w, r, http.StatusServiceUnavailable, "no model loaded")
+		resilience.WriteError(w, r, http.StatusServiceUnavailable, "no model loaded")
 		return
 	}
 	// Degraded-but-serving is still ready: a stale model or an open
@@ -413,10 +400,10 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		reasons = append(reasons, s.DegradedCheck()...)
 	}
 	if len(reasons) > 0 {
-		writeJSON(w, http.StatusOK, readyzResponse{Status: "degraded", Degraded: reasons})
+		resilience.WriteJSON(w, http.StatusOK, readyzResponse{Status: "degraded", Degraded: reasons})
 		return
 	}
-	writeJSON(w, http.StatusOK, readyzResponse{Status: "ready"})
+	resilience.WriteJSON(w, http.StatusOK, readyzResponse{Status: "ready"})
 }
 
 // modelAge mirrors the autodetect_model_age_seconds gauge: time since
@@ -430,14 +417,14 @@ func (s *Server) modelAge(m *model) time.Duration {
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeErr(w, r, http.StatusMethodNotAllowed, "GET only")
+		resilience.WriteError(w, r, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	m := s.ready(w, r)
 	if m == nil {
 		return
 	}
-	writeJSON(w, http.StatusOK, healthResponse{
+	resilience.WriteJSON(w, http.StatusOK, healthResponse{
 		Status:    "ok",
 		Languages: len(m.det.Languages()),
 		Bytes:     m.det.Bytes(),
@@ -450,19 +437,19 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeErr(w, r, http.StatusMethodNotAllowed, "POST only")
+		resilience.WriteError(w, r, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	det, sem, info, err := s.ReloadNow("admin")
 	switch {
 	case errors.Is(err, ErrNoReload):
-		writeErr(w, r, http.StatusNotImplemented, "no reload hook configured")
+		resilience.WriteError(w, r, http.StatusNotImplemented, "no reload hook configured")
 		return
 	case err != nil:
-		writeErr(w, r, http.StatusInternalServerError, "reload failed: "+err.Error())
+		resilience.WriteError(w, r, http.StatusInternalServerError, "reload failed: "+err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, healthResponse{
+	resilience.WriteJSON(w, http.StatusOK, healthResponse{
 		Status:    "reloaded",
 		Languages: len(det.Languages()),
 		Bytes:     det.Bytes(),
@@ -519,18 +506,18 @@ func (s *Server) handleColumn(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(req.Values) == 0 {
-		writeErr(w, r, http.StatusBadRequest, "values is empty")
+		resilience.WriteError(w, r, http.StatusBadRequest, "values is empty")
 		return
 	}
 	if len(req.Values) > s.MaxValues {
-		writeErr(w, r, http.StatusRequestEntityTooLarge,
+		resilience.WriteError(w, r, http.StatusRequestEntityTooLarge,
 			fmt.Sprintf("at most %d values per column", s.MaxValues))
 		return
 	}
 	ctx, end := observe.Span(r.Context(), "check_column")
 	findings := m.checkColumn(ctx, req.Values, req.MinConfidence)
 	end()
-	writeJSON(w, http.StatusOK, columnResponse{Findings: findings})
+	resilience.WriteJSON(w, http.StatusOK, columnResponse{Findings: findings})
 }
 
 func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
@@ -543,7 +530,7 @@ func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(req.Columns) == 0 {
-		writeErr(w, r, http.StatusBadRequest, "columns is empty")
+		resilience.WriteError(w, r, http.StatusBadRequest, "columns is empty")
 		return
 	}
 	total := 0
@@ -551,7 +538,7 @@ func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
 		total += len(vs)
 	}
 	if s.MaxTableValues > 0 && total > s.MaxTableValues {
-		writeErr(w, r, http.StatusRequestEntityTooLarge,
+		resilience.WriteError(w, r, http.StatusRequestEntityTooLarge,
 			fmt.Sprintf("table has %d values, at most %d per request", total, s.MaxTableValues))
 		return
 	}
@@ -560,7 +547,7 @@ func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
 		Columns: audit.CheckTable(ctx, m.det, m.sem, req.Columns, req.MinConfidence, s.TableWorkers),
 	}
 	end()
-	writeJSON(w, http.StatusOK, resp)
+	resilience.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handlePair(w http.ResponseWriter, r *http.Request) {
@@ -573,7 +560,7 @@ func (s *Server) handlePair(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.A == "" || req.B == "" {
-		writeErr(w, r, http.StatusBadRequest, "need both a and b")
+		resilience.WriteError(w, r, http.StatusBadRequest, "need both a and b")
 		return
 	}
 	_, end := observe.Span(r.Context(), "check_pair")
@@ -588,5 +575,5 @@ func (s *Server) handlePair(w http.ResponseWriter, r *http.Request) {
 			Precision  float64 `json:"precision"`
 		}{l.LanguageID, l.NPMI, l.Fires, l.Precision})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	resilience.WriteJSON(w, http.StatusOK, resp)
 }
