@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc64"
 	"io"
 	"math"
 
@@ -29,19 +28,12 @@ var (
 // Callers can test with errors.Is(err, ErrCorruptModel).
 var ErrCorruptModel = errors.New("corrupt or invalid model")
 
-// Decode-time sanity caps. A corrupted length field must never drive a
-// multi-gigabyte allocation or an effectively unbounded read.
+// Decode-time caps. The Decoder already refuses any count or length the
+// payload cannot back; these bound what a well-formed file may hold.
 const (
 	maxModelLanguages = 1024    // languages per model
-	maxCurvePoints    = 1 << 24 // precision-curve entries per language
-	maxStatsBlob      = 1 << 28 // serialized statistics bytes per language
-	maxPayloadBytes   = 1 << 32 // total v2 payload bytes
+	maxPayloadBytes   = 1 << 32 // total payload bytes
 )
-
-// crcTable is the CRC64 polynomial used by the v2 integrity trailer; it is
-// the shared envelope polynomial, so model files and pipeline checkpoint
-// shards carry the same kind of trailer.
-var crcTable = envelope.Table()
 
 func corruptf(format string, args ...any) error {
 	return fmt.Errorf("core: %w: %s", ErrCorruptModel, fmt.Sprintf(format, args...))
@@ -55,182 +47,110 @@ func corruptf(format string, args ...any) error {
 // threshold, the empirical precision curve, and the corpus statistics.
 // Sketch-compressed detectors cannot be saved; save before compressing.
 func (d *Detector) Save(w io.Writer) error {
-	var payload bytes.Buffer
-	if err := d.encodePayload(&payload); err != nil {
+	payload, err := d.encodePayload()
+	if err != nil {
 		return err
 	}
-	return envelope.Write(w, magicV2, payload.Bytes())
+	return envelope.Write(w, magicV2, payload)
 }
 
-// encodePayload writes the version-independent model body.
-func (d *Detector) encodePayload(w io.Writer) error {
-	var tmp [8]byte
-	wu64 := func(v uint64) error {
-		binary.LittleEndian.PutUint64(tmp[:], v)
-		_, err := w.Write(tmp[:])
-		return err
-	}
-	if err := wu64(uint64(d.agg)); err != nil {
-		return err
-	}
-	if err := wu64(uint64(len(d.cals))); err != nil {
-		return err
-	}
-	for _, c := range d.cals {
-		if err := wu64(math.Float64bits(c.Theta)); err != nil {
-			return err
-		}
-		if err := wu64(math.Float64bits(c.TargetPrecision)); err != nil {
-			return err
-		}
-		if err := wu64(uint64(len(c.scores))); err != nil {
-			return err
-		}
-		for _, s := range c.scores {
-			if err := wu64(math.Float64bits(s)); err != nil {
-				return err
-			}
-		}
-		for _, p := range c.prefixNeg {
-			if err := wu64(uint64(p)); err != nil {
-				return err
-			}
-		}
+// encodePayload returns the version-independent model body.
+func (d *Detector) encodePayload() ([]byte, error) {
+	blobs := make([][]byte, len(d.cals))
+	size := 16
+	for i, c := range d.cals {
 		blob, err := c.Stats.MarshalBinary()
 		if err != nil {
-			return fmt.Errorf("core: serializing statistics: %w", err)
+			return nil, fmt.Errorf("core: serializing statistics: %w", err)
 		}
-		if err := wu64(uint64(len(blob))); err != nil {
-			return err
-		}
-		if _, err := w.Write(blob); err != nil {
-			return err
-		}
+		blobs[i] = blob
+		size += 4*8 + 2*8*len(c.scores) + len(blob)
 	}
-	return nil
+	le := binary.LittleEndian
+	buf := make([]byte, 0, size)
+	buf = le.AppendUint64(buf, uint64(d.agg))
+	buf = le.AppendUint64(buf, uint64(len(d.cals)))
+	for i, c := range d.cals {
+		buf = le.AppendUint64(buf, math.Float64bits(c.Theta))
+		buf = le.AppendUint64(buf, math.Float64bits(c.TargetPrecision))
+		buf = le.AppendUint64(buf, uint64(len(c.scores)))
+		for _, s := range c.scores {
+			buf = le.AppendUint64(buf, math.Float64bits(s))
+		}
+		for _, p := range c.prefixNeg {
+			buf = le.AppendUint64(buf, uint64(p))
+		}
+		buf = le.AppendUint64(buf, uint64(len(blobs[i])))
+		buf = append(buf, blobs[i]...)
+		blobs[i] = nil // copied into buf; a collection may now reclaim it
+	}
+	return buf, nil
 }
 
 // Load deserializes a detector produced by Save. It accepts the current v2
-// format (verifying the length header and CRC64 trailer) and legacy v1
-// files (best-effort, no integrity envelope). Any failure — wrong magic,
-// truncation, implausible counts, checksum mismatch — returns an error
-// wrapping ErrCorruptModel and never panics.
+// format, whose length header and CRC64 trailer are verified before any
+// field is decoded, and legacy v1 files (no integrity envelope, read up to
+// the same payload cap). Any failure — wrong magic, truncation, implausible
+// counts, checksum mismatch — returns an error wrapping ErrCorruptModel and
+// never panics.
 func Load(r io.Reader) (*Detector, error) {
 	br := bufio.NewReader(r)
-	magic := make([]byte, len(magicV2))
-	if _, err := io.ReadFull(br, magic); err != nil {
+	magic, err := br.Peek(len(magicV2))
+	if err != nil {
 		return nil, corruptf("reading model magic: %v", err)
 	}
+	var payload []byte
 	switch {
 	case bytes.Equal(magic, magicV2):
-		return loadV2(br)
+		payload, err = envelope.Read(br, magicV2, maxPayloadBytes)
 	case bytes.Equal(magic, magicV1):
-		return decodePayload(br)
+		br.Discard(len(magicV1)) // Peek buffered the magic, so this cannot fail
+		payload, err = io.ReadAll(io.LimitReader(br, maxPayloadBytes+1))
+		if err == nil && len(payload) > maxPayloadBytes {
+			err = fmt.Errorf("v1 payload exceeds %d bytes", uint64(maxPayloadBytes))
+		}
 	default:
 		return nil, corruptf("not an Auto-Detect model")
 	}
-}
-
-// loadV2 decodes "u64 length | payload | u64 CRC64(payload)". The payload
-// is decoded as a bounded stream while the checksum accumulates, so a
-// corrupted length field cannot drive an unbounded allocation.
-func loadV2(br *bufio.Reader) (*Detector, error) {
-	var tmp [8]byte
-	if _, err := io.ReadFull(br, tmp[:]); err != nil {
-		return nil, corruptf("reading payload length: %v", err)
-	}
-	plen := binary.LittleEndian.Uint64(tmp[:])
-	if plen > maxPayloadBytes {
-		return nil, corruptf("payload length %d exceeds cap", plen)
-	}
-	h := crc64.New(crcTable)
-	cr := &countingReader{r: io.TeeReader(io.LimitReader(br, int64(plen)), h)}
-	det, err := decodePayload(cr)
 	if err != nil {
-		return nil, err
+		return nil, corruptf("%v", err)
 	}
-	if cr.n != int64(plen) {
-		return nil, corruptf("payload length %d does not match decoded size %d", plen, cr.n)
-	}
-	if _, err := io.ReadFull(br, tmp[:]); err != nil {
-		return nil, corruptf("reading checksum trailer: %v", err)
-	}
-	if want, got := binary.LittleEndian.Uint64(tmp[:]), h.Sum64(); want != got {
-		return nil, corruptf("checksum mismatch: file says %016x, payload hashes to %016x", want, got)
-	}
-	return det, nil
+	return decodePayload(envelope.NewDecoder(payload))
 }
 
-// countingReader counts bytes consumed from the underlying reader.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// decodePayload reads the version-independent model body, validating every
-// count and every structural invariant of the calibration data before
-// allocating or trusting it.
-func decodePayload(r io.Reader) (*Detector, error) {
-	var tmp [8]byte
-	ru64 := func() (uint64, error) {
-		if _, err := io.ReadFull(r, tmp[:]); err != nil {
-			return 0, corruptf("truncated model: %v", err)
-		}
-		return binary.LittleEndian.Uint64(tmp[:]), nil
-	}
-	aggv, err := ru64()
-	if err != nil {
-		return nil, err
+// decodePayload decodes the version-independent model body, validating
+// every structural invariant of the calibration data before trusting it.
+func decodePayload(d *envelope.Decoder) (*Detector, error) {
+	aggv, nl := d.U64(), d.U64()
+	if err := d.Err(); err != nil {
+		return nil, corruptf("truncated model: %v", err)
 	}
 	if aggv > uint64(AggWeightedMajorityVote) {
 		return nil, corruptf("unknown aggregation strategy %d", aggv)
-	}
-	nl, err := ru64()
-	if err != nil {
-		return nil, err
 	}
 	if nl == 0 || nl > maxModelLanguages {
 		return nil, corruptf("implausible language count %d", nl)
 	}
 	cals := make([]*Calibration, 0, nl)
-	for i := uint64(0); i < nl; i++ {
-		c := &Calibration{}
-		th, err := ru64()
-		if err != nil {
-			return nil, err
+	for i := 0; i < int(nl); i++ {
+		c := &Calibration{
+			Theta:           math.Float64frombits(d.U64()),
+			TargetPrecision: math.Float64frombits(d.U64()),
 		}
-		c.Theta = math.Float64frombits(th)
+		// Each curve point is a score and a prefix count.
+		ns := d.Count(16)
+		if err := d.Err(); err != nil {
+			return nil, corruptf("language %d: %v", i, err)
+		}
 		if math.IsNaN(c.Theta) {
 			return nil, corruptf("language %d: threshold is NaN", i)
 		}
-		tp, err := ru64()
-		if err != nil {
-			return nil, err
-		}
-		c.TargetPrecision = math.Float64frombits(tp)
 		if math.IsNaN(c.TargetPrecision) || c.TargetPrecision < 0 || c.TargetPrecision > 1 {
 			return nil, corruptf("language %d: target precision out of range", i)
 		}
-		ns, err := ru64()
-		if err != nil {
-			return nil, err
-		}
-		if ns > maxCurvePoints {
-			return nil, corruptf("language %d: implausible curve length %d", i, ns)
-		}
 		c.scores = make([]float64, ns)
 		for j := range c.scores {
-			v, err := ru64()
-			if err != nil {
-				return nil, err
-			}
-			s := math.Float64frombits(v)
+			s := math.Float64frombits(d.U64())
 			if math.IsNaN(s) {
 				return nil, corruptf("language %d: curve score %d is NaN", i, j)
 			}
@@ -242,10 +162,7 @@ func decodePayload(r io.Reader) (*Detector, error) {
 		c.prefixNeg = make([]int, ns)
 		prev := uint64(0)
 		for j := range c.prefixNeg {
-			v, err := ru64()
-			if err != nil {
-				return nil, err
-			}
+			v := d.U64()
 			// prefixNeg[j] counts incompatible examples among scores[0..j]:
 			// it must fit the prefix, never decrease, and grow by at most
 			// one per step. That also guarantees the uint64→int cast is
@@ -256,15 +173,8 @@ func decodePayload(r io.Reader) (*Detector, error) {
 			prev = v
 			c.prefixNeg[j] = int(v)
 		}
-		bl, err := ru64()
-		if err != nil {
-			return nil, err
-		}
-		if bl > maxStatsBlob {
-			return nil, corruptf("language %d: implausible statistics length %d", i, bl)
-		}
-		blob := make([]byte, bl)
-		if _, err := io.ReadFull(r, blob); err != nil {
+		blob := d.Bytes()
+		if err := d.Err(); err != nil {
 			return nil, corruptf("language %d: truncated statistics: %v", i, err)
 		}
 		ls := &stats.LanguageStats{}
@@ -274,6 +184,9 @@ func decodePayload(r io.Reader) (*Detector, error) {
 		c.Stats = ls
 		c.coverage = NewBitset(0)
 		cals = append(cals, c)
+	}
+	if err := d.Finish(); err != nil {
+		return nil, corruptf("%v", err)
 	}
 	det, err := NewDetector(cals, Aggregation(aggv))
 	if err != nil {

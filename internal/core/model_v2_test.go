@@ -34,13 +34,34 @@ func TestSaveWritesV2Envelope(t *testing.T) {
 	}
 }
 
+// TestLoadCorruptAllocatesLittle: the checksum is verified before any field
+// is decoded, so a bit-flipped model fails after a few buffer allocations
+// instead of a decode into per-language maps.
+func TestLoadCorruptAllocatesLittle(t *testing.T) {
+	_, valid := saveModel(t)
+	data := append([]byte(nil), valid...)
+	data[len(data)/2] ^= 1
+	var err error
+	allocs := testing.AllocsPerRun(5, func() {
+		_, err = Load(bytes.NewReader(data))
+	})
+	if !errors.Is(err, ErrCorruptModel) {
+		t.Fatalf("bit-flipped model: err = %v, want ErrCorruptModel", err)
+	}
+	if allocs > 40 {
+		t.Fatalf("loading a bit-flipped %d-byte model made %.0f allocations", len(data), allocs)
+	}
+}
+
 func TestLoadV1Legacy(t *testing.T) {
 	det, _ := saveModel(t)
 	var v1 bytes.Buffer
 	v1.Write(magicV1)
-	if err := det.encodePayload(&v1); err != nil {
+	payload, err := det.encodePayload()
+	if err != nil {
 		t.Fatal(err)
 	}
+	v1.Write(payload)
 	back, err := Load(bytes.NewReader(v1.Bytes()))
 	if err != nil {
 		t.Fatalf("legacy v1 model failed to load: %v", err)

@@ -2,7 +2,9 @@ package envelope
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"runtime"
 	"testing"
 )
 
@@ -71,6 +73,23 @@ func TestRejectsOversizedLength(t *testing.T) {
 	}
 }
 
+// TestReadAllocatesOnlyWhatArrives: a short stream that declares a 4 GiB
+// payload fails without allocating for the declared length.
+func TestReadAllocatesOnlyWhatArrives(t *testing.T) {
+	stream := binary.LittleEndian.AppendUint64(append([]byte(nil), testMagic...), 4<<30)
+	stream = append(stream, "only a few bytes"...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Read(bytes.NewReader(stream), testMagic, 1<<33)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrIntegrity) {
+		t.Fatalf("expected ErrIntegrity for a short stream, got %v", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("reading a %d-byte stream allocated %d bytes", len(stream), grew)
+	}
+}
+
 func TestRejectsWrongMagic(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Write(&buf, testMagic, []byte("x")); err != nil {
@@ -109,5 +128,50 @@ func TestJSONRoundTripAndUndecodablePayload(t *testing.T) {
 	}
 	if err := ReadJSON(&bad, testMagic, 1<<20, &back); !errors.Is(err, ErrIntegrity) {
 		t.Fatalf("undecodable payload: err = %v, want ErrIntegrity", err)
+	}
+}
+
+func TestDecoderReadsFieldsAndChecksLengths(t *testing.T) {
+	le := binary.LittleEndian
+	payload := le.AppendUint64(nil, 7)
+	payload = le.AppendUint32(payload, 9)
+	payload = AppendString(payload, "pattern")
+	payload = le.AppendUint64(payload, 2) // a count of two 4-byte elements
+	payload = le.AppendUint32(payload, 1)
+	payload = le.AppendUint32(payload, 2)
+
+	d := NewDecoder(payload)
+	if d.U64() != 7 || d.U32() != 9 || d.String() != "pattern" || d.Count(4) != 2 || d.U32() != 1 || d.U32() != 2 {
+		t.Fatal("fields decoded wrongly")
+	}
+	if err := d.Finish(); err != nil {
+		t.Fatalf("Finish: %v", err)
+	}
+
+	// Trailing bytes fail Finish.
+	d = NewDecoder(payload)
+	d.U64()
+	if err := d.Finish(); !errors.Is(err, ErrIntegrity) {
+		t.Fatalf("trailing bytes: err = %v, want ErrIntegrity", err)
+	}
+
+	// A length or count the remaining bytes cannot back fails before any
+	// read past the end, and the failure sticks.
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		zero    func(*Decoder) bool
+	}{
+		{"string length", le.AppendUint64(nil, 1<<62), func(d *Decoder) bool { return d.String() == "" }},
+		{"count", le.AppendUint64(le.AppendUint64(nil, 3), 0), func(d *Decoder) bool { return d.Count(4) == 0 }},
+		{"short u64", []byte{1, 2, 3}, func(d *Decoder) bool { return d.U64() == 0 }},
+	} {
+		d := NewDecoder(tc.payload)
+		if !tc.zero(d) || d.U32() != 0 {
+			t.Errorf("%s: returned data", tc.name)
+		}
+		if !errors.Is(d.Err(), ErrIntegrity) || d.Finish() != d.Err() {
+			t.Errorf("%s: failure did not stick: %v", tc.name, d.Err())
+		}
 	}
 }

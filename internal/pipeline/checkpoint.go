@@ -1,13 +1,12 @@
 package pipeline
 
 import (
-	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -29,8 +28,8 @@ import (
 // clear the directory.
 var ckptMagic = []byte("AUTODETECT-CK/2\n")
 
-// maxCheckpointPayload caps the declared payload length a resume will
-// allocate for.
+// maxCheckpointPayload caps the declared payload length of a checkpoint or
+// shard.
 const maxCheckpointPayload = 1 << 32
 
 // checkpoint is the durable state of a partially-built corpus pass: the
@@ -82,78 +81,36 @@ func BuildFingerprint(srcFP string, opts Options) string {
 }
 
 func (c *checkpoint) marshal() ([]byte, error) {
-	var buf bytes.Buffer
-	var tmp [8]byte
-	wu64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(tmp[:], v)
-		buf.Write(tmp[:])
-	}
-	wstr := func(s string) {
-		wu64(uint64(len(s)))
-		buf.WriteString(s)
-	}
-	wstr(c.fingerprint)
-	wu64(c.columns)
-	wu64(c.values)
-	writeSampleEntries(&buf, c.entries)
-	if err := writeLanguageStats(&buf, c.stats, c.workers); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	le := binary.LittleEndian
+	buf := envelope.AppendString(nil, c.fingerprint)
+	buf = le.AppendUint64(buf, c.columns)
+	buf = le.AppendUint64(buf, c.values)
+	buf = appendSampleEntries(buf, c.entries)
+	return appendLanguageStats(buf, c.stats, c.workers)
 }
 
 func unmarshalCheckpoint(data []byte) (*checkpoint, error) {
-	r := bytes.NewReader(data)
-	var tmp [8]byte
-	ru64 := func() (uint64, error) {
-		if _, err := io.ReadFull(r, tmp[:]); err != nil {
-			return 0, errors.New("pipeline: truncated checkpoint")
-		}
-		return binary.LittleEndian.Uint64(tmp[:]), nil
-	}
-	rstr := func() (string, error) {
-		n, err := ru64()
-		if err != nil {
-			return "", err
-		}
-		if n > uint64(r.Len()) {
-			return "", errors.New("pipeline: corrupt checkpoint string length")
-		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(r, b); err != nil {
-			return "", errors.New("pipeline: truncated checkpoint")
-		}
-		return string(b), nil
-	}
-	c := &checkpoint{}
+	d := envelope.NewDecoder(data)
+	c := &checkpoint{fingerprint: d.String()}
+	c.columns = d.U64()
+	c.values = d.U64()
+	c.entries = readSampleEntries(d)
 	var err error
-	if c.fingerprint, err = rstr(); err != nil {
+	if c.stats, err = readLanguageStats(d, "checkpoint"); err != nil {
 		return nil, err
 	}
-	if c.columns, err = ru64(); err != nil {
-		return nil, err
-	}
-	if c.values, err = ru64(); err != nil {
-		return nil, err
-	}
-	if c.entries, err = readSampleEntries(r, data); err != nil {
-		return nil, err
-	}
-	if c.stats, err = readLanguageStats(r, "checkpoint"); err != nil {
-		return nil, err
-	}
-	if r.Len() != 0 {
-		return nil, errors.New("pipeline: trailing bytes in checkpoint")
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("pipeline: checkpoint: %w", err)
 	}
 	return c, nil
 }
 
-// writeLanguageStats writes the statistics section shared by checkpoints
+// appendLanguageStats appends the statistics section shared by checkpoints
 // and shards: the language count, then each language's length-framed
 // MarshalBinary blob. The blobs are encoded on up to workers goroutines,
-// each into its own slot, and written in language order, so the bytes do
+// each into its own slot, and appended in language order, so the bytes do
 // not depend on the worker count.
-func writeLanguageStats(buf *bytes.Buffer, all []*stats.LanguageStats, workers int) error {
+func appendLanguageStats(buf []byte, all []*stats.LanguageStats, workers int) ([]byte, error) {
 	blobs := make([][]byte, len(all))
 	if err := stats.ForEachLanguage(len(all), workers, func(i int) error {
 		blob, err := all[i].MarshalBinary()
@@ -163,54 +120,37 @@ func writeLanguageStats(buf *bytes.Buffer, all []*stats.LanguageStats, workers i
 		blobs[i] = blob
 		return nil
 	}); err != nil {
-		return err
+		return nil, err
 	}
 	size := 8
 	for _, blob := range blobs {
 		size += 8 + len(blob)
 	}
-	buf.Grow(size)
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], uint64(len(blobs)))
-	buf.Write(tmp[:])
+	buf = slices.Grow(buf, size)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(blobs)))
 	for i, blob := range blobs {
-		binary.LittleEndian.PutUint64(tmp[:], uint64(len(blob)))
-		buf.Write(tmp[:])
-		buf.Write(blob)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(blob)))
+		buf = append(buf, blob...)
 		blobs[i] = nil // copied into buf; a collection may now reclaim it
 	}
-	return nil
+	return buf, nil
 }
 
-// readLanguageStats is the inverse of writeLanguageStats; what names the
+// readLanguageStats is the inverse of appendLanguageStats; what names the
 // container ("checkpoint" or "shard") in errors.
-func readLanguageStats(r *bytes.Reader, what string) ([]*stats.LanguageStats, error) {
-	var tmp [8]byte
-	ru64 := func() (uint64, error) {
-		if _, err := io.ReadFull(r, tmp[:]); err != nil {
-			return 0, fmt.Errorf("pipeline: truncated %s", what)
-		}
-		return binary.LittleEndian.Uint64(tmp[:]), nil
-	}
-	n, err := ru64()
-	if err != nil {
-		return nil, err
+func readLanguageStats(d *envelope.Decoder, what string) ([]*stats.LanguageStats, error) {
+	n := d.Count(8)
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("pipeline: %s: %w", what, err)
 	}
 	if n > 4096 {
 		return nil, fmt.Errorf("pipeline: implausible %s language count", what)
 	}
 	all := make([]*stats.LanguageStats, n)
 	for i := range all {
-		bl, err := ru64()
-		if err != nil {
-			return nil, err
-		}
-		if bl > uint64(r.Len()) {
-			return nil, fmt.Errorf("pipeline: corrupt %s statistics length", what)
-		}
-		blob := make([]byte, bl)
-		if _, err := io.ReadFull(r, blob); err != nil {
-			return nil, fmt.Errorf("pipeline: truncated %s", what)
+		blob := d.Bytes()
+		if err := d.Err(); err != nil {
+			return nil, fmt.Errorf("pipeline: %s statistics %d: %w", what, i, err)
 		}
 		ls := &stats.LanguageStats{}
 		if err := ls.UnmarshalBinary(blob); err != nil {
@@ -221,74 +161,40 @@ func readLanguageStats(r *bytes.Reader, what string) ([]*stats.LanguageStats, er
 	return all, nil
 }
 
-// writeSampleEntries serializes the distant-supervision sample: entry count,
+// appendSampleEntries appends the distant-supervision sample: entry count,
 // then per entry the selection priority and the length-framed values. Only
 // Values are persisted — distsup reads nothing else from a column — which
 // checkpoint round-trip tests have relied on since CK/1.
-func writeSampleEntries(buf *bytes.Buffer, entries []sampleEntry) {
-	var tmp [8]byte
-	wu64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(tmp[:], v)
-		buf.Write(tmp[:])
-	}
-	wu64(uint64(len(entries)))
+func appendSampleEntries(buf []byte, entries []sampleEntry) []byte {
+	le := binary.LittleEndian
+	buf = le.AppendUint64(buf, uint64(len(entries)))
 	for _, e := range entries {
-		wu64(e.pri)
-		wu64(uint64(len(e.col.Values)))
+		buf = le.AppendUint64(buf, e.pri)
+		buf = le.AppendUint64(buf, uint64(len(e.col.Values)))
 		for _, v := range e.col.Values {
-			wu64(uint64(len(v)))
-			buf.WriteString(v)
+			buf = envelope.AppendString(buf, v)
 		}
 	}
+	return buf
 }
 
-// readSampleEntries is the inverse of writeSampleEntries; data is the whole
-// payload, used only to bound implausible declared lengths.
-func readSampleEntries(r *bytes.Reader, data []byte) ([]sampleEntry, error) {
-	var tmp [8]byte
-	ru64 := func() (uint64, error) {
-		if _, err := io.ReadFull(r, tmp[:]); err != nil {
-			return 0, errors.New("pipeline: truncated sample")
-		}
-		return binary.LittleEndian.Uint64(tmp[:]), nil
-	}
-	n, err := ru64()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(data)) {
-		return nil, errors.New("pipeline: corrupt sample entry count")
-	}
-	entries := make([]sampleEntry, n)
+// readSampleEntries is the inverse of appendSampleEntries. It returns nil
+// once d has failed; the caller reports d's error.
+func readSampleEntries(d *envelope.Decoder) []sampleEntry {
+	// Each entry is at least its priority and its value count.
+	entries := make([]sampleEntry, d.Count(16))
 	for i := range entries {
-		if entries[i].pri, err = ru64(); err != nil {
-			return nil, err
-		}
-		nv, err := ru64()
-		if err != nil {
-			return nil, err
-		}
-		if nv > uint64(len(data)) {
-			return nil, errors.New("pipeline: corrupt sample column length")
-		}
-		vals := make([]string, nv)
+		entries[i].pri = d.U64()
+		vals := make([]string, d.Count(8))
 		for j := range vals {
-			vl, err := ru64()
-			if err != nil {
-				return nil, err
-			}
-			if vl > uint64(r.Len()) {
-				return nil, errors.New("pipeline: corrupt sample value length")
-			}
-			b := make([]byte, vl)
-			if _, err := io.ReadFull(r, b); err != nil {
-				return nil, errors.New("pipeline: truncated sample")
-			}
-			vals[j] = string(b)
+			vals[j] = d.String()
+		}
+		if d.Err() != nil {
+			return nil
 		}
 		entries[i].col = &corpus.Column{Values: vals}
 	}
-	return entries, nil
+	return entries
 }
 
 // checkpointPath names the shard for a column boundary.

@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -143,23 +142,18 @@ func (p *Partial) SampleSize() int { return p.smp.size() }
 // cap and seed so DecodePartial reconstructs a sample that keeps merging
 // correctly.
 func EncodePartial(w io.Writer, p *Partial) error {
-	var buf bytes.Buffer
-	var tmp [8]byte
-	wu64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(tmp[:], v)
-		buf.Write(tmp[:])
-	}
-	wu64(uint64(len(p.Fingerprint)))
-	buf.WriteString(p.Fingerprint)
-	wu64(p.Columns)
-	wu64(p.Values)
-	wu64(uint64(int64(p.smp.cap)))
-	wu64(p.smp.seed)
-	writeSampleEntries(&buf, p.smp.entries())
-	if err := writeLanguageStats(&buf, p.stats, p.workers); err != nil {
+	le := binary.LittleEndian
+	buf := envelope.AppendString(nil, p.Fingerprint)
+	buf = le.AppendUint64(buf, p.Columns)
+	buf = le.AppendUint64(buf, p.Values)
+	buf = le.AppendUint64(buf, uint64(int64(p.smp.cap)))
+	buf = le.AppendUint64(buf, p.smp.seed)
+	buf = appendSampleEntries(buf, p.smp.entries())
+	buf, err := appendLanguageStats(buf, p.stats, p.workers)
+	if err != nil {
 		return err
 	}
-	return envelope.Write(w, shardMagic, buf.Bytes())
+	return envelope.Write(w, shardMagic, buf)
 }
 
 // DecodePartial reads and integrity-checks one shard. Torn or bit-flipped
@@ -169,52 +163,18 @@ func DecodePartial(rd io.Reader) (*Partial, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: shard: %w", err)
 	}
-	r := bytes.NewReader(payload)
-	var tmp [8]byte
-	ru64 := func() (uint64, error) {
-		if _, err := io.ReadFull(r, tmp[:]); err != nil {
-			return 0, errors.New("pipeline: truncated shard")
-		}
-		return binary.LittleEndian.Uint64(tmp[:]), nil
-	}
-	p := &Partial{}
-	fl, err := ru64()
-	if err != nil {
+	d := envelope.NewDecoder(payload)
+	p := &Partial{Fingerprint: d.String()}
+	p.Columns = d.U64()
+	p.Values = d.U64()
+	capv := d.U64()
+	p.smp = newSample(int(int64(capv)), d.U64())
+	p.smp.restore(readSampleEntries(d))
+	if p.stats, err = readLanguageStats(d, "shard"); err != nil {
 		return nil, err
 	}
-	if fl > uint64(r.Len()) {
-		return nil, errors.New("pipeline: corrupt shard fingerprint length")
-	}
-	fp := make([]byte, fl)
-	if _, err := io.ReadFull(r, fp); err != nil {
-		return nil, errors.New("pipeline: truncated shard")
-	}
-	p.Fingerprint = string(fp)
-	if p.Columns, err = ru64(); err != nil {
-		return nil, err
-	}
-	if p.Values, err = ru64(); err != nil {
-		return nil, err
-	}
-	capv, err := ru64()
-	if err != nil {
-		return nil, err
-	}
-	seed, err := ru64()
-	if err != nil {
-		return nil, err
-	}
-	p.smp = newSample(int(int64(capv)), seed)
-	entries, err := readSampleEntries(r, payload)
-	if err != nil {
-		return nil, err
-	}
-	p.smp.restore(entries)
-	if p.stats, err = readLanguageStats(r, "shard"); err != nil {
-		return nil, err
-	}
-	if r.Len() != 0 {
-		return nil, errors.New("pipeline: trailing bytes in shard")
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("pipeline: shard: %w", err)
 	}
 	return p, nil
 }

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -10,6 +11,8 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/envelope"
+	"repro/internal/pattern"
+	"repro/internal/stats"
 )
 
 // randomColumns builds a deterministic slate of synthetic columns, with
@@ -201,6 +204,37 @@ func TestPartialEncodeDecode(t *testing.T) {
 	// Truncate: also an integrity failure.
 	if _, err := DecodePartial(bytes.NewReader(buf.Bytes()[:buf.Len()-9])); !errors.Is(err, envelope.ErrIntegrity) {
 		t.Errorf("truncated shard decoded with err=%v, want envelope.ErrIntegrity", err)
+	}
+}
+
+// TestDecodePartialRejectsUnknownPairKey: a shard whose envelope is intact
+// but whose statistics name a pattern past their table must fail to
+// decode. Accepted, it would panic the coordinator's merge.
+func TestDecodePartialRejectsUnknownPairKey(t *testing.T) {
+	cfg := testTrainConfig()
+	cfg.Languages = []pattern.Language{pattern.L1()}
+	col := &corpus.Column{Values: []string{"2011-06-20", "abc"}}
+	p, err := CountPartial(context.Background(), NewSliceSource([]*corpus.Column{col}), Options{Workers: 1, Train: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := EncodePartial(&buf, p); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := envelope.Read(&buf, shardMagic, maxCheckpointPayload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The only language's statistics close the payload, and their one pair
+	// entry, a u64 key then a u32 count, closes those.
+	binary.LittleEndian.PutUint64(payload[len(payload)-12:], stats.PairKey(7, 9000))
+	var bad bytes.Buffer
+	if err := envelope.Write(&bad, shardMagic, payload); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodePartial(&bad); err == nil {
+		t.Fatal("shard with an unknown pattern in a pair key decoded without error")
 	}
 }
 

@@ -8,7 +8,7 @@
 // goroutines. Each worker folds its share of columns into a private partial
 // accumulator — per-language pattern occurrence counts plus co-occurrence
 // dictionaries — so the hot loop takes no locks. Partial shards are merged
-// (stats.LanguageStats.Merge, sketch.CountMin.Merge) at checkpoint
+// (stats.LanguageStats.Merge, over exact pair stores) at checkpoint
 // barriers and at stream end, then canonicalized so the final statistics
 // are byte-for-byte reproducible regardless of worker count, scheduling,
 // or checkpoint/resume boundaries. Distant-supervision columns are drawn

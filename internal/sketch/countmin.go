@@ -6,7 +6,6 @@
 package sketch
 
 import (
-	"encoding/binary"
 	"errors"
 	"math"
 	"sort"
@@ -167,50 +166,6 @@ func (cm *CountMin) EstimateCorrected(key uint64) uint64 {
 	return upper
 }
 
-// Compatible reports whether two sketches can be merged: same width, depth,
-// update mode and hash seeds. Sketches constructed with the same dimensions
-// always share seeds (the seed schedule is deterministic).
-func (cm *CountMin) Compatible(o *CountMin) bool {
-	if cm.width != o.width || cm.depth != o.depth || cm.conservative != o.conservative {
-		return false
-	}
-	for i, s := range cm.seeds {
-		if o.seeds[i] != s {
-			return false
-		}
-	}
-	return true
-}
-
-// Merge folds another sketch into the receiver by element-wise counter
-// addition (saturating at the uint32 counter cap). For plain (non-
-// conservative) sketches this is exact: estimates from the merged sketch
-// equal those of a single sketch that saw both update streams, so sharded
-// counting followed by Merge is equivalent to sequential counting.
-// Conservative sketches merge to a valid over-approximation (estimates
-// still never under-count) but lose the conservative-update tightness of a
-// single-stream build. The other sketch is not modified.
-func (cm *CountMin) Merge(o *CountMin) error {
-	if o == nil {
-		return errors.New("sketch: cannot merge nil sketch")
-	}
-	if !cm.Compatible(o) {
-		return errors.New("sketch: merge requires identical dimensions, mode and seeds")
-	}
-	for i := range cm.rows {
-		dst, src := cm.rows[i], o.rows[i]
-		for j := range dst {
-			s := uint64(dst[j]) + uint64(src[j])
-			if s > math.MaxUint32 {
-				s = math.MaxUint32
-			}
-			dst[j] = uint32(s)
-		}
-	}
-	cm.total += o.total
-	return nil
-}
-
 // Total returns the sum of all added values (N in the ε-bound).
 func (cm *CountMin) Total() uint64 { return cm.total }
 
@@ -222,64 +177,3 @@ func (cm *CountMin) Depth() int { return cm.depth }
 
 // Bytes returns the in-memory footprint of the counter array in bytes.
 func (cm *CountMin) Bytes() int { return cm.width * cm.depth * 4 }
-
-// MarshalBinary serializes the sketch.
-func (cm *CountMin) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 0, 32+cm.depth*8+cm.width*cm.depth*4)
-	var hdr [33]byte
-	binary.LittleEndian.PutUint64(hdr[0:], uint64(cm.width))
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(cm.depth))
-	binary.LittleEndian.PutUint64(hdr[16:], cm.total)
-	if cm.conservative {
-		hdr[24] = 1
-	}
-	buf = append(buf, hdr[:25]...)
-	var tmp [8]byte
-	for _, s := range cm.seeds {
-		binary.LittleEndian.PutUint64(tmp[:], s)
-		buf = append(buf, tmp[:]...)
-	}
-	var c4 [4]byte
-	for _, row := range cm.rows {
-		for _, c := range row {
-			binary.LittleEndian.PutUint32(c4[:], c)
-			buf = append(buf, c4[:]...)
-		}
-	}
-	return buf, nil
-}
-
-// UnmarshalBinary deserializes a sketch produced by MarshalBinary.
-func (cm *CountMin) UnmarshalBinary(data []byte) error {
-	if len(data) < 25 {
-		return errors.New("sketch: truncated header")
-	}
-	w := int(binary.LittleEndian.Uint64(data[0:]))
-	d := int(binary.LittleEndian.Uint64(data[8:]))
-	if w < 1 || d < 1 || d > 64 {
-		return errors.New("sketch: corrupt dimensions")
-	}
-	need := 25 + d*8 + w*d*4
-	if len(data) != need {
-		return errors.New("sketch: wrong payload size")
-	}
-	cm.width, cm.depth = w, d
-	cm.total = binary.LittleEndian.Uint64(data[16:])
-	cm.conservative = data[24] == 1
-	off := 25
-	cm.seeds = make([]uint64, d)
-	for i := range cm.seeds {
-		cm.seeds[i] = binary.LittleEndian.Uint64(data[off:])
-		off += 8
-	}
-	cm.rows = make([][]uint32, d)
-	for i := range cm.rows {
-		row := make([]uint32, w)
-		for j := range row {
-			row[j] = binary.LittleEndian.Uint32(data[off:])
-			off += 4
-		}
-		cm.rows[i] = row
-	}
-	return nil
-}

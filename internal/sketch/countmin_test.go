@@ -119,47 +119,6 @@ func TestConservativeAtLeastAsAccurate(t *testing.T) {
 	}
 }
 
-func TestMarshalRoundTrip(t *testing.T) {
-	cm, _ := New(512, 4, true)
-	r := rand.New(rand.NewSource(1))
-	keys := make([]uint64, 200)
-	for i := range keys {
-		keys[i] = r.Uint64()
-		cm.Add(keys[i], uint32(r.Intn(50)+1))
-	}
-	data, err := cm.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back CountMin
-	if err := back.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	if back.Total() != cm.Total() || back.Width() != cm.Width() || back.Depth() != cm.Depth() {
-		t.Fatal("header mismatch after round trip")
-	}
-	for _, k := range keys {
-		if back.Estimate(k) != cm.Estimate(k) {
-			t.Fatalf("estimate mismatch for key %d", k)
-		}
-	}
-}
-
-func TestUnmarshalRejectsCorrupt(t *testing.T) {
-	var cm CountMin
-	if err := cm.UnmarshalBinary(nil); err == nil {
-		t.Error("nil payload should error")
-	}
-	if err := cm.UnmarshalBinary(make([]byte, 25)); err == nil {
-		t.Error("zero dimensions should error")
-	}
-	good, _ := New(8, 2, false)
-	data, _ := good.MarshalBinary()
-	if err := cm.UnmarshalBinary(data[:len(data)-1]); err == nil {
-		t.Error("truncated payload should error")
-	}
-}
-
 func TestBytes(t *testing.T) {
 	cm, _ := New(1000, 5, false)
 	if cm.Bytes() != 1000*5*4 {

@@ -94,35 +94,6 @@ func TestPairStoreEntriesAndSketchCopy(t *testing.T) {
 	}
 }
 
-func TestSketchPairStoreRoundTrip(t *testing.T) {
-	s, err := NewSketchPairStore(256, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Add(1, 2, 5)
-	s.Add(3, 4, 7)
-	if s.Bytes() != 256*4*4 {
-		t.Errorf("Bytes = %d", s.Bytes())
-	}
-	if s.Entries() != -1 {
-		t.Error("Entries should be unknown")
-	}
-	data, err := s.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back SketchPairStore
-	if err := back.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	if back.Get(1, 2) != s.Get(1, 2) || back.Get(3, 4) != s.Get(3, 4) {
-		t.Error("estimates changed after round trip")
-	}
-	if _, err := NewSketchPairStore(0, 4); err == nil {
-		t.Error("zero width should error")
-	}
-}
-
 func TestPatternCountUnknown(t *testing.T) {
 	ls := buildDateStats(t, 0.1)
 	if ls.PatternCount("never-seen-pattern") != 0 {

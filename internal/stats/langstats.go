@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -11,6 +10,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/envelope"
 	"repro/internal/pattern"
 )
 
@@ -541,8 +541,7 @@ func (ls *LanguageStats) MarshalBinary() ([]byte, error) {
 	buf = le.AppendUint64(buf, uint64(ls.maxPatternsPerColumn))
 	buf = le.AppendUint64(buf, uint64(len(ls.patterns)))
 	for i, p := range ls.patterns {
-		buf = le.AppendUint64(buf, uint64(len(p)))
-		buf = append(buf, p...)
+		buf = envelope.AppendString(buf, p)
 		buf = le.AppendUint32(buf, ls.occ[i])
 	}
 	buf = le.AppendUint64(buf, uint64(exact.binarySize()))
@@ -551,84 +550,47 @@ func (ls *LanguageStats) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary deserializes statistics produced by MarshalBinary.
 func (ls *LanguageStats) UnmarshalBinary(data []byte) error {
-	r := bytes.NewReader(data)
-	var tmp [8]byte
-	ru64 := func() (uint64, error) {
-		if _, err := r.Read(tmp[:]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint64(tmp[:]), nil
-	}
-	langID, err := ru64()
-	if err != nil {
-		return errors.New("stats: truncated header")
+	d := envelope.NewDecoder(data)
+	langID, n, sm, mp := d.U64(), d.U64(), d.U64(), d.U64()
+	// Each pattern is at least its length prefix and its count.
+	np := d.Count(8 + 4)
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("stats: header: %w", err)
 	}
 	ls.lang = pattern.ByID(int(langID))
 	if ls.lang.ID < 0 {
 		return errors.New("stats: unknown language id")
 	}
-	if ls.n, err = ru64(); err != nil {
-		return err
-	}
-	sm, err := ru64()
-	if err != nil {
-		return err
-	}
+	ls.n = n
 	ls.smoothing = math.Float64frombits(sm)
-	mp, err := ru64()
-	if err != nil {
-		return err
-	}
 	ls.maxPatternsPerColumn = int(mp)
-	np, err := ru64()
-	if err != nil {
-		return err
-	}
-	if np > uint64(len(data)) {
-		return errors.New("stats: corrupt pattern count")
-	}
 	ls.patterns = make([]string, np)
 	ls.occ = make([]uint32, np)
 	ls.ids = make(map[uint64]uint32, np)
 	ls.byString = make(map[string]uint32, np)
-	for i := uint64(0); i < np; i++ {
-		l, err := ru64()
-		if err != nil {
-			return err
+	for i := range ls.patterns {
+		p := d.String()
+		ls.occ[i] = d.U32()
+		if err := d.Err(); err != nil {
+			return fmt.Errorf("stats: pattern %d: %w", i, err)
 		}
-		if l > uint64(r.Len()) {
-			return errors.New("stats: corrupt pattern length")
-		}
-		pb := make([]byte, l)
-		if _, err := r.Read(pb); err != nil {
-			return err
-		}
-		if _, err := r.Read(tmp[:4]); err != nil {
-			return err
-		}
-		ls.patterns[i] = string(pb)
-		ls.occ[i] = binary.LittleEndian.Uint32(tmp[:4])
-		ls.ids[hash64(ls.patterns[i])] = uint32(i)
-		ls.byString[ls.patterns[i]] = uint32(i)
+		ls.patterns[i] = p
+		ls.ids[hash64(p)] = uint32(i)
+		ls.byString[p] = uint32(i)
 	}
 	if err := ls.checkIDs(); err != nil {
 		return err
 	}
-	pl, err := ru64()
+	if pl := d.U64(); d.Err() == nil && pl != uint64(d.Remaining()) {
+		return errors.New("stats: corrupt pair store length")
+	}
+	store, err := decodePairs(d, np)
 	if err != nil {
 		return err
 	}
-	if pl != uint64(r.Len()) {
-		return errors.New("stats: corrupt pair store length")
-	}
-	pairData := make([]byte, pl)
-	if _, err := r.Read(pairData); err != nil {
-		return err
-	}
-	store := NewMapPairStore()
-	if err := store.UnmarshalBinary(pairData); err != nil {
-		return err
-	}
 	ls.pairs = store
+	if err := d.Finish(); err != nil {
+		return fmt.Errorf("stats: %w", err)
+	}
 	return nil
 }

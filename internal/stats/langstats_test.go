@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
@@ -184,6 +186,16 @@ func TestCompressPairStoreValidation(t *testing.T) {
 	if _, err := CompressPairStore(NewMapPairStore(), 1.5, 4); err == nil {
 		t.Error("ratio > 1 should error")
 	}
+	if _, err := NewSketchPairStore(0, 4); err == nil {
+		t.Error("zero width should error")
+	}
+	s, err := NewSketchPairStore(256, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Bytes() != 256*4*4 || s.Entries() != -1 {
+		t.Errorf("sketch store Bytes = %d, Entries = %d", s.Bytes(), s.Entries())
+	}
 }
 
 func TestLanguageStatsSerialization(t *testing.T) {
@@ -223,6 +235,36 @@ func TestSerializationRejectsCorrupt(t *testing.T) {
 	data, _ := good.MarshalBinary()
 	if err := ls.UnmarshalBinary(data[:len(data)-3]); err == nil {
 		t.Error("truncated should error")
+	}
+}
+
+// TestUnmarshalRejectsBadPairKeys: every pair key must name two distinct
+// patterns of the table, in strictly ascending key order. A key past the
+// table would make Merge index out of range; a repeated key would collapse
+// silently in the map.
+func TestUnmarshalRejectsBadPairKeys(t *testing.T) {
+	ls := NewLanguageStats(pattern.L1(), DefaultSmoothing)
+	ls.AddColumn([]string{"2011-06-20", "abc", "x1"}) // keys (0,1), (0,2), (1,2)
+	blob, err := ls.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := (&LanguageStats{}).UnmarshalBinary(blob); err != nil {
+		t.Fatalf("valid blob: %v", err)
+	}
+	// The last pair entry closes the blob: a u64 key, then a u32 count.
+	last := len(blob) - 12
+	for name, key := range map[string]uint64{
+		"unknown pattern": PairKey(7, 9000),
+		"self pair":       PairKey(1, 1),
+		"duplicate key":   PairKey(0, 2),
+		"descending key":  PairKey(0, 1),
+	} {
+		bad := bytes.Clone(blob)
+		binary.LittleEndian.PutUint64(bad[last:], key)
+		if err := (&LanguageStats{}).UnmarshalBinary(bad); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
 	}
 }
 

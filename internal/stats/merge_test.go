@@ -211,45 +211,3 @@ func TestBuilderMergeMatchesSequential(t *testing.T) {
 		t.Fatal("expected language-set mismatch error")
 	}
 }
-
-func TestSketchPairStoreMerge(t *testing.T) {
-	a, err := NewSketchPairStore(128, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewSketchPairStore(128, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	single, err := NewSketchPairStore(128, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(3))
-	for i := 0; i < 2000; i++ {
-		x, y := uint32(r.Intn(40)), uint32(r.Intn(40))
-		single.Add(x, y, 1)
-		if i%2 == 0 {
-			a.Add(x, y, 1)
-		} else {
-			b.Add(x, y, 1)
-		}
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	for x := uint32(0); x < 40; x++ {
-		for y := uint32(0); y < 40; y++ {
-			if got, want := a.Get(x, y), single.Get(x, y); got != want {
-				t.Fatalf("pair (%d,%d): merged %d != sequential %d", x, y, got, want)
-			}
-		}
-	}
-	wrong, err := NewSketchPairStore(64, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Merge(wrong); err == nil {
-		t.Fatal("expected dimension mismatch error")
-	}
-}

@@ -11,8 +11,10 @@ import (
 	"cmp"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"slices"
 
+	"repro/internal/envelope"
 	"repro/internal/sketch"
 )
 
@@ -79,19 +81,14 @@ func (s *MapPairStore) Merge(other *MapPairStore) {
 	}
 }
 
-// binarySize is the length of the store's MarshalBinary encoding: an entry
-// count, then 12 bytes per entry.
+// binarySize is the length of the store's encoding: an entry count, then
+// 12 bytes per entry.
 func (s *MapPairStore) binarySize() int { return 8 + 12*len(s.m) }
 
-// MarshalBinary serializes the store with keys in sorted order for
-// determinism.
-func (s *MapPairStore) MarshalBinary() ([]byte, error) {
-	return s.appendBinary(make([]byte, 0, s.binarySize())), nil
-}
-
-// appendBinary appends the MarshalBinary encoding to buf. Entries are
-// collected with their counts and sorted by key, so encoding needs no
-// second lookup per key.
+// appendBinary appends the store's encoding to buf: the entry count, then
+// each (u64 key, u32 count) in ascending key order. Entries are collected
+// with their counts and sorted by key, so encoding needs no second lookup
+// per key.
 func (s *MapPairStore) appendBinary(buf []byte) []byte {
 	type entry struct {
 		key uint64
@@ -111,24 +108,28 @@ func (s *MapPairStore) appendBinary(buf []byte) []byte {
 	return buf
 }
 
-// UnmarshalBinary deserializes a store produced by MarshalBinary.
-func (s *MapPairStore) UnmarshalBinary(data []byte) error {
-	if len(data) < 8 {
-		return errors.New("stats: truncated pair store")
+// decodePairs reads what appendBinary wrote for statistics holding the
+// given number of patterns. Every key must name two distinct known patterns
+// (a < b < patterns) and keys must strictly ascend, as appendBinary writes
+// them: a key past the pattern table would index out of range when the
+// statistics are merged or canonicalized, and a repeated key would
+// silently collapse in the map.
+func decodePairs(d *envelope.Decoder, patterns int) (*MapPairStore, error) {
+	n := d.Count(8 + 4)
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("stats: pair store: %w", err)
 	}
-	n := binary.LittleEndian.Uint64(data)
-	if uint64(len(data)) != 8+n*12 {
-		return errors.New("stats: wrong pair store payload size")
+	m := make(map[uint64]uint32, n)
+	var prev uint64
+	for i := 0; i < n; i++ {
+		k, v := d.U64(), d.U32()
+		if a, b := k>>32, k&0xffffffff; a >= b || b >= uint64(patterns) || (i > 0 && k <= prev) {
+			return nil, fmt.Errorf("stats: pair entry %d: key (%d,%d) breaks ascending order or a < b < %d", i, a, b, patterns)
+		}
+		m[k] = v
+		prev = k
 	}
-	s.m = make(map[uint64]uint32, n)
-	off := 8
-	for i := uint64(0); i < n; i++ {
-		k := binary.LittleEndian.Uint64(data[off:])
-		v := binary.LittleEndian.Uint32(data[off+8:])
-		s.m[k] = v
-		off += 12
-	}
-	return nil
+	return &MapPairStore{m: m}, nil
 }
 
 // SketchPairStore is a PairStore backed by a count-min sketch. Counts are
@@ -189,19 +190,3 @@ func (s *SketchPairStore) Bytes() int { return s.cm.Bytes() }
 
 // Entries implements PairStore.
 func (s *SketchPairStore) Entries() int { return -1 }
-
-// Merge folds another sketch-backed store into the receiver by element-wise
-// sketch merge — exact for these (non-conservative) sketches, provided both
-// stores were built over the same pattern-ID space.
-func (s *SketchPairStore) Merge(other *SketchPairStore) error {
-	return s.cm.Merge(other.cm)
-}
-
-// MarshalBinary serializes the underlying sketch.
-func (s *SketchPairStore) MarshalBinary() ([]byte, error) { return s.cm.MarshalBinary() }
-
-// UnmarshalBinary deserializes the underlying sketch.
-func (s *SketchPairStore) UnmarshalBinary(data []byte) error {
-	s.cm = new(sketch.CountMin)
-	return s.cm.UnmarshalBinary(data)
-}
