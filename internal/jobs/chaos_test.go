@@ -135,3 +135,85 @@ func TestChaosKillResumeByteIdentical(t *testing.T) {
 		t.Fatalf("findings total %d != clean %d", done.FindingsTotal(), clean.FindingsTotal())
 	}
 }
+
+// TestChaosKillTornJournalResume is the journal's counterpart of
+// TestChaosKillResumeByteIdentical: the executor is killed four times at
+// checkpoint boundaries, the newest journal record is torn after one cycle
+// and bit-flipped after another, each damaged record costs exactly its
+// column, and the completed job's findings are byte-identical to a clean
+// run.
+func TestChaosKillTornJournalResume(t *testing.T) {
+	table := testTable(24, 99)
+	want := cleanRun(t, table)
+
+	dir := t.TempDir()
+	var id string
+	const killCycles, perCycle = 4, 3
+	for cycle := 0; cycle < killCycles; cycle++ {
+		if cycle == 0 {
+			id = killAfter(t, dir, perCycle, table)
+		} else {
+			killAfter(t, dir, perCycle, nil)
+		}
+		store, err := OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := store.GetState(id)
+		if err != nil {
+			t.Fatalf("cycle %d state after kill: %v", cycle, err)
+		}
+		if st.Status.Terminal() {
+			t.Fatalf("cycle %d: job reached %s before enough kills", cycle, st.Status)
+		}
+		// Every pickup snapshots and removes the journal, so it holds
+		// exactly this cycle's columns.
+		path := filepath.Join(dir, id, "journal.bin")
+		bounds := journalBounds(t, path)
+		if len(bounds) != perCycle+1 {
+			t.Fatalf("cycle %d: journal holds %d records, want %d", cycle, len(bounds)-1, perCycle)
+		}
+		newest := bounds[perCycle-1]
+		switch cycle {
+		case 0:
+			err = faultfs.Tear(path, (newest+bounds[perCycle])/2)
+		case 1:
+			err = faultfs.FlipByte(path, newest+20, 0x40)
+		default:
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		damaged, err := store.GetState(id)
+		if err != nil {
+			t.Fatalf("cycle %d: damaged journal is an error: %v", cycle, err)
+		}
+		if damaged.ColumnsDone != st.ColumnsDone-1 {
+			t.Fatalf("cycle %d: %d columns after damaging the newest record, want %d",
+				cycle, damaged.ColumnsDone, st.ColumnsDone-1)
+		}
+	}
+
+	m := openManager(t, context.Background(), Config{
+		Dir: dir, Workers: 1, Model: modelFn(testDetector(t)),
+	})
+	done := waitStatus(t, m, id, StatusDone)
+	if done.Resumes != killCycles {
+		t.Fatalf("resumes = %d, want %d", done.Resumes, killCycles)
+	}
+	if got := resultsJSON(t, done.Results); got != want {
+		t.Fatalf("chaos-run findings differ from clean run after %d kills\nclean: %s\nchaos: %s",
+			killCycles, want, got)
+	}
+	// Drain first: GetState sees "done" once the terminal snapshot lands,
+	// just before the journal is removed.
+	cctx, ccancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer ccancel()
+	if err := m.Close(cctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, id, "journal.bin")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("finished job kept its journal: %v", err)
+	}
+}

@@ -9,18 +9,24 @@
 // clients submit a table once, poll progress, and page through findings
 // while the audit runs in the background.
 //
-// Durability contract: the job spec is written once at submission and the
-// execution state (status, per-column progress, findings so far) is
-// checkpointed after every completed column, both through the
-// internal/atomicio temp+fsync+rename protocol inside the shared CRC64
-// integrity envelope. A process kill at any point therefore loses at most
-// the column in flight: on restart, queued and running jobs are
-// re-enqueued in submission order and resume from the last completed
-// column, and — because audit.CheckColumn is deterministic in (model,
-// column) — the resumed job's findings are byte-identical to an
-// uninterrupted run. A state file corrupted on disk anyway (torn by a
-// dying kernel, bit-rotted) fails its CRC on recovery and the job simply
-// restarts from column zero, converging to the same bytes.
+// Durability contract: the job spec is written once at submission. The
+// execution state (status, per-column progress, findings so far) is a
+// snapshot plus a journal. Every transition — submission, executor
+// pickup, cancel, done, failed — writes a snapshot holding every finding
+// through the internal/atomicio temp+fsync+rename protocol and removes the
+// journal; every completed column in between appends one record to the
+// journal and fsyncs it, so a checkpoint costs that column's findings, not
+// the job's. All three files use the shared CRC64 integrity envelope. A
+// process kill at any point therefore loses at most the column in flight:
+// on restart, queued and running jobs are re-enqueued in submission order
+// and resume from the last completed column, and — because
+// audit.CheckColumn is deterministic in (model, column) — the resumed
+// job's findings are byte-identical to an uninterrupted run. A journal
+// record torn or bit-rotted on disk ends replay there: the job resumes
+// after the last good record and recomputes the rest. A snapshot
+// corrupted on disk fails its CRC on recovery and the job restarts from
+// column zero, converging to the same bytes. The terminal snapshot is the
+// compaction: a finished job is its spec and one state file.
 //
 // State machine:
 //
@@ -157,9 +163,9 @@ type ColumnResult struct {
 	Findings []audit.Finding `json:"findings"`
 }
 
-// State is the durable execution state of a job, checkpointed atomically
-// after every completed column. Results has exactly ColumnsDone entries,
-// in Spec.ColumnOrder order.
+// State is the durable execution state of a job, checkpointed after every
+// completed column (see Store.PutState). Results has exactly ColumnsDone
+// entries, in Spec.ColumnOrder order.
 type State struct {
 	ID           string         `json:"id"`
 	Seq          uint64         `json:"seq"`

@@ -308,7 +308,12 @@ func (s *Server) handleJobResults(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	total := st.FindingsTotal()
-	start := page * pageSize
+	// A page past the last starts at the end; testing page first keeps
+	// page * pageSize from overflowing.
+	start := total
+	if page <= total/pageSize {
+		start = page * pageSize
+	}
 	resp := jobResultsResponse{
 		ID:            st.ID,
 		Status:        string(st.Status),

@@ -265,17 +265,25 @@ func TestJobResultsPaginationEdges(t *testing.T) {
 	}
 	waitJobHTTP(t, ts.URL, submitted.ID, "done")
 
-	// Page far past the end: empty page, no next_page.
-	resp, body = getBody(t, ts.URL+"/v1/jobs/"+submitted.ID+"/results?page=9999")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
+	// Page far past the end, including pages whose offset page*page_size
+	// overflows an int: empty page, no next_page.
 	var pr jobResultsResponse
-	if err := json.Unmarshal(body, &pr); err != nil {
-		t.Fatal(err)
-	}
-	if len(pr.Findings) != 0 || pr.NextPage != nil {
-		t.Fatalf("past-the-end page: %+v", pr)
+	for _, q := range []string{
+		"page=9999",
+		"page=9223372036854776&page_size=1000",
+		"page=4611686018427387904&page_size=2",
+	} {
+		resp, body = getBody(t, ts.URL+"/v1/jobs/"+submitted.ID+"/results?"+q)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("?%s -> status %d: %s", q, resp.StatusCode, body)
+		}
+		pr = jobResultsResponse{}
+		if err := json.Unmarshal(body, &pr); err != nil {
+			t.Fatal(err)
+		}
+		if len(pr.Findings) != 0 || pr.NextPage != nil {
+			t.Fatalf("?%s past-the-end page: %+v", q, pr)
+		}
 	}
 
 	// Oversized page_size clamps to the maximum.
