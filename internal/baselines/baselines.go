@@ -12,7 +12,11 @@
 // evaluation harness can pool predictions across columns for precision@k.
 package baselines
 
-import "sort"
+import (
+	"sort"
+
+	"repro/internal/core"
+)
 
 // Prediction is one suspected error in a column.
 type Prediction struct {
@@ -33,31 +37,11 @@ type Detector interface {
 	Detect(values []string) []Prediction
 }
 
-// distinctValue groups equal cells of a column.
-type distinctValue struct {
-	value string
-	count int
-	first int
-}
-
 // distinct collapses a column to its distinct values with counts and first
 // occurrence, preserving first-seen order. Empty cells are missing data,
 // not values, and are skipped.
-func distinct(values []string) []distinctValue {
-	idx := map[string]int{}
-	var out []distinctValue
-	for i, v := range values {
-		if v == "" {
-			continue
-		}
-		if j, ok := idx[v]; ok {
-			out[j].count++
-			continue
-		}
-		idx[v] = len(out)
-		out = append(out, distinctValue{value: v, count: 1, first: i})
-	}
-	return out
+func distinct(values []string) []core.Distinct {
+	return core.Tabulate(values, func(v string) bool { return v != "" })
 }
 
 // rank sorts predictions by descending confidence (stable) and drops

@@ -44,7 +44,7 @@ func (*CDM) Detect(values []string) []Prediction {
 	g := pattern.Crude()
 	pats := make([]string, len(dvs))
 	for i, dv := range dvs {
-		pats[i] = g.Generalize(dv.value)
+		pats[i] = g.Generalize(dv.Value)
 	}
 	var out []Prediction
 	for i, dv := range dvs {
@@ -69,8 +69,8 @@ func (*CDM) Detect(values []string) []Prediction {
 			continue
 		}
 		score := float64(added) / float64(len(pats[i])+4)
-		rarity := 1 - float64(dv.count)/float64(len(values))
-		out = append(out, Prediction{Index: dv.first, Value: dv.value, Confidence: clamp01(score * rarity)})
+		rarity := 1 - float64(dv.Count)/float64(len(values))
+		out = append(out, Prediction{Index: dv.First, Value: dv.Value, Confidence: clamp01(score * rarity)})
 	}
 	return rank(out)
 }

@@ -118,7 +118,7 @@ func (d *DBoost) Detect(values []string) []Prediction {
 
 	exps := make([]expansion, len(dvs))
 	for i, dv := range dvs {
-		exps[i] = expand(dv.value)
+		exps[i] = expand(dv.Value)
 	}
 
 	// Numeric field models: count-weighted median and MAD (robust
@@ -135,7 +135,7 @@ func (d *DBoost) Detect(values []string) []Prediction {
 			if math.IsNaN(x) {
 				continue
 			}
-			for c := 0; c < dv.count; c++ {
+			for c := 0; c < dv.Count; c++ {
 				xs = append(xs, x)
 			}
 		}
@@ -155,7 +155,7 @@ func (d *DBoost) Detect(values []string) []Prediction {
 	hist := map[string]float64{}
 	for i, dv := range dvs {
 		for _, f := range exps[i].discrete {
-			hist[f] += float64(dv.count)
+			hist[f] += float64(dv.Count)
 		}
 	}
 
@@ -191,7 +191,7 @@ func (d *DBoost) Detect(values []string) []Prediction {
 		}
 		score := float64(deviating) / float64(fields)
 		if score >= 1-theta && deviating > 0 {
-			out = append(out, Prediction{Index: dv.first, Value: dv.value, Confidence: clamp01(score)})
+			out = append(out, Prediction{Index: dv.First, Value: dv.Value, Confidence: clamp01(score)})
 		}
 	}
 	return rank(out)

@@ -55,8 +55,8 @@ func (f *FRegex) Detect(values []string) []Prediction {
 	for ti := range builtinTypes {
 		conform := 0
 		for _, dv := range dvs {
-			if builtinTypes[ti].re.MatchString(dv.value) {
-				conform += dv.count
+			if builtinTypes[ti].re.MatchString(dv.Value) {
+				conform += dv.Count
 			}
 		}
 		if conform > bestConform {
@@ -74,8 +74,8 @@ func (f *FRegex) Detect(values []string) []Prediction {
 	re := builtinTypes[bestType].re
 	var out []Prediction
 	for _, dv := range dvs {
-		if !re.MatchString(dv.value) {
-			out = append(out, Prediction{Index: dv.first, Value: dv.value, Confidence: frac})
+		if !re.MatchString(dv.Value) {
+			out = append(out, Prediction{Index: dv.First, Value: dv.Value, Confidence: frac})
 		}
 	}
 	return rank(out)

@@ -44,7 +44,7 @@ func linearDetect(values []string, xform func(string) string) []Prediction {
 	keys := make([]string, len(dvs))
 	maxLen := 0
 	for i, dv := range dvs {
-		keys[i] = xform(dv.value)
+		keys[i] = xform(dv.Value)
 		if len(keys[i]) > maxLen {
 			maxLen = len(keys[i])
 		}
@@ -58,15 +58,15 @@ func linearDetect(values []string, xform func(string) string) []Prediction {
 	lenSupport := map[int]int{}
 	for i, dv := range dvs {
 		k := keys[i]
-		lenSupport[len(k)] += dv.count
+		lenSupport[len(k)] += dv.Count
 		for p := 0; p < len(k); p++ {
-			charSupport[p][k[p]] += dv.count
+			charSupport[p][k[p]] += dv.Count
 		}
 	}
 
 	total := 0
 	for _, dv := range dvs {
-		total += dv.count
+		total += dv.Count
 	}
 	var out []Prediction
 	for i, dv := range dvs {
@@ -75,11 +75,11 @@ func linearDetect(values []string, xform func(string) string) []Prediction {
 		// alone, normalized by its length.
 		broaden := 0
 		for p := 0; p < len(k); p++ {
-			if charSupport[p][k[p]] == dv.count {
+			if charSupport[p][k[p]] == dv.Count {
 				broaden++
 			}
 		}
-		if lenSupport[len(k)] == dv.count {
+		if lenSupport[len(k)] == dv.Count {
 			broaden += 2
 		}
 		if broaden == 0 {
@@ -88,8 +88,8 @@ func linearDetect(values []string, xform func(string) string) []Prediction {
 		norm := float64(len(k) + 2)
 		score := float64(broaden) / norm
 		// Rare values that broaden the description a lot are suspects.
-		rarity := 1 - float64(dv.count)/float64(total)
-		out = append(out, Prediction{Index: dv.first, Value: dv.value, Confidence: clamp01(score * rarity)})
+		rarity := 1 - float64(dv.Count)/float64(total)
+		out = append(out, Prediction{Index: dv.First, Value: dv.Value, Confidence: clamp01(score * rarity)})
 	}
 	return rank(out)
 }

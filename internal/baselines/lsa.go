@@ -50,9 +50,9 @@ func (l *LSA) Detect(values []string) []Prediction {
 	patOf := make([]string, len(dvs))
 	total := 0
 	for i, dv := range dvs {
-		patOf[i] = g.Generalize(dv.value)
-		counts[patOf[i]] += dv.count
-		total += dv.count
+		patOf[i] = g.Generalize(dv.Value)
+		counts[patOf[i]] += dv.Count
+		total += dv.Count
 	}
 	if len(counts) < 2 {
 		return nil
@@ -111,7 +111,7 @@ func (l *LSA) Detect(values []string) []Prediction {
 	for i, dv := range dvs {
 		if gfn, ok := gain[patOf[i]]; ok {
 			out = append(out, Prediction{
-				Index: dv.first, Value: dv.value,
+				Index: dv.First, Value: dv.Value,
 				Confidence: clamp01(gfn / (baseH + 1)),
 			})
 		}

@@ -4,15 +4,16 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/textdist"
 )
 
 // pairwiseDistances computes the pattern-alignment distance matrix over the
 // distinct values.
-func pairwiseDistances(dvs []distinctValue) [][]float64 {
+func pairwiseDistances(dvs []core.Distinct) [][]float64 {
 	toks := make([][]textdist.Symbol, len(dvs))
 	for i, dv := range dvs {
-		toks[i] = textdist.Tokenize(dv.value)
+		toks[i] = textdist.Tokenize(dv.Value)
 	}
 	d := make([][]float64, len(dvs))
 	for i := range d {
@@ -67,7 +68,7 @@ func (s *SVDD) Detect(values []string) []Prediction {
 	for i := range dvs {
 		sum := 0.0
 		for j, dv := range dvs {
-			sum += d[i][j] * float64(dv.count)
+			sum += d[i][j] * float64(dv.Count)
 		}
 		if sum < best {
 			best = sum
@@ -82,8 +83,8 @@ func (s *SVDD) Detect(values []string) []Prediction {
 	cds := make([]cd, len(dvs))
 	total := 0
 	for i, dv := range dvs {
-		cds[i] = cd{d[center][i], dv.count}
-		total += dv.count
+		cds[i] = cd{d[center][i], dv.Count}
+		total += dv.Count
 	}
 	sort.Slice(cds, func(i, j int) bool { return cds[i].dist < cds[j].dist })
 	radius := 0.0
@@ -99,7 +100,7 @@ func (s *SVDD) Detect(values []string) []Prediction {
 	var out []Prediction
 	for i, dv := range dvs {
 		if excess := d[center][i] - radius; excess > 1e-9 {
-			out = append(out, Prediction{Index: dv.first, Value: dv.value, Confidence: clamp01(excess)})
+			out = append(out, Prediction{Index: dv.First, Value: dv.Value, Confidence: clamp01(excess)})
 		}
 	}
 	return rank(out)
@@ -136,7 +137,7 @@ func (db *DBOD) Detect(values []string) []Prediction {
 			}
 		}
 		if nn > threshold {
-			out = append(out, Prediction{Index: dv.first, Value: dv.value, Confidence: clamp01(nn)})
+			out = append(out, Prediction{Index: dv.First, Value: dv.Value, Confidence: clamp01(nn)})
 		}
 	}
 	return rank(out)
@@ -217,7 +218,7 @@ func (l *LOF) Detect(values []string) []Prediction {
 		if lof > thresh {
 			// Squash LOF ∈ (thresh, ∞) into (0, 1).
 			out = append(out, Prediction{
-				Index: dvs[i].first, Value: dvs[i].value,
+				Index: dvs[i].First, Value: dvs[i].Value,
 				Confidence: clamp01((lof - 1) / (lof + 1)),
 			})
 		}

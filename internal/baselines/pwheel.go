@@ -145,8 +145,8 @@ func (p *PWheel) Detect(values []string) []Prediction {
 		shapes := map[string]bool{}
 		encode := 0.0
 		for _, dv := range dvs {
-			shapes[shapeOf(lv, dv.value)] = true
-			encode += encodingBits(lv, dv.value) * float64(dv.count)
+			shapes[shapeOf(lv, dv.Value)] = true
+			encode += encodingBits(lv, dv.Value) * float64(dv.Count)
 		}
 		dict := 0.0
 		for s := range shapes {
@@ -163,8 +163,8 @@ func (p *PWheel) Detect(values []string) []Prediction {
 	shapeCount := map[string]int{}
 	shapeOfDV := make([]string, len(dvs))
 	for i, dv := range dvs {
-		shapeOfDV[i] = shapeOf(best, dv.value)
-		shapeCount[shapeOfDV[i]] += dv.count
+		shapeOfDV[i] = shapeOf(best, dv.Value)
+		shapeCount[shapeOfDV[i]] += dv.Count
 	}
 	if len(shapeCount) < 2 {
 		return nil
@@ -192,7 +192,7 @@ func (p *PWheel) Detect(values []string) []Prediction {
 	var out []Prediction
 	for i, dv := range dvs {
 		if shapeCount[shapeOfDV[i]] <= conformThresh {
-			out = append(out, Prediction{Index: dv.first, Value: dv.value, Confidence: conf})
+			out = append(out, Prediction{Index: dv.First, Value: dv.Value, Confidence: conf})
 		}
 	}
 	return rank(out)

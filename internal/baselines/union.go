@@ -68,22 +68,18 @@ func AllPlusUnion() []Detector {
 type AutoDetect struct {
 	// Det is the trained detector.
 	Det *core.Detector
-	// DisplayName overrides the default "Auto-Detect" label (used by the
-	// aggregation-ablation experiment).
-	DisplayName string
 }
 
 // Name implements Detector.
-func (a *AutoDetect) Name() string {
-	if a.DisplayName != "" {
-		return a.DisplayName
-	}
-	return "Auto-Detect"
-}
+func (*AutoDetect) Name() string { return "Auto-Detect" }
 
 // Detect implements Detector.
 func (a *AutoDetect) Detect(values []string) []Prediction {
-	findings := a.Det.DetectColumn(values)
+	return FromFindings(a.Det.DetectColumn(values))
+}
+
+// FromFindings converts findings to predictions, keeping their order.
+func FromFindings(findings []core.Finding) []Prediction {
 	out := make([]Prediction, 0, len(findings))
 	for _, f := range findings {
 		out = append(out, Prediction{Index: f.Index, Value: f.Value, Confidence: f.Confidence})

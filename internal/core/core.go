@@ -32,8 +32,6 @@ type TrainConfig struct {
 	// co-occurrence store to that fraction of its exact size using a
 	// count-min sketch (Section 3.4). 0 or 1 keeps exact dictionaries.
 	SketchRatio float64
-	// Aggregation is the ensemble strategy (default AggMaxConfidence).
-	Aggregation Aggregation
 }
 
 // DefaultTrainConfig returns the paper's defaults at laptop scale. It is
@@ -118,7 +116,7 @@ func (p *Pipeline) SetSmoothing(f float64) {
 // BuildDetector selects languages under the memory budget from calibrated
 // candidates, optionally compresses the selected statistics with a
 // count-min sketch, and assembles the detector.
-func BuildDetector(cands []*Calibration, memoryBudget int, agg Aggregation, sketchRatio float64) (*Detector, *TrainReport, error) {
+func BuildDetector(cands []*Calibration, memoryBudget int, sketchRatio float64) (*Detector, *TrainReport, error) {
 	sel, err := SelectGreedy(cands, memoryBudget)
 	if err != nil {
 		return nil, nil, err
@@ -138,7 +136,7 @@ func BuildDetector(cands []*Calibration, memoryBudget int, agg Aggregation, sket
 		}
 		chosen = compressed
 	}
-	det, err := NewDetector(chosen, agg)
+	det, err := NewDetector(chosen)
 	if err != nil {
 		return nil, nil, err
 	}

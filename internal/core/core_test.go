@@ -44,7 +44,7 @@ func refTrain(c *corpus.Corpus, cfg TrainConfig) (*Detector, *TrainReport, error
 	if err != nil {
 		return nil, nil, err
 	}
-	det, rep, err := BuildDetector(cands, cfg.MemoryBudget, cfg.Aggregation, cfg.SketchRatio)
+	det, rep, err := BuildDetector(cands, cfg.MemoryBudget, cfg.SketchRatio)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -232,28 +232,6 @@ func TestScorePairSymmetry(t *testing.T) {
 	}
 	if len(a.ByLanguage) != len(det.Languages()) {
 		t.Errorf("ByLanguage has %d entries, want %d", len(a.ByLanguage), len(det.Languages()))
-	}
-}
-
-func TestAggregationStrategiesDiffer(t *testing.T) {
-	det, _ := fullDetector(t)
-	defer det.SetAggregation(AggMaxConfidence)
-	u, v := "2011-01-01", "2011/01/01"
-	base := det.ScorePair(u, v)
-	if !base.Flagged {
-		t.Fatalf("max-confidence should flag mixed dates (conf %.2f)", base.Confidence)
-	}
-	seen := map[string]float64{}
-	for _, agg := range []Aggregation{AggMaxConfidence, AggAvgNPMI, AggMinNPMI, AggMajorityVote, AggWeightedMajorityVote} {
-		det.SetAggregation(agg)
-		ps := det.ScorePair(u, v)
-		seen[agg.String()] = ps.Confidence
-		if ps.Confidence < 0 || ps.Confidence > 1 {
-			t.Errorf("%v confidence %v out of range", agg, ps.Confidence)
-		}
-	}
-	if len(seen) != 5 {
-		t.Errorf("aggregations = %v", seen)
 	}
 }
 

@@ -2,50 +2,9 @@ package core
 
 import (
 	"errors"
-	"sort"
 
 	"repro/internal/pattern"
 )
-
-// Aggregation selects how per-language scores combine into one prediction
-// (Section 4.8 / Appendix B).
-type Aggregation int
-
-// Aggregation strategies compared in Figure 8(b).
-const (
-	// AggMaxConfidence is the paper's choice: trust the single most
-	// confident language, Q = max_k Pk(sk) (Equation 11), and flag a pair
-	// if any language fires (union semantics).
-	AggMaxConfidence Aggregation = iota
-	// AggAvgNPMI ranks by the average NPMI across languages.
-	AggAvgNPMI
-	// AggMinNPMI ranks by the minimum NPMI across languages.
-	AggMinNPMI
-	// AggMajorityVote counts languages firing at their thresholds and
-	// requires a majority.
-	AggMajorityVote
-	// AggWeightedMajorityVote weights each vote by the magnitude of the
-	// language's NPMI score.
-	AggWeightedMajorityVote
-)
-
-// String names the aggregation.
-func (a Aggregation) String() string {
-	switch a {
-	case AggMaxConfidence:
-		return "Auto-Detect"
-	case AggAvgNPMI:
-		return "AvgNPMI"
-	case AggMinNPMI:
-		return "MinNPMI"
-	case AggMajorityVote:
-		return "MV"
-	case AggWeightedMajorityVote:
-		return "WMV"
-	default:
-		return "unknown"
-	}
-}
 
 // LangScore is one language's verdict on a value pair.
 type LangScore struct {
@@ -87,33 +46,38 @@ type Finding struct {
 	Confidence float64
 }
 
+// Score is the language's verdict on a pair of encoded values: the one
+// per-language primitive every ensemble rule reduces.
+func (c *Calibration) Score(ur, vr pattern.Runs) LangScore {
+	s := c.Stats.NPMIRuns(ur, vr)
+	return LangScore{
+		LanguageID: c.Stats.Language().ID,
+		NPMI:       s,
+		Fires:      c.Covers(s),
+		Precision:  c.PrecisionAt(s),
+	}
+}
+
+// MaxDistinct caps the distinct values DetectColumn scores pairwise per
+// column: the first MaxDistinct in row order.
+const MaxDistinct = 100
+
 // Detector predicts incompatible values using an ensemble of calibrated
-// generalization languages.
+// generalization languages, aggregated by max precision (Section 4.8).
 type Detector struct {
 	cals []*Calibration
-	agg  Aggregation
-
-	// maxDistinct caps the distinct values scored pairwise per column.
-	maxDistinct int
 }
 
 // NewDetector builds a detector from calibrated languages.
-func NewDetector(cals []*Calibration, agg Aggregation) (*Detector, error) {
+func NewDetector(cals []*Calibration) (*Detector, error) {
 	if len(cals) == 0 {
 		return nil, errors.New("core: detector needs at least one language")
 	}
-	return &Detector{cals: cals, agg: agg, maxDistinct: 100}, nil
+	return &Detector{cals: cals}, nil
 }
 
 // Languages returns the detector's calibrated languages.
 func (d *Detector) Languages() []*Calibration { return d.cals }
-
-// Aggregation returns the configured aggregation strategy.
-func (d *Detector) Aggregation() Aggregation { return d.agg }
-
-// SetAggregation switches the aggregation strategy (used by the Figure 8b
-// ablation; the calibrated languages are unchanged).
-func (d *Detector) SetAggregation(a Aggregation) { d.agg = a }
 
 // Bytes returns the total statistics footprint.
 func (d *Detector) Bytes() int {
@@ -124,177 +88,81 @@ func (d *Detector) Bytes() int {
 	return b
 }
 
-// ScorePair scores a pair of raw values.
+// ScorePair scores a pair of raw values, with every language's verdict.
 func (d *Detector) ScorePair(u, v string) PairScore {
 	hotPairs.Add(uintptr(len(u)), 1)
 	hotLangPairs.Add(uintptr(len(v)), uint64(len(d.cals)))
-	ur, vr := pattern.Encode(u), pattern.Encode(v)
-	return d.scoreRuns(ur, vr)
-}
-
-func (d *Detector) scoreRuns(ur, vr pattern.Runs) PairScore {
 	ps := PairScore{ByLanguage: make([]LangScore, len(d.cals))}
-	for i, c := range d.cals {
-		s := c.Stats.NPMIRuns(ur, vr)
-		ps.ByLanguage[i] = LangScore{
-			LanguageID: c.Stats.Language().ID,
-			NPMI:       s,
-			Fires:      c.Covers(s),
-			Precision:  c.PrecisionAt(s),
-		}
-	}
-	d.aggregate(&ps)
+	ps.Confidence, ps.Flagged = d.verdict(pattern.Encode(u), pattern.Encode(v), ps.ByLanguage)
 	return ps
 }
 
-// aggregate fills Confidence and Flagged from ByLanguage.
-func (d *Detector) aggregate(ps *PairScore) {
-	k := len(ps.ByLanguage)
-	switch d.agg {
-	case AggMaxConfidence:
-		for _, ls := range ps.ByLanguage {
-			if ls.Fires {
-				ps.Flagged = true
-				if ls.Precision > ps.Confidence {
-					ps.Confidence = ls.Precision
-				}
+// verdict is the detector's one reduction, max precision (Equation 11): a
+// pair is flagged if any language fires, with confidence
+// Q = max_k Pk(sk) over the firing languages. When by is non-nil it
+// receives every language's verdict and an unflagged pair still gets a
+// (low) ranking score for recall-oriented inspection below the precision
+// target. When by is nil only firing languages pay for PrecisionAt's
+// binary search, since DetectColumn never reads an unflagged pair's score.
+func (d *Detector) verdict(ur, vr pattern.Runs, by []LangScore) (conf float64, flagged bool) {
+	below := 0.0
+	for i, c := range d.cals {
+		var ls LangScore
+		if by != nil {
+			ls = c.Score(ur, vr)
+			by[i] = ls
+		} else if s := c.Stats.NPMIRuns(ur, vr); c.Covers(s) {
+			ls = LangScore{Fires: true, Precision: c.PrecisionAt(s)}
+		} else {
+			continue
+		}
+		if ls.Fires {
+			flagged = true
+			if ls.Precision > conf {
+				conf = ls.Precision
 			}
+		} else if p := ls.Precision * 0.5; p > below {
+			below = p
 		}
-		if !ps.Flagged {
-			// Still produce a (low) ranking score for recall-oriented
-			// inspection below the precision target.
-			best := 0.0
-			for _, ls := range ps.ByLanguage {
-				if p := ls.Precision * 0.5; p > best {
-					best = p
-				}
-			}
-			ps.Confidence = best
-		}
-	case AggAvgNPMI:
-		sum := 0.0
-		for _, ls := range ps.ByLanguage {
-			sum += ls.NPMI
-		}
-		avg := sum / float64(k)
-		ps.Confidence = (1 - avg) / 2
-		ps.Flagged = ps.Confidence > 0.5
-	case AggMinNPMI:
-		min := 1.0
-		for _, ls := range ps.ByLanguage {
-			if ls.NPMI < min {
-				min = ls.NPMI
-			}
-		}
-		ps.Confidence = (1 - min) / 2
-		ps.Flagged = ps.Confidence > 0.5
-	case AggMajorityVote:
-		votes := 0
-		for _, ls := range ps.ByLanguage {
-			if ls.Fires {
-				votes++
-			}
-		}
-		ps.Confidence = float64(votes) / float64(k)
-		ps.Flagged = 2*votes > k
-	case AggWeightedMajorityVote:
-		weight := 0.0
-		for _, ls := range ps.ByLanguage {
-			if ls.Fires {
-				// Weight each vote by the magnitude of the (negative) NPMI.
-				w := -ls.NPMI
-				if w < 0 {
-					w = 0
-				}
-				weight += w
-			}
-		}
-		ps.Confidence = weight / float64(k)
-		if ps.Confidence > 1 {
-			ps.Confidence = 1
-		}
-		ps.Flagged = ps.Confidence > 0.25
 	}
+	if !flagged {
+		conf = below
+	}
+	return conf, flagged
+}
+
+// Distinct returns the values DetectColumn scores: the column's non-empty
+// distinct values in first-occurrence order, capped at the first
+// MaxDistinct.
+func (d *Detector) Distinct(values []string) []Distinct {
+	// Empty cells are missing data, not errors.
+	distinct := Tabulate(values, func(v string) bool { return v != "" })
+	if len(distinct) > MaxDistinct {
+		distinct = distinct[:MaxDistinct]
+	}
+	return distinct
 }
 
 // DetectColumn scores all distinct value pairs of a column and attributes
-// conflicts to suspect values: a value's confidence is the count-weighted
-// confidence of its flagged conflicts with the rest of the column, so a
-// lone error conflicting with everything scores near the per-pair
-// confidence while majority values conflicting only with the error score
-// near zero. Findings are sorted by descending confidence.
+// conflicts to suspect values (see Attribute). Findings are sorted by
+// descending confidence.
 func (d *Detector) DetectColumn(values []string) []Finding {
 	hotValues.Add(uintptr(len(values)), uint64(len(values)))
-	type dv struct {
-		value string
-		runs  pattern.Runs
-		count int
-		first int
-	}
-	var distinct []dv
-	index := map[string]int{}
-	for i, v := range values {
-		if v == "" {
-			continue // empty cells are missing data, not errors
-		}
-		if j, ok := index[v]; ok {
-			distinct[j].count++
-			continue
-		}
-		index[v] = len(distinct)
-		distinct = append(distinct, dv{value: v, runs: pattern.Encode(v), count: 1, first: i})
-	}
-	if len(distinct) < 2 {
+	distinct := d.Distinct(values)
+	n := len(distinct)
+	if n < 2 {
 		return nil
 	}
-	if len(distinct) > d.maxDistinct {
-		distinct = distinct[:d.maxDistinct]
+	runs := make([]pattern.Runs, n)
+	for i := range distinct {
+		runs[i] = pattern.Encode(distinct[i].Value)
 	}
-
-	n := len(distinct)
-	// One publish per column for the whole pair loop below, so the
+	// One publish per column for the whole pair loop, so the
 	// instrumentation cost is independent of n².
 	pairs := uint64(n) * uint64(n-1) / 2
 	hotPairs.Add(uintptr(n), pairs)
 	hotLangPairs.Add(uintptr(n), pairs*uint64(len(d.cals)))
-	confSum := make([]float64, n)   // Σ over conflicting partners: count·conf
-	weightSum := make([]float64, n) // Σ over all partners: count
-	bestConf := make([]float64, n)
-	bestPartner := make([]int, n)
-	for i := range bestPartner {
-		bestPartner[i] = -1
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			ps := d.scoreRuns(distinct[i].runs, distinct[j].runs)
-			weightSum[i] += float64(distinct[j].count)
-			weightSum[j] += float64(distinct[i].count)
-			if !ps.Flagged {
-				continue
-			}
-			confSum[i] += ps.Confidence * float64(distinct[j].count)
-			confSum[j] += ps.Confidence * float64(distinct[i].count)
-			if ps.Confidence > bestConf[i] {
-				bestConf[i], bestPartner[i] = ps.Confidence, j
-			}
-			if ps.Confidence > bestConf[j] {
-				bestConf[j], bestPartner[j] = ps.Confidence, i
-			}
-		}
-	}
-
-	var out []Finding
-	for i := 0; i < n; i++ {
-		if bestPartner[i] < 0 || weightSum[i] == 0 {
-			continue
-		}
-		out = append(out, Finding{
-			Value:      distinct[i].value,
-			Index:      distinct[i].first,
-			Partner:    distinct[bestPartner[i]].value,
-			Confidence: confSum[i] / weightSum[i],
-		})
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Confidence > out[j].Confidence })
-	return out
+	return Attribute(distinct, func(i, j int) (float64, bool) {
+		return d.verdict(runs[i], runs[j], nil)
+	})
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strconv"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 // fixtureCalibrations builds two deterministic calibrated languages from a
 // tiny hand-made corpus: the crude language (sees separators) and L1
 // (sees only symbols), calibrated against hand-made training pairs.
-func fixtureCalibrations(t *testing.T) []*Calibration {
+func fixtureCalibrations(t testing.TB) []*Calibration {
 	t.Helper()
 	mk := func(lang pattern.Language) *stats.LanguageStats {
 		ls := stats.NewLanguageStats(lang, 0.1)
@@ -75,7 +76,7 @@ func TestFixtureCalibrationsFire(t *testing.T) {
 }
 
 func TestMaxConfidenceUnionSemantics(t *testing.T) {
-	det, err := NewDetector(fixtureCalibrations(t), AggMaxConfidence)
+	det, err := NewDetector(fixtureCalibrations(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,64 +106,31 @@ func TestMaxConfidenceUnionSemantics(t *testing.T) {
 	}
 }
 
-func TestMajorityVoteSemantics(t *testing.T) {
-	det, err := NewDetector(fixtureCalibrations(t), AggMajorityVote)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// "July-01" vs "1999": L2 distinguishes letters from digits and fires;
-	// crude also does. Both fire → majority.
-	ps := det.ScorePair("July-01", "1999")
-	votes := 0
-	for _, l := range ps.ByLanguage {
-		if l.Fires {
-			votes++
-		}
-	}
-	if ps.Confidence != float64(votes)/2 {
-		t.Errorf("MV confidence %v with %d votes", ps.Confidence, votes)
-	}
-	if votes*2 > 2 != ps.Flagged {
-		t.Errorf("MV flag inconsistent: votes=%d flagged=%v", votes, ps.Flagged)
-	}
-}
-
-func TestAggregationStringNames(t *testing.T) {
-	names := map[Aggregation]string{
-		AggMaxConfidence:        "Auto-Detect",
-		AggAvgNPMI:              "AvgNPMI",
-		AggMinNPMI:              "MinNPMI",
-		AggMajorityVote:         "MV",
-		AggWeightedMajorityVote: "WMV",
-		Aggregation(99):         "unknown",
-	}
-	for agg, want := range names {
-		if got := agg.String(); got != want {
-			t.Errorf("%d.String() = %q, want %q", agg, got, want)
-		}
-	}
-}
-
 func TestNewDetectorValidation(t *testing.T) {
-	if _, err := NewDetector(nil, AggMaxConfidence); err == nil {
+	if _, err := NewDetector(nil); err == nil {
 		t.Error("empty ensemble should error")
 	}
 }
 
 func TestDetectColumnMaxDistinctCap(t *testing.T) {
-	det, err := NewDetector(fixtureCalibrations(t), AggMaxConfidence)
+	det, err := NewDetector(fixtureCalibrations(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	det.maxDistinct = 10
-	// 60 distinct values; must not blow up and must stay within the cap.
-	values := make([]string, 60)
+	// 60 distinct values past the cap; must not blow up and must stay
+	// within the cap.
+	values := make([]string, MaxDistinct+60)
 	for i := range values {
 		values[i] = strconv.Itoa(1000 + i)
 	}
 	findings := det.DetectColumn(values)
-	if len(findings) > 10 {
+	if len(findings) > MaxDistinct {
 		t.Errorf("cap ignored: %d findings", len(findings))
+	}
+	for _, f := range findings {
+		if f.Index >= MaxDistinct {
+			t.Errorf("value past the cap scored: %+v", f)
+		}
 	}
 }
 
@@ -170,7 +138,7 @@ func TestDetectColumnMaxDistinctCap(t *testing.T) {
 // with empty cells; those are missing data and must never be flagged or
 // used as conflict partners.
 func TestDetectColumnIgnoresEmptyCells(t *testing.T) {
-	det, err := NewDetector(fixtureCalibrations(t), AggMaxConfidence)
+	det, err := NewDetector(fixtureCalibrations(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +155,7 @@ func TestDetectColumnIgnoresEmptyCells(t *testing.T) {
 }
 
 func TestDetectColumnWeightsByCount(t *testing.T) {
-	det, err := NewDetector(fixtureCalibrations(t), AggMaxConfidence)
+	det, err := NewDetector(fixtureCalibrations(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,5 +181,34 @@ func TestDetectColumnWeightsByCount(t *testing.T) {
 	}
 	if top.Index != 6 {
 		t.Errorf("top index = %d", top.Index)
+	}
+}
+
+// TestDetectColumnAllocsLinear: scoring a column allocates per distinct
+// value, never per value pair.
+func TestDetectColumnAllocsLinear(t *testing.T) {
+	det, err := NewDetector(fixtureCalibrations(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 100
+	values := make([]string, 0, n)
+	for i := 0; len(values) < n; i++ {
+		sep := "-"
+		if i%10 == 9 {
+			sep = "/"
+		}
+		values = append(values, fmt.Sprintf("20%02d%s%02d%s%02d", i%30, sep, 1+i%12, sep, 1+i/12))
+	}
+	if got := len(det.Distinct(values)); got != n {
+		t.Fatalf("column has %d distinct values, want %d", got, n)
+	}
+	if len(det.DetectColumn(values)) == 0 {
+		t.Fatal("no findings: the column should mix date formats")
+	}
+	allocs := testing.AllocsPerRun(5, func() { det.DetectColumn(values) })
+	// n(n−1)/2 = 4,950 pairs; a per-pair allocation would blow this bound.
+	if limit := 10.0 * n; allocs > limit {
+		t.Errorf("DetectColumn on %d distinct values made %.0f allocations, want ≤ %.0f", n, allocs, limit)
 	}
 }

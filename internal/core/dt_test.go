@@ -117,7 +117,7 @@ func TestSelectDTMeetsPrecision(t *testing.T) {
 		t.Errorf("DT union training precision %.3f < 0.95", prec)
 	}
 	// A DT detector must be buildable and usable.
-	det, err := NewDetector(dt.Chosen, AggMaxConfidence)
+	det, err := NewDetector(dt.Chosen)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,8 +31,9 @@ var ErrCorruptModel = errors.New("corrupt or invalid model")
 // Decode-time caps. The Decoder already refuses any count or length the
 // payload cannot back; these bound what a well-formed file may hold.
 const (
-	maxModelLanguages = 1024    // languages per model
-	maxPayloadBytes   = 1 << 32 // total payload bytes
+	maxModelLanguages  = 1024    // languages per model
+	maxPayloadBytes    = 1 << 32 // total payload bytes
+	maxAggregationWord = 4       // largest aggregation word a model may carry
 )
 
 func corruptf(format string, args ...any) error {
@@ -43,8 +44,9 @@ func corruptf(format string, args ...any) error {
 //
 //	magic "AUTODETECT-GO/2\n" | u64 payload length | payload | u64 CRC64(payload)
 //
-// The payload holds the aggregation strategy and, per language, the
-// threshold, the empirical precision curve, and the corpus statistics.
+// The payload holds the aggregation word (0: max precision) and, per
+// language, the threshold, the empirical precision curve, and the corpus
+// statistics.
 // Sketch-compressed detectors cannot be saved; save before compressing.
 func (d *Detector) Save(w io.Writer) error {
 	payload, err := d.encodePayload()
@@ -68,7 +70,7 @@ func (d *Detector) encodePayload() ([]byte, error) {
 	}
 	le := binary.LittleEndian
 	buf := make([]byte, 0, size)
-	buf = le.AppendUint64(buf, uint64(d.agg))
+	buf = le.AppendUint64(buf, 0) // aggregation word
 	buf = le.AppendUint64(buf, uint64(len(d.cals)))
 	for i, c := range d.cals {
 		buf = le.AppendUint64(buf, math.Float64bits(c.Theta))
@@ -125,7 +127,9 @@ func decodePayload(d *envelope.Decoder) (*Detector, error) {
 	if err := d.Err(); err != nil {
 		return nil, corruptf("truncated model: %v", err)
 	}
-	if aggv > uint64(AggWeightedMajorityVote) {
+	// Words 1–4 named the Figure 8(b) ablation rules that older builds
+	// could persist; only max precision is served, so they load as 0.
+	if aggv > maxAggregationWord {
 		return nil, corruptf("unknown aggregation strategy %d", aggv)
 	}
 	if nl == 0 || nl > maxModelLanguages {
@@ -188,7 +192,7 @@ func decodePayload(d *envelope.Decoder) (*Detector, error) {
 	if err := d.Finish(); err != nil {
 		return nil, corruptf("%v", err)
 	}
-	det, err := NewDetector(cals, Aggregation(aggv))
+	det, err := NewDetector(cals)
 	if err != nil {
 		return nil, corruptf("%v", err)
 	}

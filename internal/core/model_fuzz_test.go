@@ -9,7 +9,7 @@ import (
 // TestLoadCorruptionFuzz: randomly corrupted model payloads must either
 // fail to load or load into a detector that does not panic — never crash.
 func TestLoadCorruptionFuzz(t *testing.T) {
-	det, err := NewDetector(fixtureCalibrations(t), AggMaxConfidence)
+	det, err := NewDetector(fixtureCalibrations(t))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/envelope"
 )
 
 // saveModel serializes the tiny fixture detector once per test.
@@ -151,4 +154,48 @@ func TestLoadCorruptionTable(t *testing.T) {
 			t.Errorf("empty input: %v", err)
 		}
 	})
+}
+
+// TestLoadAggregationWord: every model writes aggregation word 0. Words 1–4
+// named the Figure 8(b) ablation rules that older builds could persist;
+// they still load, as max precision. Anything larger is corrupt.
+func TestLoadAggregationWord(t *testing.T) {
+	det, _ := saveModel(t)
+	payload, err := det.encodePayload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if word := binary.LittleEndian.Uint64(payload); word != 0 {
+		t.Fatalf("saved aggregation word %d, want 0", word)
+	}
+	reframe := func(word uint64) (*Detector, error) {
+		p := append([]byte(nil), payload...)
+		binary.LittleEndian.PutUint64(p, word)
+		var buf bytes.Buffer
+		if err := envelope.Write(&buf, magicV2, p); err != nil {
+			t.Fatal(err)
+		}
+		return Load(&buf)
+	}
+	zero, err := reframe(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	three, err := reframe(3)
+	if err != nil {
+		t.Fatalf("model with aggregation word 3 failed to load: %v", err)
+	}
+	cols := [][]string{
+		{"2011-01-01", "2012-03-04", "1999-12-31", "2013-05-06", "2011/01/01"},
+		{"100", "200", "1,000", "3.5", "-", "n/a"},
+		{"a@b.com", "c@d.org", "12:30", "", "x@y.net"},
+	}
+	for _, col := range cols {
+		if a, b := zero.DetectColumn(col), three.DetectColumn(col); !reflect.DeepEqual(a, b) {
+			t.Errorf("column %q: word 3 findings %+v, word 0 findings %+v", col, b, a)
+		}
+	}
+	if _, err := reframe(5); !errors.Is(err, ErrCorruptModel) {
+		t.Errorf("aggregation word 5: err = %v, want ErrCorruptModel", err)
+	}
 }

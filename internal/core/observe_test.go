@@ -6,7 +6,7 @@ import "testing"
 // counters: DetectColumn on n distinct values adds n cells, n(n-1)/2
 // pairs, and pairs × ensemble-size language evaluations.
 func TestHotPathCounters(t *testing.T) {
-	det, err := NewDetector(fixtureCalibrations(t), AggMaxConfidence)
+	det, err := NewDetector(fixtureCalibrations(t))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -232,7 +232,7 @@ func (s *Suite) Detector() (*core.Detector, *core.TrainReport, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		det, rep, err := core.BuildDetector(cands, s.trainConfig().MemoryBudget, core.AggMaxConfidence, 0)
+		det, rep, err := core.BuildDetector(cands, s.trainConfig().MemoryBudget, 0)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -478,7 +478,7 @@ func (s *Suite) Figure7() (*Table, error) {
 		Header: append([]string{"budget", "#langs"}, kHeader(ks)...),
 	}
 	for _, budget := range s.Scale.MemoryBudgets {
-		det, rep, err := core.BuildDetector(cands, budget, core.AggMaxConfidence, 0)
+		det, rep, err := core.BuildDetector(cands, budget, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -514,7 +514,7 @@ func (s *Suite) Figure8a() (*Table, error) {
 		if sk >= 1 {
 			sk = 0 // exact
 		}
-		det, _, err := core.BuildDetector(cands, s.trainConfig().MemoryBudget, core.AggMaxConfidence, sk)
+		det, _, err := core.BuildDetector(cands, s.trainConfig().MemoryBudget, sk)
 		if err != nil {
 			return nil, err
 		}
@@ -549,16 +549,10 @@ func (s *Suite) Figure8b() (*Table, error) {
 		Title:  "aggregation strategies on Ent-XLS (1:10)",
 		Header: append([]string{"aggregation"}, kHeader(ks)...),
 	}
-	defer det.SetAggregation(core.AggMaxConfidence)
-	for _, agg := range []core.Aggregation{
-		core.AggMaxConfidence, core.AggAvgNPMI, core.AggMinNPMI,
-		core.AggMajorityVote, core.AggWeightedMajorityVote,
-	} {
-		det.SetAggregation(agg)
-		r := EvaluateCases(&baselines.AutoDetect{Det: det, DisplayName: agg.String()}, cases, ks)
+	for _, rule := range Rules {
+		r := EvaluateCases(&Ablation{Det: det, Rule: rule}, cases, ks)
 		t.Rows = append(t.Rows, resultRow(r, ks))
 	}
-	det.SetAggregation(core.AggMaxConfidence)
 
 	// BestOne: the single language with the largest coverage, regardless
 	// of memory.
@@ -568,11 +562,11 @@ func (s *Suite) Figure8b() (*Table, error) {
 			best = c
 		}
 	}
-	single, err := core.NewDetector([]*core.Calibration{best}, core.AggMaxConfidence)
+	single, err := core.NewDetector([]*core.Calibration{best})
 	if err != nil {
 		return nil, err
 	}
-	r := EvaluateCases(&baselines.AutoDetect{Det: single, DisplayName: "BestOne"}, cases, ks)
+	r := EvaluateCases(&Ablation{Det: single, Rule: MaxPrecision, Row: "BestOne"}, cases, ks)
 	t.Rows = append(t.Rows, resultRow(r, ks))
 	return t, nil
 }
@@ -689,7 +683,7 @@ func (s *Suite) Figure17a() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		det, _, err := core.BuildDetector(cands, cfg.MemoryBudget, core.AggMaxConfidence, 0)
+		det, _, err := core.BuildDetector(cands, cfg.MemoryBudget, 0)
 		if err != nil {
 			// f = 1 collapses NPMI to 0 everywhere: no language can fire.
 			t.Rows = append(t.Rows, []string{fmt.Sprintf("%.2f", f), "0.000"})
@@ -762,11 +756,11 @@ func (s *Suite) AblationSelection() (*Table, error) {
 		Header: append([]string{"strategy", "#langs", "coverage"}, kHeader(ks)...),
 	}
 	addRow := func(name string, sel *core.Selection) error {
-		det, err := core.NewDetector(sel.Chosen, core.AggMaxConfidence)
+		det, err := core.NewDetector(sel.Chosen)
 		if err != nil {
 			return err
 		}
-		r := EvaluateCases(&baselines.AutoDetect{Det: det, DisplayName: name}, cases, ks)
+		r := EvaluateCases(&baselines.AutoDetect{Det: det}, cases, ks)
 		row := []string{name, fmt.Sprintf("%d", len(sel.Chosen)), fmt.Sprintf("%d", sel.Coverage)}
 		for _, k := range ks {
 			row = append(row, fmtP(r.PrecisionAt[k]))

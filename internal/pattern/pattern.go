@@ -189,6 +189,24 @@ func (l Language) Generalize(v string) string {
 	return l.FromRuns(Encode(v))
 }
 
+// Shape is v's crude pattern (Crude().Generalize) with its run-length
+// annotations removed, so that values differing only in run lengths
+// share a shape: "2011-6-1" and "2011-06-01" are both `\D-\D-\D`.
+func Shape(v string) string {
+	p := crude.Generalize(v)
+	var b strings.Builder
+	for i := 0; i < len(p); i++ {
+		if p[i] == '[' {
+			for i < len(p) && p[i] != ']' {
+				i++
+			}
+			continue
+		}
+		b.WriteByte(p[i])
+	}
+	return b.String()
+}
+
 // All returns the 144 candidate generalization languages induced by the
 // generalization tree under the paper's class-level restriction. The slice
 // is ordered deterministically and each language's ID equals its index.
@@ -243,6 +261,8 @@ func Root() Language {
 func Crude() Language {
 	return find(Language{Upper: TokenUpper, Lower: TokenLower, Digit: TokenDigit, Symbol: TokenLeaf})
 }
+
+var crude = Crude()
 
 // L1 returns the language of Example 2, Equation 4: symbols are kept
 // verbatim, everything else generalizes to the root `\A`.

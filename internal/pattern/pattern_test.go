@@ -269,3 +269,17 @@ func BenchmarkGeneralize(b *testing.B) {
 		_ = l.Generalize(v)
 	}
 }
+
+func TestShape(t *testing.T) {
+	cases := map[string]string{
+		"2011-6-1":   `\D-\D-\D`,
+		"2011-06-01": `\D-\D-\D`,
+		"Zoe Kim":    `\U\l \U\l`,
+		"":           "",
+	}
+	for v, want := range cases {
+		if got := Shape(v); got != want {
+			t.Errorf("Shape(%q) = %q, want %q", v, got, want)
+		}
+	}
+}

@@ -571,7 +571,7 @@ func (b *build) train(ctx context.Context, p *core.Pipeline) (*core.Detector, *c
 
 	b.setStage(StageSelect)
 	t0 = time.Now()
-	det, report, err := core.BuildDetector(cands, b.tc.MemoryBudget, b.tc.Aggregation, b.tc.SketchRatio)
+	det, report, err := core.BuildDetector(cands, b.tc.MemoryBudget, b.tc.SketchRatio)
 	if err != nil {
 		return nil, nil, err
 	}

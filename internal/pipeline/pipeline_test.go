@@ -55,7 +55,7 @@ func referenceTrain(t *testing.T, c *corpus.Corpus, cfg core.TrainConfig) (*core
 			t.Fatal(err)
 		}
 	}
-	det, rep, err := core.BuildDetector(cands, cfg.MemoryBudget, cfg.Aggregation, cfg.SketchRatio)
+	det, rep, err := core.BuildDetector(cands, cfg.MemoryBudget, cfg.SketchRatio)
 	if err != nil {
 		t.Fatal(err)
 	}

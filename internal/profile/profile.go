@@ -53,25 +53,9 @@ type Profile struct {
 	MinLen, MaxLen int
 }
 
-// stripRunLengths removes "[n]" annotations so shapes group by structure.
-func stripRunLengths(p string) string {
-	var b strings.Builder
-	for i := 0; i < len(p); i++ {
-		if p[i] == '[' {
-			for i < len(p) && p[i] != ']' {
-				i++
-			}
-			continue
-		}
-		b.WriteByte(p[i])
-	}
-	return b.String()
-}
-
 // Column profiles the values of one column.
 func Column(values []string) Profile {
 	p := Profile{Rows: len(values), MinLen: -1}
-	g := pattern.Crude()
 	shapes := map[string]*ShapeCount{}
 	lengths := map[int]int{}
 	distinct := map[string]struct{}{}
@@ -85,7 +69,7 @@ func Column(values []string) Profile {
 		}
 		nonEmpty++
 		distinct[v] = struct{}{}
-		s := stripRunLengths(g.Generalize(v))
+		s := pattern.Shape(v)
 		if sc, ok := shapes[s]; ok {
 			sc.Count++
 		} else {

@@ -110,7 +110,6 @@ type columnProfile struct {
 // profileColumn computes the dominant crude pattern of the column,
 // excluding the flagged value.
 func profileColumn(column []string, flagged string) (columnProfile, bool) {
-	g := pattern.Crude()
 	counts := map[string]int{}
 	samples := map[string]string{}
 	var order []string // patterns in order of first occurrence
@@ -121,7 +120,7 @@ func profileColumn(column []string, flagged string) (columnProfile, bool) {
 		}
 		// Dominance is computed over run-length-stripped patterns: a date
 		// column with 1- and 2-digit days is one format, not two.
-		p := stripRunLengths(g.Generalize(v))
+		p := pattern.Shape(v)
 		counts[p]++
 		total++
 		if _, ok := samples[p]; !ok {
@@ -151,22 +150,7 @@ func profileColumn(column []string, flagged string) (columnProfile, bool) {
 // one, or is close enough (same pattern family differing only in digit run
 // lengths, e.g. 1- vs 2-digit days).
 func matchesDominant(v string, prof columnProfile) bool {
-	g := pattern.Crude()
-	return stripRunLengths(g.Generalize(v)) == prof.dominantPattern
-}
-
-func stripRunLengths(p string) string {
-	var b strings.Builder
-	for i := 0; i < len(p); i++ {
-		if p[i] == '[' {
-			for i < len(p) && p[i] != ']' {
-				i++
-			}
-			continue
-		}
-		b.WriteByte(p[i])
-	}
-	return b.String()
+	return pattern.Shape(v) == prof.dominantPattern
 }
 
 // Suggest proposes a repair for a flagged value given its column. It

@@ -54,35 +54,25 @@ func CheckDomain(domain string, values []string) []core.Finding {
 		return nil
 	}
 	nonEmpty, conforming := 0, 0
-	for _, v := range values {
-		if v == "" {
-			continue
-		}
-		nonEmpty++
-		if valid(v) {
-			conforming++
+	var odd []core.Distinct
+	for _, d := range core.Tabulate(values, func(v string) bool { return v != "" }) {
+		nonEmpty += d.Count
+		if valid(d.Value) {
+			conforming += d.Count
+		} else {
+			odd = append(odd, d)
 		}
 	}
-	if nonEmpty == 0 || conforming == nonEmpty {
+	if len(odd) == 0 {
 		return nil
 	}
 	rate := float64(conforming) / float64(nonEmpty)
 	if rate < ConformityFloor {
 		return nil
 	}
-	var findings []core.Finding
-	seen := make(map[string]bool)
-	for i, v := range values {
-		if v == "" || valid(v) || seen[v] {
-			continue
-		}
-		seen[v] = true
-		findings = append(findings, core.Finding{
-			Value:      v,
-			Index:      i,
-			Partner:    domain + " format",
-			Confidence: rate,
-		})
+	findings := make([]core.Finding, len(odd))
+	for i, d := range odd {
+		findings[i] = core.Finding{Value: d.Value, Index: d.First, Partner: domain + " format", Confidence: rate}
 	}
 	return findings
 }

@@ -15,7 +15,6 @@ package semantic
 import (
 	"errors"
 	"math"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/corpus"
@@ -129,6 +128,11 @@ func (m *Model) NPMI(v1, v2 string) (npmi float64, ok bool) {
 	if !ok1 || !ok2 || m.n == 0 {
 		return 0, false
 	}
+	return m.npmi(id1, id2), true
+}
+
+// npmi is NPMI over two distinct value IDs of a model with n > 0.
+func (m *Model) npmi(id1, id2 uint32) float64 {
 	c1 := float64(m.occ[id1])
 	c2 := float64(m.occ[id2])
 	c12 := float64(m.prs.Get(id1, id2))
@@ -136,13 +140,13 @@ func (m *Model) NPMI(v1, v2 string) (npmi float64, ok bool) {
 	f := m.cfg.Smoothing
 	c12s := (1-f)*c12 + f*c1*c2/n
 	if c12s <= 0 {
-		return -1, true
+		return -1
 	}
 	p12 := c12s / n
 	pmi := math.Log(p12 / ((c1 / n) * (c2 / n)))
 	denom := -math.Log(p12)
 	if denom <= 0 {
-		return 1, true
+		return 1
 	}
 	v := pmi / denom
 	if v > 1 {
@@ -151,82 +155,31 @@ func (m *Model) NPMI(v1, v2 string) (npmi float64, ok bool) {
 	if v < -1 {
 		v = -1
 	}
-	return v, true
+	return v
 }
 
 // DetectColumn flags supported values that are value-level incompatible
 // with the column's other supported values. Partner is the supported value
 // a finding conflicts with most; Confidence derives from the NPMI margin
-// below the threshold. Findings are ranked by
-// descending confidence; columns with fewer than three supported distinct
-// values yield nothing.
+// below the threshold, count-weighted over the value's partners
+// (core.Attribute). Findings are ranked by descending confidence; columns
+// with fewer than three supported distinct values yield nothing.
 func (m *Model) DetectColumn(values []string) []core.Finding {
-	type dv struct {
-		value        string
-		count, first int
-	}
-	var distinct []dv
-	index := map[string]int{}
-	for i, v := range values {
-		if j, ok := index[v]; ok {
-			distinct[j].count++
-			continue
-		}
-		if !m.Supported(v) {
-			continue
-		}
-		index[v] = len(distinct)
-		distinct = append(distinct, dv{v, 1, i})
-	}
-	if len(distinct) < 3 {
+	distinct := core.Tabulate(values, m.Supported)
+	if len(distinct) < 3 || m.n == 0 {
 		return nil
 	}
-	n := len(distinct)
-	confSum := make([]float64, n)
-	weight := make([]float64, n)
-	bestConf := make([]float64, n)
-	bestPartner := make([]int, n)
-	for i := range bestPartner {
-		bestPartner[i] = -1
+	ids := make([]uint32, len(distinct))
+	for i := range distinct {
+		ids[i] = m.ids[distinct[i].Value]
 	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			s, ok := m.NPMI(distinct[i].value, distinct[j].value)
-			if !ok {
-				continue
-			}
-			weight[i] += float64(distinct[j].count)
-			weight[j] += float64(distinct[i].count)
-			if s > m.cfg.Threshold {
-				continue
-			}
-			// Confidence from the margin below the threshold.
-			conf := (m.cfg.Threshold - s) / (m.cfg.Threshold + 1)
-			if conf > 1 {
-				conf = 1
-			}
-			confSum[i] += conf * float64(distinct[j].count)
-			confSum[j] += conf * float64(distinct[i].count)
-			if conf > bestConf[i] {
-				bestConf[i], bestPartner[i] = conf, j
-			}
-			if conf > bestConf[j] {
-				bestConf[j], bestPartner[j] = conf, i
-			}
+	t := m.cfg.Threshold
+	return core.Attribute(distinct, func(i, j int) (float64, bool) {
+		s := m.npmi(ids[i], ids[j])
+		if s > t {
+			return 0, false
 		}
-	}
-	var out []core.Finding
-	for i := 0; i < n; i++ {
-		if bestPartner[i] < 0 || weight[i] == 0 {
-			continue
-		}
-		out = append(out, core.Finding{
-			Value:      distinct[i].value,
-			Index:      distinct[i].first,
-			Partner:    distinct[bestPartner[i]].value,
-			Confidence: confSum[i] / weight[i],
-		})
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Confidence > out[j].Confidence })
-	return out
+		// Confidence from the margin below the threshold.
+		return min((t-s)/(t+1), 1), true
+	})
 }

@@ -1,6 +1,7 @@
 package semantic
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -123,5 +124,46 @@ func TestDetectColumnDegenerate(t *testing.T) {
 	// Columns of unsupported values yield nothing.
 	if m.DetectColumn([]string{"q1x", "q2x", "q3x", "q4x"}) != nil {
 		t.Error("unsupported column should be silent")
+	}
+}
+
+// TestDetectColumnRowOrderInvariant: reversing a column's rows changes
+// neither which values are flagged nor, beyond floating-point summation
+// order, their confidence.
+func TestDetectColumnRowOrderInvariant(t *testing.T) {
+	m := sharedModel(t)
+	cols := [][]string{
+		{"Washington", "Oregon", "Texas", "Florida", "Ohio", "Seattle", "Nevada", "Utah"},
+		{"Seattle", "Boston", "Texas", "Denver", "Boston", "Austin", "Ohio", "Miami"},
+	}
+	for _, col := range corpus.Generate(corpus.WebProfile(), 400, 5).Columns {
+		cols = append(cols, col.Values)
+	}
+	flagged := 0
+	for _, col := range cols {
+		rev := make([]string, len(col))
+		for i, v := range col {
+			rev[len(col)-1-i] = v
+		}
+		want := map[string]float64{}
+		for _, f := range m.DetectColumn(col) {
+			want[f.Value] = f.Confidence
+		}
+		got := m.DetectColumn(rev)
+		if len(got) != len(want) {
+			t.Errorf("column %q: %d findings forward, %d reversed", col, len(want), len(got))
+		}
+		for _, f := range got {
+			c, ok := want[f.Value]
+			if !ok {
+				t.Errorf("column %q: %q flagged only when reversed", col, f.Value)
+			} else if math.Abs(c-f.Confidence) > 1e-9 {
+				t.Errorf("column %q: %q confidence %v forward, %v reversed", col, f.Value, c, f.Confidence)
+			}
+		}
+		flagged += len(want)
+	}
+	if flagged == 0 {
+		t.Fatal("vacuous: no column produced a finding")
 	}
 }

@@ -39,7 +39,7 @@ func roundtrip(t *testing.T, det *core.Detector) *core.Detector {
 // fault.
 func brokenDetector(t *testing.T) *core.Detector {
 	t.Helper()
-	det, err := core.NewDetector([]*core.Calibration{{Theta: -0.5, TargetPrecision: 0.9}}, core.AggMaxConfidence)
+	det, err := core.NewDetector([]*core.Calibration{{Theta: -0.5, TargetPrecision: 0.9}})
 	if err != nil {
 		t.Fatal(err)
 	}
