@@ -243,7 +243,9 @@ func GenerateColumns(profile CorpusProfile, n int, seed int64) ([][]string, erro
 }
 
 // Languages144 returns the names of the full candidate language space, in
-// ID order — mainly useful for documentation and debugging.
+// ID order — mainly useful for documentation and debugging. Training
+// counts one language of each of its 50 partition classes and selects
+// among those; the selection is the one all 144 would give.
 func Languages144() []string {
 	all := pattern.All()
 	out := make([]string, len(all))

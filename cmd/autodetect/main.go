@@ -228,7 +228,7 @@ func cmdTrain(args []string) error {
 		return nil
 	}
 
-	logger.Info("training", "workers", *workers, "candidate_languages", 144)
+	logger.Info("training", "workers", *workers)
 	res, err := pipeline.Run(trainCtx, src, pipeline.Options{
 		Workers:         *workers,
 		Train:           cfg,
@@ -252,7 +252,8 @@ func cmdTrain(args []string) error {
 	rep := res.Report
 	logger.Info("trained", "columns", res.Columns, "values", res.Values,
 		"elapsed", res.Elapsed.Round(10*time.Millisecond).String(),
-		"resumed_columns", res.ResumedColumns)
+		"resumed_columns", res.ResumedColumns,
+		"candidate_languages", rep.CandidateLanguages, "counted_languages", rep.CountedLanguages)
 	if res.FilesSkipped > 0 || res.ColumnsQuarantined > 0 {
 		logger.Warn("degraded ingestion", "files_skipped", res.FilesSkipped,
 			"columns_quarantined", res.ColumnsQuarantined, "quarantine_dir", *quarantineDir)

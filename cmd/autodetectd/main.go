@@ -292,6 +292,8 @@ func main() {
 		logger.Info("pipeline build done",
 			"columns", res.Columns, "values", res.Values,
 			"elapsed", res.Elapsed.Round(time.Millisecond).String(),
+			"candidate_languages", res.Report.CandidateLanguages,
+			"counted_languages", res.Report.CountedLanguages,
 			"languages", len(res.Report.Selected), "model_bytes", res.Report.SelectedBytes)
 		if res.FilesSkipped > 0 || res.ColumnsQuarantined > 0 {
 			logger.Warn("degraded ingestion", "files_skipped", res.FilesSkipped,

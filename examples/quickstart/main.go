@@ -18,10 +18,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 2. Train. This computes pattern co-occurrence statistics under 144
-	// candidate generalization languages, calibrates each to 95% precision
-	// with automatically generated training pairs, and selects the best
-	// ensemble under a 64 MB budget.
+	// 2. Train. This computes pattern co-occurrence statistics under the
+	// 144 candidate generalization languages (counting one per class of
+	// languages that partition values alike, 50 in all), calibrates each to
+	// 95% precision with automatically generated training pairs, and
+	// selects the best ensemble under a 64 MB budget.
 	cfg := autodetect.DefaultConfig()
 	cfg.TrainingPairs = 10000
 	model, err := autodetect.Train(columns, cfg)

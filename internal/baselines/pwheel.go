@@ -2,7 +2,6 @@ package baselines
 
 import (
 	"math"
-	"strings"
 
 	"repro/internal/pattern"
 )
@@ -40,38 +39,18 @@ type pwLevel struct {
 var pwLevels = []pwLevel{
 	{"values", pattern.Leaf(), false},
 	{"digit-shapes", pattern.Crude(), true},
-	{"class-shapes", mustLang(pattern.TokenLetter, pattern.TokenLetter, pattern.TokenDigit, pattern.TokenLeaf), true},
+	{"class-shapes", pattern.Find(pattern.TokenLetter, pattern.TokenLetter, pattern.TokenDigit, pattern.TokenLeaf), true},
 	{"any-shape", pattern.Root(), true},
-}
-
-func mustLang(u, l, d, s pattern.Token) pattern.Language {
-	for _, cand := range pattern.All() {
-		if cand.Upper == u && cand.Lower == l && cand.Digit == d && cand.Symbol == s {
-			return cand
-		}
-	}
-	panic("baselines: language outside candidate space")
 }
 
 // shapeOf renders the value's structure under the level: its generalized
 // pattern, with run lengths stripped when the level collapses runs.
 func shapeOf(lv pwLevel, v string) string {
 	p := lv.lang.Generalize(v)
-	if !lv.collapse {
-		return p
+	if lv.collapse {
+		return pattern.StripRuns(p)
 	}
-	// Strip "[n]" run-length annotations: "\D[4].\D[2]" → "\D.\D".
-	var b strings.Builder
-	for i := 0; i < len(p); i++ {
-		if p[i] == '[' {
-			for i < len(p) && p[i] != ']' {
-				i++
-			}
-			continue
-		}
-		b.WriteByte(p[i])
-	}
-	return b.String()
+	return p
 }
 
 // bitsPerClassChar is the per-character encoding cost (in bits) of a value

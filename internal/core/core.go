@@ -17,7 +17,8 @@ import (
 // TrainConfig parameterizes end-to-end training.
 type TrainConfig struct {
 	// Languages are the candidate generalization languages; nil means the
-	// full 144-language candidate space.
+	// full 144-language candidate space. internal/pipeline counts one
+	// representative per partition class of them (pattern.Representatives).
 	Languages []pattern.Language
 	// TargetPrecision is the precision requirement P (paper default 0.95).
 	TargetPrecision float64
@@ -50,6 +51,9 @@ func DefaultTrainConfig() TrainConfig {
 type TrainReport struct {
 	// CandidateLanguages is the size of the candidate space considered.
 	CandidateLanguages int
+	// CountedLanguages is how many candidates were counted and calibrated:
+	// one per partition class (50 of the 144).
+	CountedLanguages int
 	// TrainingExamples is |T| = |T+| + |T−|.
 	TrainingExamples int
 	// CompatColumns is |C+|.

@@ -18,11 +18,10 @@ import (
 // stats.Builder over every column, distant supervision over the whole
 // corpus. Production builds count through internal/pipeline, which this
 // package cannot import; cfg must carry every field (DefaultTrainConfig).
+// Like the pipeline, it counts one representative per partition class of
+// the candidates.
 func refPipeline(c *corpus.Corpus, cfg TrainConfig) (*Pipeline, error) {
-	langs := cfg.Languages
-	if langs == nil {
-		langs = pattern.All()
-	}
+	langs := pattern.Representatives(candidates(cfg))
 	b := stats.NewBuilder(langs, cfg.Smoothing)
 	for _, col := range c.Columns {
 		b.AddColumn(col.Values)
@@ -48,13 +47,22 @@ func refTrain(c *corpus.Corpus, cfg TrainConfig) (*Detector, *TrainReport, error
 	if err != nil {
 		return nil, nil, err
 	}
-	rep.CandidateLanguages = len(p.Languages)
+	rep.CandidateLanguages = len(candidates(cfg))
+	rep.CountedLanguages = len(p.Languages)
 	rep.TrainingExamples = len(p.Data.Examples)
 	return det, rep, nil
 }
 
-// Heavy fixtures are trained once and shared: training with the full
-// 144-language candidate space is the expensive step.
+// candidates is cfg's candidate space: its languages, or all 144.
+func candidates(cfg TrainConfig) []pattern.Language {
+	if cfg.Languages == nil {
+		return pattern.All()
+	}
+	return cfg.Languages
+}
+
+// Heavy fixtures are trained once and shared: training over the full
+// candidate space (its 50 partition classes) is the expensive step.
 var (
 	fullOnce sync.Once
 	fullDet  *Detector
@@ -105,6 +113,9 @@ func TestTrainSelectsEnsemble(t *testing.T) {
 	det, rep := fullDetector(t)
 	if rep.CandidateLanguages != 144 {
 		t.Errorf("candidates = %d, want 144", rep.CandidateLanguages)
+	}
+	if rep.CountedLanguages != 50 {
+		t.Errorf("counted = %d, want 50", rep.CountedLanguages)
 	}
 	if len(rep.Selected) < 2 {
 		t.Errorf("selected only %d languages: %v", len(rep.Selected), rep.Selected)

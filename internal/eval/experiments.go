@@ -61,10 +61,10 @@ func SmallScale() Scale {
 }
 
 // FullScale returns the configuration used to regenerate EXPERIMENTS.md:
-// a 10K-column training corpus (the largest for which all 144 candidate
-// statistics fit in memory simultaneously — parameter sweeps need them
-// live) and the paper's k grid scaled to corpus sizes a single machine can
-// hold.
+// a 10K-column training corpus (the candidate statistics, one per
+// partition class of the 144 languages, stay in memory simultaneously —
+// parameter sweeps need them live) and the paper's k grid scaled to corpus
+// sizes a single machine can hold.
 func FullScale() Scale {
 	return Scale{
 		Name:             "full",

@@ -3,7 +3,7 @@ package pattern
 import "testing"
 
 // FuzzGeneralize checks the core generalization invariants on arbitrary
-// input: no panics, FromRuns/HashRuns agree with Generalize, and the
+// input: no panics, FromRuns/HashRuns/MatchRuns agree with Generalize, and the
 // pattern is empty iff the value is.
 func FuzzGeneralize(f *testing.F) {
 	for _, seed := range []string{
@@ -22,6 +22,9 @@ func FuzzGeneralize(f *testing.F) {
 		}
 		if l.HashRuns(rs) != Hash64(p) {
 			t.Fatalf("HashRuns mismatch for %q", s)
+		}
+		if !l.MatchRuns(rs, p) || l.MatchRuns(rs, p+"]") {
+			t.Fatalf("MatchRuns disagrees with Generalize on %q", s)
 		}
 		if (p == "") != (s == "") {
 			t.Fatalf("emptiness mismatch: %q → %q", s, p)

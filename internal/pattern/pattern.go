@@ -189,11 +189,59 @@ func (l Language) Generalize(v string) string {
 	return l.FromRuns(Encode(v))
 }
 
+// partition is the key of the partition of values a language induces. Entry
+// c is -1 when category c stays literal, else the first category that
+// shares c's token. Every token renders as one two-byte class name, so two
+// languages with the same key map each value's pattern one-to-one onto the
+// other's: they see identical pattern counts, co-occurrences and NPMI, and
+// their statistics take the same number of bytes. (The one exception is a
+// value whose literal text spells a class name, such as a backslash kept
+// literal before an upper-case "L": rendering already cannot tell it from
+// the class, in any language.)
+func (l Language) partition() [numCategories]int8 {
+	var key [numCategories]int8
+	for c := Category(0); c < numCategories; c++ {
+		key[c] = -1
+		if t := l.token(c); t != TokenLeaf {
+			for first := Category(0); first <= c; first++ {
+				if l.token(first) == t {
+					key[c] = int8(first)
+					break
+				}
+			}
+		}
+	}
+	return key
+}
+
+// Representatives returns the first member of each partition class of
+// langs, in input order. Two languages are in one class when the same
+// categories stay literal and the same collapsed categories share a
+// token; the 144 candidates fall into 50 classes. Counting only the
+// representatives loses nothing: every other member's statistics equal
+// its representative's, and budgeted selection (core.SelectGreedy keeps
+// the lowest index among equal gains) picks the first member of a class
+// anyway. The result is its own fixed point.
+func Representatives(langs []Language) []Language {
+	seen := make(map[[numCategories]int8]bool, len(langs))
+	var reps []Language
+	for _, l := range langs {
+		if k := l.partition(); !seen[k] {
+			seen[k] = true
+			reps = append(reps, l)
+		}
+	}
+	return reps
+}
+
 // Shape is v's crude pattern (Crude().Generalize) with its run-length
 // annotations removed, so that values differing only in run lengths
 // share a shape: "2011-6-1" and "2011-06-01" are both `\D-\D-\D`.
-func Shape(v string) string {
-	p := crude.Generalize(v)
+func Shape(v string) string { return StripRuns(crude.Generalize(v)) }
+
+// StripRuns removes the "[n]" run-length annotations from pattern p:
+// `\D[4].\D[2]` becomes `\D.\D`.
+func StripRuns(p string) string {
 	var b strings.Builder
 	for i := 0; i < len(p); i++ {
 		if p[i] == '[' {
@@ -246,20 +294,20 @@ func ByID(id int) Language {
 // Leaf returns the language that performs no generalization (Lleaf in the
 // paper): maximally sensitive, maximally sparse.
 func Leaf() Language {
-	return find(Language{Upper: TokenLeaf, Lower: TokenLeaf, Digit: TokenLeaf, Symbol: TokenLeaf})
+	return Find(TokenLeaf, TokenLeaf, TokenLeaf, TokenLeaf)
 }
 
 // Root returns the language that generalizes everything to `\A` (Lroot in
 // the paper): maximally robust, insensitive.
 func Root() Language {
-	return find(Language{Upper: TokenAny, Lower: TokenAny, Digit: TokenAny, Symbol: TokenAny})
+	return Find(TokenAny, TokenAny, TokenAny, TokenAny)
 }
 
 // Crude returns the crude generalization G() used by distant supervision
 // (Appendix F): digits, upper- and lower-case letters generalize to their
 // class, while symbols and punctuation are kept untouched.
 func Crude() Language {
-	return find(Language{Upper: TokenUpper, Lower: TokenLower, Digit: TokenDigit, Symbol: TokenLeaf})
+	return Find(TokenUpper, TokenLower, TokenDigit, TokenLeaf)
 }
 
 var crude = Crude()
@@ -267,20 +315,23 @@ var crude = Crude()
 // L1 returns the language of Example 2, Equation 4: symbols are kept
 // verbatim, everything else generalizes to the root `\A`.
 func L1() Language {
-	return find(Language{Upper: TokenAny, Lower: TokenAny, Digit: TokenAny, Symbol: TokenLeaf})
+	return Find(TokenAny, TokenAny, TokenAny, TokenLeaf)
 }
 
 // L2 returns the language of Example 2, Equation 5: letters generalize to
 // `\L`, digits to `\D`, symbols to `\S`.
 func L2() Language {
-	return find(Language{Upper: TokenLetter, Lower: TokenLetter, Digit: TokenDigit, Symbol: TokenSymbol})
+	return Find(TokenLetter, TokenLetter, TokenDigit, TokenSymbol)
 }
 
-func find(want Language) Language {
+// Find returns the candidate language that maps the four base categories
+// to the given tree nodes. It panics if that mapping is not a cut of the
+// generalization tree (Valid), so it suits package-level language tables.
+func Find(upper, lower, digit, symbol Token) Language {
 	for _, l := range All() {
-		if l.Upper == want.Upper && l.Lower == want.Lower && l.Digit == want.Digit && l.Symbol == want.Symbol {
+		if l.Upper == upper && l.Lower == lower && l.Digit == digit && l.Symbol == symbol {
 			return l
 		}
 	}
-	panic("pattern: language not in candidate space: " + want.String())
+	panic("pattern: language not in candidate space: " + Language{Upper: upper, Lower: lower, Digit: digit, Symbol: symbol}.String())
 }

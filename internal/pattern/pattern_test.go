@@ -1,6 +1,8 @@
 package pattern
 
 import (
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -280,6 +282,128 @@ func TestShape(t *testing.T) {
 	for v, want := range cases {
 		if got := Shape(v); got != want {
 			t.Errorf("Shape(%q) = %q, want %q", v, got, want)
+		}
+	}
+}
+
+func TestStripRunsAndFind(t *testing.T) {
+	for p, want := range map[string]string{`\D[4].\D[2]`: `\D.\D`, `\L[12]`: `\L`, `a-b`: `a-b`, "": ""} {
+		if got := StripRuns(p); got != want {
+			t.Errorf("StripRuns(%q) = %q, want %q", p, got, want)
+		}
+	}
+	for _, l := range All() {
+		if got := Find(l.Upper, l.Lower, l.Digit, l.Symbol); got != l {
+			t.Fatalf("Find(%v) = %v", l, got)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Find outside the candidate space did not panic")
+		}
+	}()
+	Find(TokenDigit, TokenLeaf, TokenLeaf, TokenLeaf)
+}
+
+// TestRepresentatives: the 144 candidates fall into 50 partition classes,
+// and Representatives keeps the first member of each, in input order, for
+// any candidate list.
+func TestRepresentatives(t *testing.T) {
+	all := All()
+	reps := Representatives(all)
+	if len(reps) != 50 {
+		t.Fatalf("%d representatives of All(), want 50", len(reps))
+	}
+	// The languages the default training selects are their class's first.
+	isRep := map[int]bool{}
+	for _, r := range reps {
+		isRep[r.ID] = true
+	}
+	for _, id := range []int{143, 140, 71, 141, L1().ID, L2().ID, Crude().ID, Leaf().ID, Root().ID} {
+		if !isRep[id] {
+			t.Errorf("language %d (%v) is not a representative", id, ByID(id))
+		}
+	}
+	if isRep[107] {
+		t.Error("107, the twin of 71, is a representative")
+	}
+
+	check := func(langs []Language) {
+		t.Helper()
+		reps := Representatives(langs)
+		if again := Representatives(reps); !slices.Equal(again, reps) {
+			t.Fatalf("not idempotent: %v then %v", reps, again)
+		}
+		for i, l := range langs {
+			// l is represented by exactly one representative: the first
+			// member of its class at or before position i.
+			first := -1
+			for j := 0; j <= i; j++ {
+				if langs[j].partition() == l.partition() {
+					first = j
+					break
+				}
+			}
+			n := 0
+			for _, r := range reps {
+				if r.partition() == l.partition() {
+					n++
+					if r != langs[first] {
+						t.Fatalf("class of %v is represented by %v, want first member %v", l, r, langs[first])
+					}
+				}
+			}
+			if n != 1 {
+				t.Fatalf("%v has %d representatives", l, n)
+			}
+		}
+		// Input order is kept.
+		pos := map[Language]int{}
+		for i, l := range langs {
+			if _, ok := pos[l]; !ok {
+				pos[l] = i
+			}
+		}
+		for i := 1; i < len(reps); i++ {
+			if pos[reps[i-1]] >= pos[reps[i]] {
+				t.Fatalf("representatives out of input order: %v", reps)
+			}
+		}
+	}
+	check(all)
+	r := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 50; trial++ {
+		sub := slices.Clone(all)
+		r.Shuffle(len(sub), func(a, b int) { sub[a], sub[b] = sub[b], sub[a] })
+		check(sub[:1+r.Intn(len(sub))])
+	}
+	if Representatives(nil) != nil {
+		t.Error("Representatives(nil) is not empty")
+	}
+}
+
+// TestSamePartitionGeneralizes: members of one class put the same values
+// together. Under two languages of one class, two values share a pattern
+// under one exactly when they share it under the other.
+func TestSamePartitionGeneralizes(t *testing.T) {
+	values := []string{"", "2011-06-20", "2011/06/20", "20 June 2011", "ab", "AB", "Ab", "aB", "a1", "A1",
+		"1a", "a-b", "a b", "1,000", "1.000", "$5", "5%", "Zoe Kim", "ZOE KIM", "x9Y", "9", "-", "é", "É12"}
+	reps := Representatives(All())
+	for _, l := range All() {
+		for _, r := range reps {
+			if l.partition() != r.partition() {
+				continue
+			}
+			for _, a := range values {
+				for _, b := range values {
+					if (l.Generalize(a) == l.Generalize(b)) != (r.Generalize(a) == r.Generalize(b)) {
+						t.Fatalf("%v and its representative %v disagree on %q vs %q", l, r, a, b)
+					}
+				}
+				if len(l.Generalize(a)) != len(r.Generalize(a)) {
+					t.Fatalf("%v and %v render %q at different lengths", l, r, a)
+				}
+			}
 		}
 	}
 }

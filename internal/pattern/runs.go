@@ -160,3 +160,65 @@ func (l Language) HashRuns(rs Runs) uint64 {
 	flush()
 	return h
 }
+
+// MatchRuns reports whether l.FromRuns(rs) == p, streaming the rendering
+// against p instead of building it: interning checks a hash hit against
+// the stored pattern with it, allocation-free.
+func (l Language) MatchRuns(rs Runs, p string) bool {
+	prev := Token(255) // never TokenLeaf
+	run := 0
+	ok := true
+	for _, r := range rs {
+		t := l.token(r.Cat)
+		if t == prev {
+			run += r.N
+			continue
+		}
+		if run > 0 {
+			if p, ok = matchClass(p, prev, run); !ok {
+				return false
+			}
+		}
+		if t == TokenLeaf {
+			if !strings.HasPrefix(p, r.Text) {
+				return false
+			}
+			p = p[len(r.Text):]
+			prev, run = Token(255), 0
+			continue
+		}
+		prev, run = t, r.N
+	}
+	if run > 0 {
+		if p, ok = matchClass(p, prev, run); !ok {
+			return false
+		}
+	}
+	return p == ""
+}
+
+// matchClass consumes the rendering of a run of n characters of class t,
+// `\D` or `\D[n]`, from the front of p.
+func matchClass(p string, t Token, n int) (string, bool) {
+	s := t.String()
+	if !strings.HasPrefix(p, s) {
+		return p, false
+	}
+	p = p[len(s):]
+	if n == 1 {
+		return p, true
+	}
+	// "[n]" with n in canonical decimal: no leading zero, at most 18
+	// digits so the parse cannot overflow.
+	if len(p) < 3 || p[0] != '[' || p[1] == '0' {
+		return p, false
+	}
+	v, i := 0, 1
+	for ; i < len(p) && i <= 18 && p[i] >= '0' && p[i] <= '9'; i++ {
+		v = v*10 + int(p[i]-'0')
+	}
+	if i == 1 || i == len(p) || p[i] != ']' || v != n {
+		return p, false
+	}
+	return p[i+1:], true
+}

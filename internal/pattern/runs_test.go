@@ -96,3 +96,46 @@ func BenchmarkFromRuns(b *testing.B) {
 		_ = l.FromRuns(rs)
 	}
 }
+
+// Property: MatchRuns(rs, p) holds exactly when p is the rendering of rs,
+// and checking a pattern allocates nothing.
+func TestMatchRunsMatchesFromRuns(t *testing.T) {
+	langs := All()
+	f := func(s, other string, id uint16) bool {
+		l := langs[int(id)%len(langs)]
+		rs := Encode(s)
+		p := l.FromRuns(rs)
+		q := l.Generalize(other)
+		return l.MatchRuns(rs, p) && l.MatchRuns(rs, q) == (p == q) &&
+			!l.MatchRuns(rs, p+"x") && (p == "" || !l.MatchRuns(rs, p[:len(p)-1]))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	values := []string{"", "2011-01-01", "aaaaaaaaaaaa1", "ABCdef123!!!", "ab", "abc"}
+	for _, v := range values {
+		rs := Encode(v)
+		for _, l := range langs {
+			for _, w := range values {
+				if got, want := l.MatchRuns(rs, l.Generalize(w)), l.Generalize(v) == l.Generalize(w); got != want {
+					t.Fatalf("lang %v: MatchRuns(%q, pattern of %q) = %v, want %v", l, v, w, got, want)
+				}
+			}
+		}
+	}
+	rs, l := Encode("ITF $50.000 WTA International 2011-01-02"), L2()
+	p := l.FromRuns(rs)
+	if n := testing.AllocsPerRun(100, func() { l.MatchRuns(rs, p) }); n != 0 {
+		t.Errorf("MatchRuns allocates %v times per call", n)
+	}
+}
+
+func BenchmarkMatchRuns(b *testing.B) {
+	rs := Encode("ITF $50.000 WTA International 2011-01-02")
+	l := L2()
+	p := l.FromRuns(rs)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = l.MatchRuns(rs, p)
+	}
+}

@@ -184,9 +184,11 @@ func DecodePartial(rd io.Reader) (*Partial, error) {
 // coordinator must hand its workers for their partials to merge into the
 // coordinator's expected model. Languages travel by ID (an index into
 // pattern.All()), so distributed builds require language sets drawn from
-// pattern.All(); pair counts, calibration targets, and memory budgets are
-// deliberately absent because they only matter at finalization, which runs
-// on the coordinator under its own full Options.
+// pattern.All(); they are the counted representatives (50 for the full
+// candidate space), which resolve to themselves on the worker. Pair counts,
+// calibration targets, and memory budgets are deliberately absent because
+// they only matter at finalization, which runs on the coordinator under its
+// own full Options.
 type CountParams struct {
 	LanguageIDs   []int   `json:"language_ids"`
 	Smoothing     float64 `json:"smoothing"`

@@ -53,9 +53,10 @@ type Options struct {
 	// depend on it.
 	Workers int
 	// Train carries the algorithm configuration. Zero fields take
-	// core.DefaultTrainConfig's values, nil Languages means all 144
-	// candidates, and a DistSup without pair counts means
-	// distsup.DefaultConfig.
+	// core.DefaultTrainConfig's values, and a DistSup without pair counts
+	// means distsup.DefaultConfig. Languages is the candidate space (nil
+	// means all 144); the build counts only the first member of each of
+	// its partition classes (pattern.Representatives), 50 of the 144.
 	Train core.TrainConfig
 	// SampleColumns caps the bottom-k sample of columns kept for distant
 	// supervision. 0 keeps every column in stream order, so training pairs
@@ -126,7 +127,10 @@ const (
 // resolveTrain applies the defaults Options documents and NumCPU workers.
 // Every entry point resolves through it, so a distributed worker and a
 // single-process build starting from the same Options count under the same
-// effective configuration.
+// effective configuration. tc.Languages is the candidate space; langs are
+// its partition-class representatives, the languages the build counts.
+// Resolving langs again yields langs, so a worker handed them by
+// CountParams counts what the coordinator expects.
 func resolveTrain(opts Options) (tc core.TrainConfig, ds distsup.Config, langs []pattern.Language, workers int) {
 	tc = opts.Train
 	def := core.DefaultTrainConfig()
@@ -139,10 +143,10 @@ func resolveTrain(opts Options) (tc core.TrainConfig, ds distsup.Config, langs [
 	if tc.Smoothing == 0 {
 		tc.Smoothing = def.Smoothing
 	}
-	langs = tc.Languages
-	if langs == nil {
-		langs = pattern.All()
+	if tc.Languages == nil {
+		tc.Languages = pattern.All()
 	}
+	langs = pattern.Representatives(tc.Languages)
 	ds = tc.DistSup
 	if ds.PositivePairs == 0 && ds.NegativePairs == 0 {
 		ds = def.DistSup
@@ -576,7 +580,8 @@ func (b *build) train(ctx context.Context, p *core.Pipeline) (*core.Detector, *c
 		return nil, nil, err
 	}
 	b.addStage(StageSelect, time.Since(t0))
-	report.CandidateLanguages = len(p.Languages)
+	report.CandidateLanguages = len(b.tc.Languages)
+	report.CountedLanguages = len(p.Languages)
 	report.TrainingExamples = len(p.Data.Examples)
 	report.CompatColumns = p.Data.CompatColumns
 	return det, report, nil

@@ -92,6 +92,12 @@ func TestRunMatchesInMemoryReference(t *testing.T) {
 	if r1.Values != uint64(c.NumValues()) {
 		t.Errorf("pipeline counted %d values, corpus has %d", r1.Values, c.NumValues())
 	}
+	if got, want := r1.Report.CandidateLanguages, len(cfg.Languages); got != want {
+		t.Errorf("report names %d candidate languages, want %d", got, want)
+	}
+	if got, want := r1.Report.CountedLanguages, len(pattern.Representatives(cfg.Languages)); got != want || want >= len(cfg.Languages) {
+		t.Errorf("report counted %d languages, want %d of %d", got, want, len(cfg.Languages))
+	}
 	if len(r1.Report.Selected) != len(refRep.Selected) {
 		t.Fatalf("selected %v vs reference %v", r1.Report.Selected, refRep.Selected)
 	}
@@ -302,8 +308,8 @@ func TestCountPartialSharesRunFanOut(t *testing.T) {
 	if empty.Columns != 0 || empty.Values != 0 || empty.SampleSize() != 0 {
 		t.Errorf("empty partial counted %d columns, %d values, %d sampled", empty.Columns, empty.Values, empty.SampleSize())
 	}
-	if len(empty.stats) != len(opts.Train.Languages) {
-		t.Fatalf("empty partial covers %d languages, want %d", len(empty.stats), len(opts.Train.Languages))
+	if want := len(pattern.Representatives(opts.Train.Languages)); len(empty.stats) != want {
+		t.Fatalf("empty partial covers %d languages, want %d", len(empty.stats), want)
 	}
 	var buf bytes.Buffer
 	if err := EncodePartial(&buf, empty); err != nil {

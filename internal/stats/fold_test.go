@@ -215,17 +215,19 @@ func TestMapPairStoreMarshalMatchesReference(t *testing.T) {
 }
 
 // plantCollision makes the pattern hash map b onto a's hash for the rest of
-// the test: two distinct patterns that share a 64-bit hash.
+// the test: two distinct patterns that share a 64-bit hash, whether hashed
+// rendered or from a value's runs.
 func plantCollision(t *testing.T, a, b string) {
 	t.Helper()
-	orig := hash64
+	orig, origRuns := hash64, hashRuns
 	hash64 = func(p string) uint64 {
 		if p == b {
 			return orig(a)
 		}
 		return orig(p)
 	}
-	t.Cleanup(func() { hash64 = orig })
+	hashRuns = func(l pattern.Language, rs pattern.Runs) uint64 { return hash64(l.FromRuns(rs)) }
+	t.Cleanup(func() { hash64, hashRuns = orig, origRuns })
 }
 
 func wantCollision(t *testing.T, err error, a, b string) {
@@ -272,6 +274,31 @@ func TestHashCollisionFailsMergeCanonicalizeAndLoad(t *testing.T) {
 	l2.AddColumn([]string{"2011-06-20"})
 	r2.AddColumn([]string{"abc"})
 	wantCollision(t, MergeAll([]*LanguageStats{l2}, 2, []*LanguageStats{r2}), pa, pb)
+}
+
+// TestHashCollisionFailsCounting: a collision inside one shard is caught
+// at the hash hit while counting, although the second pattern is never
+// interned, and every later step that would keep the aliased counts fails.
+func TestHashCollisionFailsCounting(t *testing.T) {
+	lang := pattern.L1()
+	pa, pb := lang.Generalize("2011-06-20"), lang.Generalize("abc")
+	plantCollision(t, pa, pb)
+
+	counted := func() *LanguageStats {
+		b := NewBuilder([]pattern.Language{lang}, DefaultSmoothing)
+		b.AddColumn([]string{"2011-06-20", "2011-06-21"})
+		b.AddColumn([]string{"abc", "2011-06-20"})
+		return b.Stats()[0]
+	}
+	ls := counted()
+	if ls.DistinctPatterns() != 1 {
+		t.Fatalf("interned %d patterns, want the planted alias to hit", ls.DistinctPatterns())
+	}
+	_, err := ls.MarshalBinary()
+	wantCollision(t, err, pa, pb)
+	wantCollision(t, ls.Canonicalize(), pa, pb)
+	wantCollision(t, NewLanguageStats(lang, DefaultSmoothing).Merge(counted()), pa, pb)
+	wantCollision(t, MergeAll([]*LanguageStats{NewLanguageStats(lang, DefaultSmoothing)}, 2, []*LanguageStats{counted()}), pa, pb)
 }
 
 func TestUnmarshalRejectsDuplicatePattern(t *testing.T) {

@@ -14,10 +14,14 @@ import (
 	"repro/internal/pattern"
 )
 
-// hash64 renders the ids key of a pattern string. It must agree with
-// Language.HashRuns on the pattern's runs; tests replace it to plant
+// hash64 and hashRuns key the ids index: the first by a rendered pattern,
+// the second by a value's runs without rendering them. They must agree,
+// hashRuns(l, rs) == hash64(l.FromRuns(rs)); tests replace both to plant
 // collisions.
-var hash64 = pattern.Hash64
+var (
+	hash64   = pattern.Hash64
+	hashRuns = pattern.Language.HashRuns
+)
 
 // HashCollisionError reports two distinct patterns of one language that
 // share a 64-bit pattern hash. The hash index (ids) cannot tell them apart,
@@ -57,6 +61,11 @@ type LanguageStats struct {
 	// column that contribute pairs, bounding the O(k²) pair update for
 	// pathologically diverse columns. 0 means no cap.
 	maxPatternsPerColumn int
+
+	// collision is the first hash hit counting found on a different
+	// pattern. Counting cannot fail, so it is kept here and returned by
+	// every later Merge, Canonicalize and MarshalBinary.
+	collision *HashCollisionError
 }
 
 // DefaultSmoothing is the paper's default Jelinek–Mercer factor f = 0.1.
@@ -91,10 +100,15 @@ func (ls *LanguageStats) SetSmoothing(f float64) { ls.smoothing = f }
 func (ls *LanguageStats) Smoothing() float64 { return ls.smoothing }
 
 // internRuns returns the stable ID of the pattern of rs, allocating one
-// (and rendering the pattern string, once per distinct pattern) if new.
+// (and rendering the pattern string, once per distinct pattern) if new. A
+// hash hit is checked against the stored pattern; a different pattern is
+// recorded as the statistics' collision.
 func (ls *LanguageStats) internRuns(rs pattern.Runs) uint32 {
-	h := ls.lang.HashRuns(rs)
+	h := hashRuns(ls.lang, rs)
 	if id, ok := ls.ids[h]; ok {
+		if ls.collision == nil && !ls.lang.MatchRuns(rs, ls.patterns[id]) {
+			ls.collision = &HashCollisionError{Language: ls.lang, Hash: h, Patterns: [2]string{ls.patterns[id], ls.lang.FromRuns(rs)}}
+		}
 		return id
 	}
 	p := ls.lang.FromRuns(rs)
@@ -120,10 +134,13 @@ func (ls *LanguageStats) internPattern(p string) uint32 {
 	return id
 }
 
-// checkIDs verifies that the hash index holds exactly one entry per
-// pattern. It costs O(1) unless the check fails, when it finds the
-// offending pair for the error.
+// checkIDs verifies that counting met no collision and that the hash index
+// holds exactly one entry per pattern. It costs O(1) unless the check
+// fails, when it finds the offending pair for the error.
 func (ls *LanguageStats) checkIDs() error {
+	if ls.collision != nil {
+		return ls.collision
+	}
 	if len(ls.ids) == len(ls.patterns) {
 		return nil
 	}
@@ -163,6 +180,9 @@ func (ls *LanguageStats) Merge(other *LanguageStats) error {
 	}
 	if ls.lang.ID != other.lang.ID {
 		return errors.New("stats: cannot merge statistics of different languages")
+	}
+	if other.collision != nil {
+		return other.collision
 	}
 	exact, ok := ls.pairs.(*MapPairStore)
 	if !ok {
@@ -525,6 +545,9 @@ func (ls *LanguageStats) PairNPMIDistribution() []float64 {
 // counts, smoothing, and the exact pair store). Sketch-backed stats must be
 // serialized before compression.
 func (ls *LanguageStats) MarshalBinary() ([]byte, error) {
+	if ls.collision != nil {
+		return nil, ls.collision
+	}
 	exact, ok := ls.pairs.(*MapPairStore)
 	if !ok {
 		return nil, errors.New("stats: only exact stores serialize; compress after loading")
