@@ -64,45 +64,49 @@ func CheckColumn(ctx context.Context, det *core.Detector, sem *semantic.Model, v
 // with Kind "domain". The hint extends the finding set; it never changes
 // the unhinted findings, so CheckColumn remains a strict prefix and the
 // determinism contract above carries over hint included.
+//
+// The rows are read once, into the distinct table every check filters;
+// repair profiles it only when a pattern finding clears minConf.
 func CheckColumnHinted(ctx context.Context, det *core.Detector, sem *semantic.Model, values []string, minConf float64, hint string) []Finding {
 	if minConf <= 0 {
 		minConf = DefaultMinConfidence
 	}
+	table := core.Tabulate(values)
 	_, endPattern := observe.Span(ctx, "detect_pattern")
-	out := appendKind(nil, det.DetectColumn(values), "pattern", values, minConf)
+	out := appendKind(nil, det.DetectDistinct(table), "pattern", minConf)
+	if len(out) > 0 {
+		prof := repair.NewProfile(table)
+		for i, f := range out {
+			if sug, ok := prof.Suggest(f.Value); ok {
+				out[i].Suggestion, out[i].SuggestionRule = sug.Proposed, sug.Rule
+			}
+		}
+	}
 	endPattern()
 	if sem != nil {
 		_, endSem := observe.Span(ctx, "detect_semantic")
-		out = appendKind(out, sem.DetectColumn(values), "semantic", nil, minConf)
+		out = appendKind(out, sem.DetectDistinct(table), "semantic", minConf)
 		endSem()
 	}
 	if hint != "" {
 		_, endDomain := observe.Span(ctx, "detect_domain")
-		out = appendKind(out, semantic.CheckDomain(hint, values), "domain", nil, minConf)
+		out = appendKind(out, semantic.CheckDomainDistinct(hint, table), "domain", minConf)
 		endDomain()
 	}
 	return out
 }
 
 // appendKind appends the detector findings at or above minConf to out,
-// labelled kind. A non-nil column gets each finding's repair suggestion
-// rendered in its dominant format.
-func appendKind(out []Finding, fs []core.Finding, kind string, column []string, minConf float64) []Finding {
+// labelled kind.
+func appendKind(out []Finding, fs []core.Finding, kind string, minConf float64) []Finding {
 	for _, f := range fs {
 		if f.Confidence < minConf {
 			continue
 		}
-		af := Finding{
+		out = append(out, Finding{
 			Value: f.Value, Index: f.Index, Partner: f.Partner,
 			Confidence: f.Confidence, Kind: kind,
-		}
-		if column != nil {
-			if sug, ok := repair.Suggest(column, f.Value); ok {
-				af.Suggestion = sug.Proposed
-				af.SuggestionRule = sug.Rule
-			}
-		}
-		out = append(out, af)
+		})
 	}
 	return out
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/distsup"
 	"repro/internal/pattern"
 	"repro/internal/pipeline"
+	"repro/internal/repair"
 	"repro/internal/semantic"
 )
 
@@ -135,5 +136,122 @@ func TestCheckTableSkipsEmptyColumns(t *testing.T) {
 	out := CheckTable(context.Background(), det, sem, table, 0, 4)
 	if fs, ok := out["clean"]; ok && len(fs) == 0 {
 		t.Fatal("CheckTable must omit columns without findings")
+	}
+}
+
+// referenceCheck is CheckColumnHinted composed from the four public
+// per-column calls, each reading the rows itself, with the column
+// re-profiled for every suggestion. CheckColumnHinted must equal it.
+func referenceCheck(det *core.Detector, sem *semantic.Model, values []string, minConf float64, hint string) []Finding {
+	if minConf <= 0 {
+		minConf = DefaultMinConfidence
+	}
+	kinds := []string{"pattern"}
+	detected := [][]core.Finding{det.DetectColumn(values)}
+	if sem != nil {
+		kinds = append(kinds, "semantic")
+		detected = append(detected, sem.DetectColumn(values))
+	}
+	if hint != "" {
+		kinds = append(kinds, "domain")
+		detected = append(detected, semantic.CheckDomain(hint, values))
+	}
+	var out []Finding
+	for k, fs := range detected {
+		for _, f := range fs {
+			if f.Confidence < minConf {
+				continue
+			}
+			af := Finding{Value: f.Value, Index: f.Index, Partner: f.Partner, Confidence: f.Confidence, Kind: kinds[k]}
+			if kinds[k] == "pattern" {
+				if sug, ok := repair.Suggest(values, f.Value); ok {
+					af.Suggestion, af.SuggestionRule = sug.Proposed, sug.Rule
+				}
+			}
+			out = append(out, af)
+		}
+	}
+	return out
+}
+
+// dateColumn returns rows ISO dates with about 420 distinct values.
+func dateColumn(rows int) []string {
+	out := make([]string, rows)
+	for i := range out {
+		out[i] = fmt.Sprintf("20%02d-%02d-%02d", 10+i%10, 1+i%12, 1+i%28)
+	}
+	return out
+}
+
+// TestCheckColumnHintedMatchesComposition holds the one-pass
+// CheckColumnHinted to referenceCheck on the audit table and on columns
+// crafted for each filter: empty and whitespace-only cells, a column past
+// core.MaxDistinct, domain hints, and flagged values that are the first
+// of their shape (so the repair profile's tie-break moves).
+func TestCheckColumnHintedMatchesComposition(t *testing.T) {
+	det, sem := trainedModel(t)
+	ctx := context.Background()
+	type column struct {
+		values []string
+		hint   string
+	}
+	var columns []column
+	for _, values := range auditTable(t, 48) {
+		columns = append(columns, column{values, ""}, column{values, "date"})
+	}
+	wide := dateColumn(1000)
+	wide[20], wide[950] = "2011/06/20", "June 5, 2013"
+	columns = append(columns,
+		column{[]string{"2011-01-02", "", "2012-05-14", "", "2013-11-30", "2011/06/20", "", "2014-02-03"}, ""},
+		column{[]string{"1200", "  ", "450", " ", "98000", "1,000", "3100", "  "}, ""},
+		column{wide, ""},
+		column{wide, "date"},
+		column{[]string{"2011-06-20", "2011-06-21", "N/A", "2011-06-23", "2011-06-24", "2011-06-25"}, "date"},
+		column{[]string{"ann@example.com", "bob@example.com", "425-555-0100", "cy@example.org", "di@example.net"}, "email"},
+		column{[]string{"2011/06/20", "2011-06-21", "2011/06/22", "2011-06-23", "2011/06/24"}, ""},
+		column{[]string{"Mar 2011", "2011-06-21", "Apr 2012", "2011-06-23", "May 2013"}, "date"},
+		column{[]string{"(425) 555-0100", "425-555-0101", "425-555-0102", "(425) 555-0103", "425-555-0104"}, "phone"},
+		column{[]string{"Washington", "", "Oregon", "Texas", "Florida", " ", "Ohio", "Seattle", "Nevada", "Utah", "Seattle"}, ""},
+	)
+	kinds := map[string]int{}
+	suggested := 0
+	for _, c := range columns {
+		for _, minConf := range []float64{0, 0.05} {
+			got := CheckColumnHinted(ctx, det, sem, c.values, minConf, c.hint)
+			want := referenceCheck(det, sem, c.values, minConf, c.hint)
+			g, _ := json.Marshal(got)
+			w, _ := json.Marshal(want)
+			if string(g) != string(w) {
+				t.Fatalf("column %q, hint %q, minConf %v:\none pass:  %s\nreference: %s", c.values, c.hint, minConf, g, w)
+			}
+			for _, f := range got {
+				kinds[f.Kind]++
+				if f.Suggestion != "" {
+					suggested++
+				}
+			}
+		}
+	}
+	if kinds["pattern"] == 0 || kinds["semantic"] == 0 || kinds["domain"] == 0 || suggested == 0 {
+		t.Fatalf("vacuous comparison: findings by kind %v, %d suggestions", kinds, suggested)
+	}
+}
+
+// TestCheckColumnAllocsPerFinding bounds the allocations of a check with
+// findings. Repair profiles the column's distinct values once, so a
+// 3,000-row column with two pattern findings stays under two allocations
+// a row; re-profiling every row for each finding costs about sixteen.
+func TestCheckColumnAllocsPerFinding(t *testing.T) {
+	det, sem := trainedModel(t)
+	ctx := context.Background()
+	values := dateColumn(3000)
+	values[20], values[50] = "2011/06/20", "June 5, 2013"
+	fs := CheckColumn(ctx, det, sem, values, 0)
+	if len(fs) != 2 || fs[0].Kind != "pattern" || fs[1].Kind != "pattern" {
+		t.Fatalf("want two pattern findings, got %+v", fs)
+	}
+	allocs := testing.AllocsPerRun(5, func() { CheckColumn(ctx, det, sem, values, 0) })
+	if limit := 2.0 * float64(len(values)); allocs > limit {
+		t.Errorf("CheckColumn on %d rows with %d findings made %.0f allocations, want ≤ %.0f", len(values), len(fs), allocs, limit)
 	}
 }

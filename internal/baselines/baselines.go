@@ -41,7 +41,7 @@ type Detector interface {
 // occurrence, preserving first-seen order. Empty cells are missing data,
 // not values, and are skipped.
 func distinct(values []string) []core.Distinct {
-	return core.Tabulate(values, func(v string) bool { return v != "" })
+	return core.NonEmpty(core.Tabulate(values))
 }
 
 // rank sorts predictions by descending confidence (stable) and drops

@@ -12,11 +12,12 @@ type Distinct struct {
 	First int
 }
 
-// Tabulate returns the distinct values of a column that keep admits, in
-// first-occurrence order, with their counts. Each detector passes its own
-// filter: the pattern detector skips empty cells, the value-level detector
-// keeps only values its model supports.
-func Tabulate(values []string, keep func(string) bool) []Distinct {
+// Tabulate returns a column's distinct table: every distinct value, empty
+// cells included, in first-occurrence order, with its count and first row.
+// It is a column's one pass over its rows; each consumer filters the table
+// for itself (the pattern detector scores NonEmpty, the value-level
+// detector its supported values).
+func Tabulate(values []string) []Distinct {
 	var out []Distinct
 	index := map[string]int{}
 	for i, v := range values {
@@ -24,13 +25,21 @@ func Tabulate(values []string, keep func(string) bool) []Distinct {
 			out[j].Count++
 			continue
 		}
-		if !keep(v) {
-			continue
-		}
 		index[v] = len(out)
 		out = append(out, Distinct{Value: v, Count: 1, First: i})
 	}
 	return out
+}
+
+// NonEmpty returns table without its empty-cell entry: empty cells are
+// missing data, not values. The table is returned as is when it has none.
+func NonEmpty(table []Distinct) []Distinct {
+	for i, d := range table {
+		if d.Value == "" {
+			return append(table[:i:i], table[i+1:]...)
+		}
+	}
+	return table
 }
 
 // Attribute turns per-pair verdicts into ranked findings. verdict(i, j),

@@ -131,24 +131,32 @@ func (d *Detector) verdict(ur, vr pattern.Runs, by []LangScore) (conf float64, f
 	return conf, flagged
 }
 
-// Distinct returns the values DetectColumn scores: the column's non-empty
-// distinct values in first-occurrence order, capped at the first
+// Scored returns the entries of a column's distinct table (Tabulate) that
+// the detector scores: the non-empty values, capped at the first
 // MaxDistinct.
-func (d *Detector) Distinct(values []string) []Distinct {
-	// Empty cells are missing data, not errors.
-	distinct := Tabulate(values, func(v string) bool { return v != "" })
+func Scored(table []Distinct) []Distinct {
+	distinct := NonEmpty(table)
 	if len(distinct) > MaxDistinct {
 		distinct = distinct[:MaxDistinct]
 	}
 	return distinct
 }
 
-// DetectColumn scores all distinct value pairs of a column and attributes
-// conflicts to suspect values (see Attribute). Findings are sorted by
-// descending confidence.
+// DetectColumn is DetectDistinct over the column's distinct table.
 func (d *Detector) DetectColumn(values []string) []Finding {
-	hotValues.Add(uintptr(len(values)), uint64(len(values)))
-	distinct := d.Distinct(values)
+	return d.DetectDistinct(Tabulate(values))
+}
+
+// DetectDistinct scores all pairs of a column's Scored distinct values and
+// attributes conflicts to suspect values (see Attribute). Findings are
+// sorted by descending confidence.
+func (d *Detector) DetectDistinct(table []Distinct) []Finding {
+	rows := 0
+	for _, t := range table {
+		rows += t.Count
+	}
+	hotValues.Add(uintptr(rows), uint64(rows))
+	distinct := Scored(table)
 	n := len(distinct)
 	if n < 2 {
 		return nil

@@ -52,7 +52,7 @@ func FuzzDetectColumn(f *testing.F) {
 			}
 		}
 
-		if len(Tabulate(values, func(v string) bool { return v != "" })) > MaxDistinct {
+		if len(NonEmpty(Tabulate(values))) > MaxDistinct {
 			return
 		}
 		rev := make([]string, len(values))

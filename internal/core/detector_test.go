@@ -200,7 +200,7 @@ func TestDetectColumnAllocsLinear(t *testing.T) {
 		}
 		values = append(values, fmt.Sprintf("20%02d%s%02d%s%02d", i%30, sep, 1+i%12, sep, 1+i/12))
 	}
-	if got := len(det.Distinct(values)); got != n {
+	if got := len(Scored(Tabulate(values))); got != n {
 		t.Fatalf("column has %d distinct values, want %d", got, n)
 	}
 	if len(det.DetectColumn(values)) == 0 {

@@ -111,7 +111,7 @@ func (a *Ablation) Detect(values []string) []baselines.Prediction {
 // DetectColumn is core.Detector.DetectColumn with the rule in place of
 // max precision.
 func (a *Ablation) DetectColumn(values []string) []core.Finding {
-	distinct := a.Det.Distinct(values)
+	distinct := core.Scored(core.Tabulate(values))
 	if len(distinct) < 2 {
 		return nil
 	}

@@ -139,7 +139,7 @@ func TestAblationMaxPrecisionMatchesDetector(t *testing.T) {
 		columns = append(columns, col.Values)
 		// Concatenate neighbouring columns into ones past the cap.
 		wide = append(wide, col.Values...)
-		if len(det.Distinct(wide)) == core.MaxDistinct && len(wide) > 2*core.MaxDistinct {
+		if len(core.Scored(core.Tabulate(wide))) == core.MaxDistinct && len(wide) > 2*core.MaxDistinct {
 			columns = append(columns, wide)
 			wide = nil
 		}
@@ -151,7 +151,7 @@ func TestAblationMaxPrecisionMatchesDetector(t *testing.T) {
 			t.Fatalf("column %q:\nablation %+v\ndetector %+v", values, got, want)
 		}
 		findings += len(want)
-		if len(core.Tabulate(values, func(v string) bool { return v != "" })) > core.MaxDistinct {
+		if len(core.NonEmpty(core.Tabulate(values))) > core.MaxDistinct {
 			overCap++
 		}
 	}

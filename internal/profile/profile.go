@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/pattern"
 )
 
@@ -53,30 +54,31 @@ type Profile struct {
 	MinLen, MaxLen int
 }
 
-// Column profiles the values of one column.
+// Column profiles the values of one column. Each distinct value is shaped,
+// measured and parsed once and weighted by its count.
 func Column(values []string) Profile {
 	p := Profile{Rows: len(values), MinLen: -1}
 	shapes := map[string]*ShapeCount{}
 	lengths := map[int]int{}
-	distinct := map[string]struct{}{}
 	var letters, digits, symbols, totalRunes int
 	numeric := 0
 	nonEmpty := 0
-	for _, v := range values {
+	for _, d := range core.Tabulate(values) {
+		v, c := d.Value, d.Count
 		if strings.TrimSpace(v) == "" {
-			p.Empty++
+			p.Empty += c
 			continue
 		}
-		nonEmpty++
-		distinct[v] = struct{}{}
+		nonEmpty += c
+		p.Distinct++
 		s := pattern.Shape(v)
 		if sc, ok := shapes[s]; ok {
-			sc.Count++
+			sc.Count += c
 		} else {
-			shapes[s] = &ShapeCount{Shape: s, Example: v, Count: 1}
+			shapes[s] = &ShapeCount{Shape: s, Example: v, Count: c}
 		}
 		n := len([]rune(v))
-		lengths[n]++
+		lengths[n] += c
 		if p.MinLen < 0 || n < p.MinLen {
 			p.MinLen = n
 		}
@@ -84,21 +86,20 @@ func Column(values []string) Profile {
 			p.MaxLen = n
 		}
 		for _, r := range v {
-			totalRunes++
+			totalRunes += c
 			switch pattern.Categorize(r) {
 			case pattern.CatUpper, pattern.CatLower:
-				letters++
+				letters += c
 			case pattern.CatDigit:
-				digits++
+				digits += c
 			default:
-				symbols++
+				symbols += c
 			}
 		}
 		if _, err := strconv.ParseFloat(strings.ReplaceAll(v, ",", ""), 64); err == nil {
-			numeric++
+			numeric += c
 		}
 	}
-	p.Distinct = len(distinct)
 	for _, sc := range shapes {
 		p.Shapes = append(p.Shapes, *sc)
 	}

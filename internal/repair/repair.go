@@ -21,6 +21,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/pattern"
 )
 
@@ -107,61 +108,102 @@ type columnProfile struct {
 	sample string
 }
 
-// profileColumn computes the dominant crude pattern of the column,
-// excluding the flagged value.
-func profileColumn(column []string, flagged string) (columnProfile, bool) {
-	counts := map[string]int{}
-	samples := map[string]string{}
-	var order []string // patterns in order of first occurrence
-	total := 0
-	for _, v := range column {
-		if v == "" || v == flagged {
+// Profile is a column's crude shapes, computed once from its distinct
+// table and shared by the suggestions for every value flagged in it.
+// Dominance is computed over run-length-stripped patterns: a date column
+// with 1- and 2-digit days is one format, not two.
+type Profile struct {
+	shapes  []shapeSupport    // in order of first occurrence
+	members map[string]member // each non-empty value's shape and cells
+}
+
+type member struct{ shape, count int }
+
+// shapeSupport is one shape's cells and its first two distinct values.
+type shapeSupport struct {
+	shape       string
+	count       int
+	first, next core.Distinct
+}
+
+// NewProfile profiles a column from its distinct table (core.Tabulate),
+// skipping empty cells.
+func NewProfile(table []core.Distinct) *Profile {
+	p := &Profile{members: make(map[string]member, len(table))}
+	byShape := map[string]int{}
+	for _, d := range table {
+		if d.Value == "" {
 			continue
 		}
-		// Dominance is computed over run-length-stripped patterns: a date
-		// column with 1- and 2-digit days is one format, not two.
-		p := pattern.Shape(v)
-		counts[p]++
-		total++
-		if _, ok := samples[p]; !ok {
-			samples[p] = v
-			order = append(order, p)
+		s := pattern.Shape(d.Value)
+		k, ok := byShape[s]
+		if !ok {
+			k = len(p.shapes)
+			byShape[s] = k
+			p.shapes = append(p.shapes, shapeSupport{shape: s, first: d})
+		} else if p.shapes[k].next.Count == 0 {
+			p.shapes[k].next = d
+		}
+		p.shapes[k].count += d.Count
+		p.members[d.Value] = member{k, d.Count}
+	}
+	return p
+}
+
+// dominant returns the column's dominant shape with every cell holding
+// flagged left out. A tie goes to the shape seen first in the column, so
+// the same column always gets the same suggestion; when flagged is the
+// first value of its shape, that shape is seen first at its next value.
+func (p *Profile) dominant(flagged string) (columnProfile, bool) {
+	skip, ok := p.members[flagged]
+	if !ok {
+		skip.shape = -1
+	}
+	var best shapeSupport
+	total := 0
+	for k, s := range p.shapes {
+		if k == skip.shape {
+			s.count -= skip.count
+			if s.first.Value == flagged {
+				s.first = s.next
+			}
+		}
+		total += s.count
+		if s.count > best.count || s.count == best.count && s.count > 0 && s.first.First < best.first.First {
+			best = s
 		}
 	}
 	if total == 0 {
 		return columnProfile{}, false
 	}
-	// A tie goes to the pattern seen first in the column, so the same
-	// column always gets the same suggestion.
-	best, bestN := "", 0
-	for _, p := range order {
-		if n := counts[p]; n > bestN {
-			best, bestN = p, n
-		}
-	}
 	return columnProfile{
-		dominantPattern: best,
-		share:           float64(bestN) / float64(total),
-		sample:          samples[best],
+		dominantPattern: best.shape,
+		share:           float64(best.count) / float64(total),
+		sample:          best.first.Value,
 	}, true
-}
-
-// matchesDominant reports whether v's crude pattern equals the dominant
-// one, or is close enough (same pattern family differing only in digit run
-// lengths, e.g. 1- vs 2-digit days).
-func matchesDominant(v string, prof columnProfile) bool {
-	return pattern.Shape(v) == prof.dominantPattern
 }
 
 // Suggest proposes a repair for a flagged value given its column. It
 // returns false when no conservative repair exists.
 func Suggest(column []string, flagged string) (Suggestion, bool) {
-	prof, ok := profileColumn(column, flagged)
+	return NewProfile(core.Tabulate(column)).Suggest(flagged)
+}
+
+// Suggest proposes a repair for a value flagged in the profiled column.
+// It returns false when no conservative repair exists.
+func (p *Profile) Suggest(flagged string) (Suggestion, bool) {
+	prof, ok := p.dominant(flagged)
 	if !ok || flagged == "" {
 		return Suggestion{}, false
 	}
+	return prof.suggest(flagged)
+}
+
+// suggest applies the repair rules to flagged in the column's dominant
+// format.
+func (prof columnProfile) suggest(flagged string) (Suggestion, bool) {
 	try := func(proposed, rule string) (Suggestion, bool) {
-		if proposed == "" || proposed == flagged || !matchesDominant(proposed, prof) {
+		if proposed == "" || proposed == flagged || pattern.Shape(proposed) != prof.dominantPattern {
 			return Suggestion{}, false
 		}
 		return Suggestion{

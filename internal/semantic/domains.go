@@ -49,13 +49,19 @@ func KnownDomain(domain string) bool {
 // call); Partner names the domain's format ("email format"). Unknown
 // domains return nil.
 func CheckDomain(domain string, values []string) []core.Finding {
+	return CheckDomainDistinct(domain, core.Tabulate(values))
+}
+
+// CheckDomainDistinct is CheckDomain over a column's distinct table
+// (core.Tabulate).
+func CheckDomainDistinct(domain string, table []core.Distinct) []core.Finding {
 	valid := domainValidators[domain]
 	if valid == nil {
 		return nil
 	}
 	nonEmpty, conforming := 0, 0
 	var odd []core.Distinct
-	for _, d := range core.Tabulate(values, func(v string) bool { return v != "" }) {
+	for _, d := range core.NonEmpty(table) {
 		nonEmpty += d.Count
 		if valid(d.Value) {
 			conforming += d.Count

@@ -14,7 +14,6 @@ package semantic
 
 import (
 	"errors"
-	"math"
 
 	"repro/internal/core"
 	"repro/internal/corpus"
@@ -28,16 +27,17 @@ type Config struct {
 	MinSupport int
 	// MaxValueLength ignores longer values (default 40 bytes).
 	MaxValueLength int
-	// Smoothing is the Jelinek–Mercer factor (default 0.1).
+	// Smoothing is the Jelinek–Mercer factor (default 0.01).
 	Smoothing float64
-	// Threshold flags pairs with NPMI at or below it (default −0.3).
+	// Threshold flags pairs with NPMI at or below it (default −0.25).
 	Threshold float64
 }
 
-// DefaultConfig returns the default value-level settings. Smoothing is far
-// lighter than the pattern-level default: value marginals are small, so
-// Jelinek–Mercer blending at f = 0.1 would lift genuinely disjoint value
-// pairs well above any usable threshold.
+// DefaultConfig returns the default value-level settings; Train fills a
+// zero field of its Config from here. Smoothing is far lighter than the
+// pattern-level default: value marginals are small, so Jelinek–Mercer
+// blending at f = 0.1 would lift genuinely disjoint value pairs well above
+// any usable threshold.
 func DefaultConfig() Config {
 	return Config{MinSupport: 5, MaxValueLength: 40, Smoothing: 0.01, Threshold: -0.25}
 }
@@ -52,18 +52,24 @@ type Model struct {
 }
 
 // Train builds the model from a corpus, keeping only supported values.
+// Zero (or, for the two sizes, negative) fields of cfg take their
+// DefaultConfig values.
 func Train(c *corpus.Corpus, cfg Config) (*Model, error) {
 	if c == nil || len(c.Columns) == 0 {
 		return nil, errors.New("semantic: empty corpus")
 	}
+	def := DefaultConfig()
 	if cfg.MinSupport <= 0 {
-		cfg.MinSupport = 5
+		cfg.MinSupport = def.MinSupport
 	}
 	if cfg.MaxValueLength <= 0 {
-		cfg.MaxValueLength = 40
+		cfg.MaxValueLength = def.MaxValueLength
+	}
+	if cfg.Smoothing == 0 {
+		cfg.Smoothing = def.Smoothing
 	}
 	if cfg.Threshold == 0 {
-		cfg.Threshold = -0.3
+		cfg.Threshold = def.Threshold
 	}
 
 	// Pass 1: column-level value support.
@@ -133,45 +139,33 @@ func (m *Model) NPMI(v1, v2 string) (npmi float64, ok bool) {
 
 // npmi is NPMI over two distinct value IDs of a model with n > 0.
 func (m *Model) npmi(id1, id2 uint32) float64 {
-	c1 := float64(m.occ[id1])
-	c2 := float64(m.occ[id2])
 	c12 := float64(m.prs.Get(id1, id2))
-	n := float64(m.n)
-	f := m.cfg.Smoothing
-	c12s := (1-f)*c12 + f*c1*c2/n
-	if c12s <= 0 {
-		return -1
-	}
-	p12 := c12s / n
-	pmi := math.Log(p12 / ((c1 / n) * (c2 / n)))
-	denom := -math.Log(p12)
-	if denom <= 0 {
-		return 1
-	}
-	v := pmi / denom
-	if v > 1 {
-		v = 1
-	}
-	if v < -1 {
-		v = -1
-	}
-	return v
+	return stats.SmoothedNPMI(float64(m.occ[id1]), float64(m.occ[id2]), c12, float64(m.n), m.cfg.Smoothing)
 }
 
-// DetectColumn flags supported values that are value-level incompatible
-// with the column's other supported values. Partner is the supported value
-// a finding conflicts with most; Confidence derives from the NPMI margin
-// below the threshold, count-weighted over the value's partners
-// (core.Attribute). Findings are ranked by descending confidence; columns
-// with fewer than three supported distinct values yield nothing.
+// DetectColumn is DetectDistinct over the column's distinct table.
 func (m *Model) DetectColumn(values []string) []core.Finding {
-	distinct := core.Tabulate(values, m.Supported)
+	return m.DetectDistinct(core.Tabulate(values))
+}
+
+// DetectDistinct flags the supported values of a column's distinct table
+// (core.Tabulate) that are value-level incompatible with its other
+// supported values. Partner is the supported value a finding conflicts
+// with most; Confidence derives from the NPMI margin below the threshold,
+// count-weighted over the value's partners (core.Attribute). Findings are
+// ranked by descending confidence; columns with fewer than three supported
+// distinct values yield nothing.
+func (m *Model) DetectDistinct(table []core.Distinct) []core.Finding {
+	var distinct []core.Distinct
+	var ids []uint32
+	for _, d := range table {
+		if id, ok := m.ids[d.Value]; ok {
+			distinct = append(distinct, d)
+			ids = append(ids, id)
+		}
+	}
 	if len(distinct) < 3 || m.n == 0 {
 		return nil
-	}
-	ids := make([]uint32, len(distinct))
-	for i := range distinct {
-		ids[i] = m.ids[distinct[i].Value]
 	}
 	t := m.cfg.Threshold
 	return core.Attribute(distinct, func(i, j int) (float64, bool) {

@@ -2,6 +2,7 @@ package semantic
 
 import (
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -165,5 +166,33 @@ func TestDetectColumnRowOrderInvariant(t *testing.T) {
 	}
 	if flagged == 0 {
 		t.Fatal("vacuous: no column produced a finding")
+	}
+}
+
+// TestTrainZeroConfigIsDefault: Train fills every zero Config field from
+// DefaultConfig, so a zero Config trains the default model.
+func TestTrainZeroConfigIsDefault(t *testing.T) {
+	c := corpus.Generate(corpus.WebProfile(), 2000, 21)
+	zero, err := Train(c, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, err := Train(c, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := []string{"Washington", "Oregon", "Texas", "Florida", "Ohio", "Seattle", "Nevada", "Utah"}
+	for _, u := range col {
+		for _, v := range col {
+			z, zok := zero.NPMI(u, v)
+			d, dok := def.NPMI(u, v)
+			if z != d || zok != dok {
+				t.Fatalf("NPMI(%q, %q): zero Config %v, %t; DefaultConfig %v, %t", u, v, z, zok, d, dok)
+			}
+		}
+	}
+	got, want := zero.DetectColumn(col), def.DetectColumn(col)
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("DetectColumn: zero Config %+v, DefaultConfig %+v", got, want)
 	}
 }

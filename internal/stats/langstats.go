@@ -361,7 +361,7 @@ func (ls *LanguageStats) NPMIRuns(r1, r2 pattern.Runs) float64 {
 	if ok1 && ok2 {
 		c12 = float64(ls.pairCountByID(id1, id2))
 	}
-	return ls.npmiFromCounts(c1, c2, c12)
+	return SmoothedNPMI(c1, c2, c12, float64(ls.n), ls.smoothing)
 }
 
 // NPMIRunsLOO is NPMIRuns with leave-one-out discounting for
@@ -411,7 +411,7 @@ func (ls *LanguageStats) NPMIRunsLOO(r1, r2 pattern.Runs, sameColumn bool) float
 	if c12 > c2 {
 		c12 = c2
 	}
-	return ls.npmiFromCounts(c1, c2, c12)
+	return SmoothedNPMI(c1, c2, c12, float64(ls.n), ls.smoothing)
 }
 
 // NPMI returns the normalized point-wise mutual information of two patterns
@@ -438,15 +438,16 @@ func (ls *LanguageStats) NPMI(p1, p2 string) float64 {
 	if ok1 && ok2 {
 		c12 = float64(ls.pairCountByID(id1, id2))
 	}
-	return ls.npmiFromCounts(c1, c2, c12)
+	return SmoothedNPMI(c1, c2, c12, float64(ls.n), ls.smoothing)
 }
 
-// npmiFromCounts computes smoothed NPMI from raw counts.
-func (ls *LanguageStats) npmiFromCounts(c1, c2, c12 float64) float64 {
-	n := float64(ls.n)
-	// Jelinek–Mercer smoothing: blend the observed co-occurrence with its
-	// expectation under independence, E = c1·c2/N.
-	f := ls.smoothing
+// SmoothedNPMI is NPMI (Equation 2) over raw counts: c1 and c2 columns
+// hold each item, c12 hold both, of n > 0. The co-occurrence is smoothed
+// per Equation 10 with Jelinek–Mercer factor f, blending c12 with its
+// expectation under independence, c1·c2/n. A pair whose smoothed
+// co-occurrence is zero scores −1, and the result is clamped to [−1, 1].
+// Pattern-level and value-level statistics share it.
+func SmoothedNPMI(c1, c2, c12, n, f float64) float64 {
 	c12s := (1-f)*c12 + f*c1*c2/n
 	if c12s <= 0 {
 		return -1

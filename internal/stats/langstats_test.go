@@ -99,6 +99,32 @@ func TestNPMIExampleFromPaper(t *testing.T) {
 	}
 }
 
+// TestSmoothedNPMIBranches pins SmoothedNPMI to values taken from the
+// per-package formulas it replaced, one row per branch. The ±1 branches are
+// exact; interior values allow for fused multiply-add on other platforms.
+func TestSmoothedNPMIBranches(t *testing.T) {
+	for _, c := range []struct {
+		name              string
+		c1, c2, c12, n, f float64
+		want              float64
+	}{
+		{"unseen item: smoothed c12 is 0", 0, 5, 0, 100, 0.1, -1},
+		{"unsmoothed, never co-occur", 10, 20, 0, 100, 0, -1},
+		{"p12 = 1", 100, 100, 100, 100, 0, 1},
+		{"clamped above", 1, 1, 5, 10, 0, 1},
+		{"clamped below", 20, 20, 1, 10, 0, -1},
+		{"independent", 10, 20, 2, 100, 0.1, -5.675953454694216e-17},
+		{"smoothed, never co-occur", 30, 40, 0, 1000, 0.01, -0.40643642857067447},
+		{"co-occur", 50, 60, 45, 200, 0.1, 0.6597385081457512},
+	} {
+		got := SmoothedNPMI(c.c1, c.c2, c.c12, c.n, c.f)
+		if math.Abs(c.want) == 1 && got != c.want || math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("%s: SmoothedNPMI(%v, %v, %v, %v, %v) = %v, want %v",
+				c.name, c.c1, c.c2, c.c12, c.n, c.f, got, c.want)
+		}
+	}
+}
+
 func TestNPMIUnknownPatterns(t *testing.T) {
 	ls := buildDateStats(t, 0.1)
 	// Both unseen and distinct: no evidence of co-occurrence → -1 (the
