@@ -37,13 +37,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/dbsource"
-	"repro/internal/distsup"
 	"repro/internal/eval"
 	"repro/internal/observe"
 	"repro/internal/pipeline"
 	"repro/internal/profile"
 	"repro/internal/report"
-	"repro/internal/retry"
 )
 
 // logger carries training diagnostics on stderr; detection output (the
@@ -99,18 +97,13 @@ func cmdTrain(args []string) error {
 	dsn := fs.String("dsn", "", "train on every table.column of this SQL database, streamed in keyset pages")
 	dbDriver := fs.String("driver", dbsource.DriverName, "database/sql driver for -dsn (sqlite3, postgres, mysql, or the in-tree in-memory driver)")
 	header := fs.Bool("header", true, "table files start with a header row (-corpus/-dir)")
-	workers := fs.Int("workers", runtime.NumCPU(), "counting/calibration parallelism")
-	checkpoint := fs.String("checkpoint", "", "checkpoint directory: periodic shard saves, resume on restart")
-	checkpointEvery := fs.Int("checkpoint-every", 100000, "columns between checkpoints")
-	maxBadFiles := fs.Int("max-bad-files", 0, "quarantine up to N unreadable/unparseable table files instead of failing (-dir)")
-	maxBadFrac := fs.Float64("max-bad-frac", 0, "quarantine up to this fraction of table files instead of failing (-dir)")
-	quarantineDir := fs.String("quarantine-dir", "", "directory for the quarantine manifest (quarantine.jsonl); defaults to no manifest (-dir)")
-	ioRetries := fs.Int("io-retries", 3, "attempts per table file for transient I/O errors; 1 disables retrying (-dir)")
-	sample := fs.Int("sample", 0, "cap the distant-supervision column sample (0 = keep every column)")
-	pairs := fs.Int("pairs", 20000, "distant-supervision pairs per class")
 	budget := fs.Int("budget", 64, "memory budget in MB")
 	precision := fs.Float64("precision", 0.95, "target precision P")
-	seed := fs.Int64("seed", 1, "random seed")
+	checkpoint := fs.String("checkpoint", "", "checkpoint directory: periodic shard saves, resume on restart")
+	checkpointEvery := fs.Int("checkpoint-every", 100000, "columns between checkpoints")
+	build := pipeline.BuildFlags{Workers: runtime.NumCPU(), Pairs: 20000, Seed: 1, IORetries: 3}
+	build.RegisterCount(fs)
+	build.RegisterIngest(fs)
 	traceOut := fs.String("trace-out", "", "record the train run in a flight recorder and write its span timeline (JSON) to this path")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -124,48 +117,35 @@ func cmdTrain(args []string) error {
 	if sources > 1 {
 		return fmt.Errorf("-dir, -corpus and -dsn are mutually exclusive")
 	}
-	// retry.Policy treats MaxAttempts<=0 as "use the default", so 0 would
-	// silently mean 3 attempts; reject it rather than surprise the operator.
-	if *ioRetries < 1 {
-		return fmt.Errorf("-io-retries must be >= 1 (1 disables retrying)")
+	if err := build.Check(); err != nil {
+		return err
 	}
 
 	var src pipeline.ColumnSource
 	switch {
 	case *dir != "":
-		ds, err := pipeline.NewDirSourceWith(*dir, pipeline.DirConfig{
-			HasHeader:     *header,
-			MaxBadFiles:   *maxBadFiles,
-			MaxBadFrac:    *maxBadFrac,
-			QuarantineDir: *quarantineDir,
-			Retry:         retry.Policy{MaxAttempts: *ioRetries},
-		})
+		ds, err := pipeline.NewDirSourceWith(*dir, build.DirConfig(*header))
 		if err != nil {
 			return err
 		}
 		logger.Info("streaming table files", "files", ds.Files(), "dir", *dir,
-			"max_bad_files", *maxBadFiles, "max_bad_frac", *maxBadFrac, "io_retries", *ioRetries)
+			"max_bad_files", build.MaxBadFiles, "max_bad_frac", build.MaxBadFrac, "io_retries", build.IORetries)
 		src = ds
 	case *dsn != "":
 		db, err := dbsource.NewSource(context.Background(), dbsource.Config{
 			Driver: *dbDriver,
 			DSN:    *dsn,
-			Retry:  retry.Policy{MaxAttempts: *ioRetries},
+			Retry:  build.Retry(),
 		})
 		if err != nil {
 			return err
 		}
 		defer db.Close()
 		logger.Info("streaming database columns", "driver", *dbDriver,
-			"columns", db.Len(), "schema_hash", db.SchemaHash(), "io_retries", *ioRetries)
+			"columns", db.Len(), "schema_hash", db.SchemaHash(), "io_retries", build.IORetries)
 		src = db
 	case *corpusPath != "":
-		f, err := os.Open(*corpusPath)
-		if err != nil {
-			return err
-		}
-		cols, err := corpus.ReadCSV(f, *header)
-		f.Close()
+		cols, err := readCSV(*corpusPath, *header)
 		if err != nil {
 			return err
 		}
@@ -181,17 +161,15 @@ func cmdTrain(args []string) error {
 			return fmt.Errorf("unknown profile %q", *profile)
 		}
 		logger.Info("streaming synthetic columns", "columns", *columns, "profile", p.Name)
-		src = pipeline.NewGeneratedSource(p, *columns, *seed)
+		src = pipeline.NewGeneratedSource(p, *columns, build.Seed)
 	}
 
-	cfg := core.DefaultTrainConfig()
-	cfg.TargetPrecision = *precision
-	cfg.MemoryBudget = *budget << 20
-	ds := distsup.DefaultConfig()
-	ds.PositivePairs = *pairs
-	ds.NegativePairs = *pairs
-	ds.Seed = *seed
-	cfg.DistSup = ds
+	opts := build.Options()
+	opts.Train.TargetPrecision = *precision
+	opts.Train.MemoryBudget = *budget << 20
+	opts.CheckpointDir, opts.CheckpointEvery = *checkpoint, *checkpointEvery
+	opts.Progress = func(p pipeline.Progress) { pipeline.WriteProgress(os.Stderr, p) }
+	opts.ProgressEvery = 2 * time.Second
 
 	// SIGINT/SIGTERM cancel the build; with -checkpoint set the pipeline
 	// persists a final shard first, so the same command resumes.
@@ -228,16 +206,8 @@ func cmdTrain(args []string) error {
 		return nil
 	}
 
-	logger.Info("training", "workers", *workers)
-	res, err := pipeline.Run(trainCtx, src, pipeline.Options{
-		Workers:         *workers,
-		Train:           cfg,
-		SampleColumns:   *sample,
-		CheckpointDir:   *checkpoint,
-		CheckpointEvery: *checkpointEvery,
-		Progress:        func(p pipeline.Progress) { pipeline.WriteProgress(os.Stderr, p) },
-		ProgressEvery:   2 * time.Second,
-	})
+	logger.Info("training", "workers", build.Workers)
+	res, err := pipeline.Run(trainCtx, src, opts)
 	if err != nil {
 		if errors.Is(err, context.Canceled) && *checkpoint != "" {
 			logger.Warn("interrupted; rerun the same command to resume", "checkpoint", *checkpoint)
@@ -256,7 +226,7 @@ func cmdTrain(args []string) error {
 		"candidate_languages", rep.CandidateLanguages, "counted_languages", rep.CountedLanguages)
 	if res.FilesSkipped > 0 || res.ColumnsQuarantined > 0 {
 		logger.Warn("degraded ingestion", "files_skipped", res.FilesSkipped,
-			"columns_quarantined", res.ColumnsQuarantined, "quarantine_dir", *quarantineDir)
+			"columns_quarantined", res.ColumnsQuarantined, "quarantine_dir", build.QuarantineDir)
 	}
 	if res.CorruptCheckpointsSkipped > 0 {
 		logger.Warn("corrupt checkpoint shards skipped on resume",
@@ -278,6 +248,16 @@ func cmdTrain(args []string) error {
 	}
 	logger.Info("model written", "out", *out, "model_bytes", rep.SelectedBytes)
 	return dumpTrace()
+}
+
+// readCSV reads the columns of the CSV file at path.
+func readCSV(path string, header bool) ([]*corpus.Column, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return corpus.ReadCSV(f, header)
 }
 
 func loadModel(path string) (*core.Detector, error) {
@@ -306,12 +286,7 @@ func cmdDetect(args []string) error {
 	if err != nil {
 		return err
 	}
-	f, err := os.Open(*in)
-	if err != nil {
-		return err
-	}
-	cols, err := corpus.ReadCSV(f, *header)
-	f.Close()
+	cols, err := readCSV(*in, *header)
 	if err != nil {
 		return err
 	}
@@ -320,13 +295,16 @@ func cmdDetect(args []string) error {
 		ModelSummary: fmt.Sprintf("%d languages, %.1f MB statistics",
 			len(det.Languages()), float64(det.Bytes())/(1<<20)),
 	}
-	found := 0
+	found, firstRow := 0, 0
+	if *header {
+		firstRow = 1
+	}
 	for _, col := range cols {
 		perRow := map[int]audit.Finding{}
 		for _, f := range audit.CheckColumn(context.Background(), det, nil, col.Values, *minConf) {
 			found++
 			line := fmt.Sprintf("%s: row %d: %q conflicts with %q (confidence %.3f)",
-				col.Name, f.Index+boolToInt(*header), f.Value, f.Partner, f.Confidence)
+				col.Name, f.Index+firstRow, f.Value, f.Partner, f.Confidence)
 			if f.Suggestion != "" {
 				line += fmt.Sprintf(" — suggest %q (%s)", f.Suggestion, f.SuggestionRule)
 			}
@@ -348,13 +326,6 @@ func cmdDetect(args []string) error {
 		fmt.Printf("HTML report written to %s\n", *htmlOut)
 	}
 	return nil
-}
-
-func boolToInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 func cmdPair(args []string) error {
@@ -398,12 +369,7 @@ func cmdEval(args []string) error {
 	if err != nil {
 		return err
 	}
-	f, err := os.Open(*in)
-	if err != nil {
-		return err
-	}
-	cols, err := corpus.ReadCSV(f, true)
-	f.Close()
+	cols, err := readCSV(*in, true)
 	if err != nil {
 		return err
 	}
@@ -418,7 +384,6 @@ func cmdEval(args []string) error {
 	sc := bufio.NewScanner(lf)
 	for sc.Scan() {
 		var ci, ri int
-		var v string
 		parts := strings.SplitN(sc.Text(), "\t", 3)
 		if len(parts) != 3 {
 			continue
@@ -426,7 +391,7 @@ func cmdEval(args []string) error {
 		if _, err := fmt.Sscanf(parts[0]+" "+parts[1], "%d %d", &ci, &ri); err != nil {
 			continue
 		}
-		v = parts[2]
+		v := parts[2]
 		if ci < 0 || ci >= len(cols) || ri < 0 || ri >= len(cols[ci].Values) {
 			return fmt.Errorf("label out of range: %s", sc.Text())
 		}
@@ -468,12 +433,7 @@ func cmdProfile(args []string) error {
 	if *in == "" {
 		return fmt.Errorf("missing -in")
 	}
-	f, err := os.Open(*in)
-	if err != nil {
-		return err
-	}
-	cols, err := corpus.ReadCSV(f, *header)
-	f.Close()
+	cols, err := readCSV(*in, *header)
 	if err != nil {
 		return err
 	}
@@ -493,12 +453,7 @@ func cmdBaselines(args []string) error {
 	if *in == "" {
 		return fmt.Errorf("missing -in")
 	}
-	f, err := os.Open(*in)
-	if err != nil {
-		return err
-	}
-	cols, err := corpus.ReadCSV(f, *header)
-	f.Close()
+	cols, err := readCSV(*in, *header)
 	if err != nil {
 		return err
 	}

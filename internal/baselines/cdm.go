@@ -19,24 +19,27 @@ type CDM struct{}
 // Name implements Detector.
 func (*CDM) Name() string { return "CDM" }
 
-// compressedSize returns the flate-compressed byte size of s.
-func compressedSize(s string) int {
+// Detect implements Detector. One BestCompression writer, Reset before
+// each measurement, serves the whole column; a fresh writer per
+// measurement allocates several hundred KB of state twice per distinct value.
+func (*CDM) Detect(values []string) []Prediction {
 	var buf bytes.Buffer
-	w, err := flate.NewWriter(&buf, flate.BestCompression)
-	if err != nil {
-		return len(s)
-	}
-	if _, err := w.Write([]byte(s)); err != nil {
-		return len(s)
-	}
-	if err := w.Close(); err != nil {
-		return len(s)
-	}
-	return buf.Len()
+	w, _ := flate.NewWriter(&buf, flate.BestCompression) // fails only on a bad level
+	return cdm(values, func(s string) int {
+		buf.Reset()
+		w.Reset(&buf)
+		if _, err := w.Write([]byte(s)); err != nil {
+			return len(s)
+		}
+		if err := w.Close(); err != nil {
+			return len(s)
+		}
+		return buf.Len()
+	})
 }
 
-// Detect implements Detector.
-func (*CDM) Detect(values []string) []Prediction {
+// cdm scores values with size as the compressor C.
+func cdm(values []string, size func(string) int) []Prediction {
 	dvs := distinct(values)
 	if len(dvs) < 3 {
 		return nil
@@ -62,8 +65,8 @@ func (*CDM) Detect(values []string) []Prediction {
 		// novel one pays for itself. (The raw CDM ratio C(xy)/(C(x)+C(y))
 		// is dominated by flate's fixed per-stream overhead at these tiny
 		// sizes, so the conditional form is used for ranking.)
-		cx := compressedSize(rest.String())
-		cxy := compressedSize(rest.String() + pats[i] + "\n")
+		cx := size(rest.String())
+		cxy := size(rest.String() + pats[i] + "\n")
 		added := cxy - cx
 		if added <= 0 {
 			continue

@@ -194,13 +194,3 @@ func (c *Calibration) Bytes() int {
 	}
 	return c.Stats.Bytes()
 }
-
-// TrainingPrecision returns the precision the language achieves at θk on
-// the training set.
-func (c *Calibration) TrainingPrecision() float64 {
-	covered := c.coverage.Count() + c.posCovered
-	if covered == 0 {
-		return 1
-	}
-	return float64(c.coverage.Count()) / float64(covered)
-}

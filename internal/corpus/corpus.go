@@ -18,7 +18,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -102,34 +101,6 @@ func (c *Corpus) DirtyColumns() int {
 		}
 	}
 	return n
-}
-
-// DomainHistogram returns (domain, count) pairs sorted by descending count.
-func (c *Corpus) DomainHistogram() []struct {
-	Domain string
-	Count  int
-} {
-	m := map[string]int{}
-	for _, col := range c.Columns {
-		m[col.Domain]++
-	}
-	out := make([]struct {
-		Domain string
-		Count  int
-	}, 0, len(m))
-	for d, n := range m {
-		out = append(out, struct {
-			Domain string
-			Count  int
-		}{d, n})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Domain < out[j].Domain
-	})
-	return out
 }
 
 // ReadCSV extracts the columns of a CSV table. If hasHeader is true the

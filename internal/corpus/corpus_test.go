@@ -297,24 +297,6 @@ func TestDistinctValues(t *testing.T) {
 	}
 }
 
-func TestDomainHistogram(t *testing.T) {
-	c := Generate(WebProfile(), 300, 3)
-	h := c.DomainHistogram()
-	if len(h) == 0 {
-		t.Fatal("empty histogram")
-	}
-	total := 0
-	for i, e := range h {
-		total += e.Count
-		if i > 0 && e.Count > h[i-1].Count {
-			t.Fatal("histogram not sorted")
-		}
-	}
-	if total != 300 {
-		t.Errorf("histogram total = %d", total)
-	}
-}
-
 // Property: sampleCumulative always returns a valid index and respects zero
 // ranges.
 func TestSampleCumulative(t *testing.T) {

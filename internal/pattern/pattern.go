@@ -157,26 +157,6 @@ func (l Language) String() string {
 	return b.String()
 }
 
-// GeneralityRank is the total height of the four category mappings in the
-// tree; 0 for the leaf language, 8 for the root language. Higher ranks are
-// more robust but less sensitive.
-func (l Language) GeneralityRank() int {
-	rank := func(t Token) int {
-		switch t {
-		case TokenLeaf:
-			return 0
-		case TokenUpper, TokenLower, TokenDigit, TokenSymbol:
-			return 1
-		case TokenLetter:
-			return 2
-		case TokenAny:
-			return 3 // digits and symbols reach \A at height 2; treat uniformly
-		}
-		return 0
-	}
-	return rank(l.Upper) + rank(l.Lower) + rank(l.Digit) + rank(l.Symbol)
-}
-
 // Generalize maps value v to its pattern under the language (Equation 3),
 // run-length encoding consecutive identical class tokens: four digits map
 // to `\D[4]` under a digit-class language. Leaf-mapped characters are kept

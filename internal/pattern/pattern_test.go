@@ -30,9 +30,6 @@ func TestAllCount(t *testing.T) {
 	if len(all) != 144 {
 		t.Fatalf("len(All()) = %d, want 144", len(all))
 	}
-	if CandidateCount() != 144 {
-		t.Fatalf("CandidateCount() = %d, want 144", CandidateCount())
-	}
 	seen := make(map[Language]bool)
 	for i, l := range all {
 		if l.ID != i {
@@ -140,42 +137,98 @@ func TestGeneralizeIdempotentOnClassValues(t *testing.T) {
 	}
 }
 
-func TestDefaultTree(t *testing.T) {
-	root := DefaultTree()
-	if root.Label != `\A` {
-		t.Fatalf("root label = %q", root.Label)
-	}
-	if root.Depth() != 4 {
-		t.Errorf("tree depth = %d, want 4", root.Depth())
-	}
-	leaves := root.Leaves()
-	// 26 upper + 26 lower + 10 digits + printable symbols incl. space.
-	if len(leaves) < 85 || len(leaves) > 100 {
-		t.Errorf("unexpected leaf count %d", len(leaves))
-	}
-	seen := map[string]bool{}
-	for _, l := range leaves {
-		if seen[l] {
-			t.Errorf("duplicate leaf %q", l)
+// node is a node of the generalization tree of Figure 3 (Definition 1):
+// a class node over its children, or a leaf character.
+type node struct {
+	label    string
+	token    Token
+	children []*node
+}
+
+// figure3 builds the tree of Figure 3 over the printable ASCII alphabet:
+//
+//	\A ── \L ── \U ── 'A'..'Z'
+//	  │      └─ \l ── 'a'..'z'
+//	  ├── \D ── '0'..'9'
+//	  └── \S ── all printable symbols and space
+func figure3() *node {
+	leaves := func(keep func(rune) bool) []*node {
+		var out []*node
+		for r := rune(' '); r < 127; r++ {
+			if keep(r) {
+				out = append(out, &node{label: string(r), token: TokenLeaf})
+			}
 		}
-		seen[l] = true
+		return out
+	}
+	in := func(lo, hi rune) func(rune) bool { return func(r rune) bool { return r >= lo && r <= hi } }
+	upper := &node{`\U`, TokenUpper, leaves(in('A', 'Z'))}
+	lower := &node{`\l`, TokenLower, leaves(in('a', 'z'))}
+	digit := &node{`\D`, TokenDigit, leaves(in('0', '9'))}
+	symbol := &node{`\S`, TokenSymbol, leaves(func(r rune) bool { return Categorize(r) == CatSymbol })}
+	letter := &node{`\L`, TokenLetter, []*node{upper, lower}}
+	return &node{`\A`, TokenAny, []*node{letter, digit, symbol}}
+}
+
+// TestAllMatchesFigure3Tree derives the candidate languages from the tree
+// itself: each base category keeps its leaves or generalizes to one class
+// node on its path to the root. All() must be exactly those cuts, each
+// Valid, and every leaf must sit under the classes of its Categorize.
+func TestAllMatchesFigure3Tree(t *testing.T) {
+	paths := map[Category][]Token{}
+	seen := map[string]bool{}
+	var walk func(n *node, up []Token)
+	walk = func(n *node, up []Token) {
+		if len(n.children) == 0 {
+			if seen[n.label] {
+				t.Errorf("duplicate leaf %q", n.label)
+			}
+			seen[n.label] = true
+			c := Categorize([]rune(n.label)[0])
+			if p, ok := paths[c]; ok && !slices.Equal(p, up) {
+				t.Errorf("leaf %q: path %v, want its category's %v", n.label, up, p)
+			}
+			paths[c] = up
+			return
+		}
+		for _, ch := range n.children {
+			walk(ch, append([]Token{n.token}, up...))
+		}
+	}
+	walk(figure3(), nil)
+	// 26 upper + 26 lower + 10 digits + printable symbols incl. space.
+	if len(seen) < 85 || len(seen) > 100 {
+		t.Errorf("unexpected leaf count %d", len(seen))
 	}
 	for _, want := range []string{"A", "z", "0", "9", "-", " "} {
 		if !seen[want] {
 			t.Errorf("leaf %q missing from tree", want)
 		}
 	}
-}
-
-func TestGeneralityRankOrdering(t *testing.T) {
-	if Leaf().GeneralityRank() != 0 {
-		t.Error("leaf language should have rank 0")
+	cuts := map[Language]bool{}
+	options := func(c Category) []Token { return append([]Token{TokenLeaf}, paths[c]...) }
+	for _, u := range options(CatUpper) {
+		for _, l := range options(CatLower) {
+			for _, d := range options(CatDigit) {
+				for _, s := range options(CatSymbol) {
+					cuts[Language{Upper: u, Lower: l, Digit: d, Symbol: s}] = true
+				}
+			}
+		}
 	}
-	if r := Root().GeneralityRank(); r != 12 {
-		t.Errorf("root language rank = %d, want 12", r)
+	if len(cuts) != 144 {
+		t.Fatalf("the tree has %d cuts, want 144", len(cuts))
 	}
-	if Crude().GeneralityRank() >= Root().GeneralityRank() {
-		t.Error("crude should be less general than root")
+	for _, l := range All() {
+		key := l
+		key.ID = 0
+		if !cuts[key] || !l.Valid() {
+			t.Errorf("language %v is not a cut of Figure 3's tree", l)
+		}
+		delete(cuts, key)
+	}
+	if len(cuts) != 0 {
+		t.Errorf("All() misses %d cuts of the tree", len(cuts))
 	}
 }
 

@@ -97,9 +97,11 @@ func TestMergeBarrierErrorNamesLowestLanguage(t *testing.T) {
 	b.base = stats.NewBuilder(langs, tc.Smoothing).Stats()
 	// Sketch-backed stores cannot absorb a merge.
 	for _, i := range []int{2, 5} {
-		if err := b.base[i].CompressToSketch(0.5, 4); err != nil {
+		sk, err := b.base[i].SketchCopy(0.5, 4)
+		if err != nil {
 			t.Fatal(err)
 		}
+		b.base[i] = sk
 	}
 	err := b.count(context.Background())
 	if err == nil {

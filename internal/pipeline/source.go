@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -570,33 +569,6 @@ func (s *DirSource) appendManifest(e QuarantineEntry) error {
 		return fmt.Errorf("pipeline: quarantine manifest: %w", err)
 	}
 	return nil
-}
-
-// ReadQuarantineManifest parses the manifest under a quarantine directory;
-// it tolerates a torn trailing line. Missing manifest yields (nil, nil).
-func ReadQuarantineManifest(quarantineDir string) ([]QuarantineEntry, error) {
-	f, err := os.Open(filepath.Join(quarantineDir, quarantineManifest))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var out []QuarantineEntry
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		if strings.TrimSpace(sc.Text()) == "" {
-			continue
-		}
-		var e QuarantineEntry
-		if json.Unmarshal(sc.Bytes(), &e) != nil {
-			continue
-		}
-		out = append(out, e)
-	}
-	return out, sc.Err()
 }
 
 // Fingerprint implements ColumnSource: the relative file list with sizes.

@@ -1,8 +1,10 @@
 package pipeline
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -16,6 +18,34 @@ import (
 	"repro/internal/observe"
 	"repro/internal/retry"
 )
+
+// readQuarantineManifest parses the manifest under a quarantine directory
+// the way an operator's tooling would: it tolerates a torn trailing line,
+// and a missing manifest yields (nil, nil).
+func readQuarantineManifest(quarantineDir string) ([]QuarantineEntry, error) {
+	f, err := os.Open(filepath.Join(quarantineDir, quarantineManifest))
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	var out []QuarantineEntry
+	sc := bufio.NewScanner(f)
+	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	for sc.Scan() {
+		if strings.TrimSpace(sc.Text()) == "" {
+			continue
+		}
+		var e QuarantineEntry
+		if json.Unmarshal(sc.Bytes(), &e) != nil {
+			continue
+		}
+		out = append(out, e)
+	}
+	return out, sc.Err()
+}
 
 func TestDirSourceRetriesTransientOpens(t *testing.T) {
 	dir := t.TempDir()
@@ -97,7 +127,7 @@ func TestDirSourceQuarantinesPermanentFailuresUnderBudget(t *testing.T) {
 	if files != 1 {
 		t.Errorf("files skipped = %d, want 1", files)
 	}
-	entries, err := ReadQuarantineManifest(qdir)
+	entries, err := readQuarantineManifest(qdir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +201,7 @@ func TestDirSourceCancellationDoesNotQuarantine(t *testing.T) {
 	if err := src.Close(); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := ReadQuarantineManifest(qdir)
+	entries, err := readQuarantineManifest(qdir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +296,7 @@ func TestDirSourceQuarantinesParseErrorWithOffset(t *testing.T) {
 	if len(cols) != 1 || cols[0].Name != "c" {
 		t.Fatalf("streamed %v, want fine.csv only", cols)
 	}
-	entries, err := ReadQuarantineManifest(qdir)
+	entries, err := readQuarantineManifest(qdir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +326,7 @@ func TestDirSourceQuarantinesGarbageColumns(t *testing.T) {
 	if _, q := src.Quarantined(); q != 1 {
 		t.Errorf("columns quarantined = %d, want 1", q)
 	}
-	entries, err := ReadQuarantineManifest(qdir)
+	entries, err := readQuarantineManifest(qdir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +372,7 @@ func TestDirSourceManifestPreskipKeepsStreamAligned(t *testing.T) {
 	}
 	// Budget continuity: the restored spend is visible, and no duplicate
 	// manifest entries were appended.
-	entries, err := ReadQuarantineManifest(qdir)
+	entries, err := readQuarantineManifest(qdir)
 	if err != nil {
 		t.Fatal(err)
 	}

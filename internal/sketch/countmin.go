@@ -12,10 +12,10 @@ import (
 )
 
 // CountMin is a count-min sketch over uint64 keys. The zero value is not
-// usable; construct with New or NewWithErrorBound.
+// usable; construct with New.
 //
 // Estimates satisfy v̂(k) ≥ v(k), and v̂(k) ≤ v(k) + εN with probability at
-// least 1−δ when built via NewWithErrorBound, where N is the sum of all
+// least 1−δ at width ⌈e/ε⌉ and depth ⌈ln(1/δ)⌉, where N is the sum of all
 // inserted values.
 type CountMin struct {
 	width        int
@@ -50,18 +50,6 @@ func New(width, depth int, conservative bool) (*CountMin, error) {
 		cm.rows[i] = make([]uint32, width)
 	}
 	return cm, nil
-}
-
-// NewWithErrorBound returns a sketch dimensioned so that estimates are
-// within εN of the truth with probability at least 1−δ:
-// width = ⌈e/ε⌉, depth = ⌈ln(1/δ)⌉.
-func NewWithErrorBound(epsilon, delta float64, conservative bool) (*CountMin, error) {
-	if epsilon <= 0 || epsilon >= 1 || delta <= 0 || delta >= 1 {
-		return nil, errors.New("sketch: epsilon and delta must be in (0,1)")
-	}
-	w := int(math.Ceil(math.E / epsilon))
-	d := int(math.Ceil(math.Log(1 / delta)))
-	return New(w, d, conservative)
 }
 
 func splitmix64(x uint64) uint64 {
@@ -168,12 +156,6 @@ func (cm *CountMin) EstimateCorrected(key uint64) uint64 {
 
 // Total returns the sum of all added values (N in the ε-bound).
 func (cm *CountMin) Total() uint64 { return cm.total }
-
-// Width and Depth return the sketch dimensions.
-func (cm *CountMin) Width() int { return cm.width }
-
-// Depth returns the number of hash rows.
-func (cm *CountMin) Depth() int { return cm.depth }
 
 // Bytes returns the in-memory footprint of the counter array in bytes.
 func (cm *CountMin) Bytes() int { return cm.width * cm.depth * 4 }

@@ -14,25 +14,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(10, 0, false); err == nil {
 		t.Error("depth 0 should error")
 	}
-	if _, err := NewWithErrorBound(0, 0.1, false); err == nil {
-		t.Error("epsilon 0 should error")
-	}
-	if _, err := NewWithErrorBound(0.1, 1, false); err == nil {
-		t.Error("delta 1 should error")
-	}
-}
-
-func TestErrorBoundDimensions(t *testing.T) {
-	cm, err := NewWithErrorBound(0.01, 0.01, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w := cm.Width(); w != int(math.Ceil(math.E/0.01)) {
-		t.Errorf("width = %d", w)
-	}
-	if d := cm.Depth(); d != 5 {
-		t.Errorf("depth = %d, want ceil(ln 100) = 5", d)
-	}
 }
 
 func TestExactWhenSparse(t *testing.T) {
@@ -74,7 +55,9 @@ func TestEpsilonBoundOnPowerLaw(t *testing.T) {
 	// Pattern co-occurrence counts follow a power law (Section 3.4); check
 	// the εN bound holds for the heavy keys with very high empirical
 	// probability.
-	cm, err := NewWithErrorBound(0.001, 0.01, false)
+	// Width ⌈e/ε⌉ and depth ⌈ln(1/δ)⌉ give the εN bound with probability 1−δ.
+	const epsilon, delta = 0.001, 0.01
+	cm, err := New(int(math.Ceil(math.E/epsilon)), int(math.Ceil(math.Log(1/delta))), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +72,7 @@ func TestEpsilonBoundOnPowerLaw(t *testing.T) {
 	n := float64(cm.Total())
 	bad := 0
 	for k, v := range truth {
-		if float64(cm.Estimate(k)) > float64(v)+0.001*n {
+		if float64(cm.Estimate(k)) > float64(v)+epsilon*n {
 			bad++
 		}
 	}

@@ -490,22 +490,6 @@ func (ls *LanguageStats) Bytes() int {
 // sketch-backed).
 func (ls *LanguageStats) PairStoreEntries() int { return ls.pairs.Entries() }
 
-// CompressToSketch replaces the exact pair store with a count-min sketch
-// using approximately ratio of the exact store's memory (Figure 8a). It is
-// an error to compress an already-compressed store.
-func (ls *LanguageStats) CompressToSketch(ratio float64, depth int) error {
-	exact, ok := ls.pairs.(*MapPairStore)
-	if !ok {
-		return errors.New("stats: pair store is not exact")
-	}
-	s, err := CompressPairStore(exact, ratio, depth)
-	if err != nil {
-		return err
-	}
-	ls.pairs = s
-	return nil
-}
-
 // SketchCopy returns a copy of the statistics whose pair store is a
 // count-min sketch at approximately ratio of the exact store's memory; the
 // receiver keeps its exact store. Pattern/occurrence tables are shared

@@ -189,10 +189,11 @@ func TestSketchPairStoreAgreesOnHeavyPairs(t *testing.T) {
 	iso := pattern.Crude().Generalize("2011-01-01")
 	year := pattern.Crude().Generalize("1999")
 	before := ls.PairCount(iso, year)
-	if err := ls.CompressToSketch(0.5, 4); err != nil {
+	sk, err := ls.SketchCopy(0.5, 4)
+	if err != nil {
 		t.Fatal(err)
 	}
-	after := ls.PairCount(iso, year)
+	after := sk.PairCount(iso, year)
 	if after < before {
 		t.Errorf("sketch under-counted: %d < %d", after, before)
 	}
@@ -200,7 +201,7 @@ func TestSketchPairStoreAgreesOnHeavyPairs(t *testing.T) {
 	if after > 50 {
 		t.Errorf("clamp failed: %d > 50", after)
 	}
-	if err := ls.CompressToSketch(0.5, 4); err == nil {
+	if _, err := sk.SketchCopy(0.5, 4); err == nil {
 		t.Error("double compression should error")
 	}
 }

@@ -165,9 +165,10 @@ func TestMergeValidation(t *testing.T) {
 	if err := a.Merge(nil); err == nil {
 		t.Fatal("expected nil merge error")
 	}
-	c := NewLanguageStats(pattern.L1(), DefaultSmoothing)
-	c.AddColumn([]string{"1", "2", "a"})
-	if err := c.CompressToSketch(0.5, 2); err != nil {
+	exact := NewLanguageStats(pattern.L1(), DefaultSmoothing)
+	exact.AddColumn([]string{"1", "2", "a"})
+	c, err := exact.SketchCopy(0.5, 2)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Merge(c); err == nil {
