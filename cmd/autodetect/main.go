@@ -169,7 +169,6 @@ func cmdTrain(args []string) error {
 	opts.Train.MemoryBudget = *budget << 20
 	opts.CheckpointDir, opts.CheckpointEvery = *checkpoint, *checkpointEvery
 	opts.Progress = func(p pipeline.Progress) { pipeline.WriteProgress(os.Stderr, p) }
-	opts.ProgressEvery = 2 * time.Second
 
 	// SIGINT/SIGTERM cancel the build; with -checkpoint set the pipeline
 	// persists a final shard first, so the same command resumes.

@@ -53,7 +53,9 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/rand"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -702,8 +704,13 @@ func runBuildWorker(c *config) error {
 
 // guard builds the breaker and the retry budget that protect one outbound
 // dependency, both labelled name in the metrics, and returns pol spending
-// from that budget.
+// from that budget. pol's jitter is seeded from crypto/rand, so processes
+// retrying against the same dependency spread out instead of backing off
+// in lockstep.
 func guard(name string, reg *observe.Registry, logger *slog.Logger, pol retry.Policy) (*resilience.Breaker, retry.Policy) {
+	var seed [8]byte
+	_, _ = rand.Read(seed[:]) // on failure the zero seed only costs the spread
+	pol.Seed = binary.LittleEndian.Uint64(seed[:])
 	pol.Budget = resilience.NewRetryBudget(resilience.BudgetConfig{Name: name, Metrics: reg})
 	return resilience.NewBreaker(resilience.BreakerConfig{
 		Name:    name,

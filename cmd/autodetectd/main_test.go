@@ -15,6 +15,7 @@ import (
 	"repro/internal/observe"
 	"repro/internal/registry"
 	"repro/internal/resilience"
+	"repro/internal/retry"
 	"repro/internal/service"
 )
 
@@ -137,5 +138,16 @@ func TestStackPerMode(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestGuardSeedsJitter: every guarded policy gets its own non-zero jitter
+// seed, so two daemons retrying against one dependency do not back off on
+// the same schedule.
+func TestGuardSeedsJitter(t *testing.T) {
+	_, a := guard("a", observe.NewRegistry(), nil, retry.Policy{})
+	_, b := guard("b", observe.NewRegistry(), nil, retry.Policy{})
+	if a.Seed == 0 || b.Seed == 0 || a.Seed == b.Seed {
+		t.Fatalf("seeds %#x and %#x, want two different non-zero seeds", a.Seed, b.Seed)
 	}
 }

@@ -2,6 +2,7 @@ package baselines
 
 import (
 	"math/rand"
+	"reflect"
 	"strconv"
 	"testing"
 
@@ -20,6 +21,11 @@ var placeholderColumn = []string{"3-2", "1-0", "4-4", "-", "2-1", "0-0", "5-3", 
 // cleanIntColumn is uniform plain integers.
 var cleanIntColumn = []string{"12", "7", "44", "130", "8", "92", "51", "23"}
 
+// allPlusUnion is the baseline roster plus a Union over all of it.
+func allPlusUnion() []Detector {
+	return append(All(), &Union{Members: All()})
+}
+
 func topValue(ps []Prediction) string {
 	if len(ps) == 0 {
 		return ""
@@ -28,7 +34,7 @@ func topValue(ps []Prediction) string {
 }
 
 func TestEveryBaselineImplementsContract(t *testing.T) {
-	for _, det := range AllPlusUnion() {
+	for _, det := range allPlusUnion() {
 		if det.Name() == "" {
 			t.Error("empty detector name")
 		}
@@ -179,11 +185,31 @@ func TestUnionPoolsMembers(t *testing.T) {
 	}
 }
 
+// TestPoolKeepsMaxConfidence: Pool keeps one prediction per row at its
+// highest confidence, the earliest list's on a tie, ranked by confidence
+// then row.
+func TestPoolKeepsMaxConfidence(t *testing.T) {
+	got := Pool(
+		[]Prediction{{Index: 0, Value: "a", Confidence: 0.5}, {Index: 1, Value: "b", Confidence: 0.3}},
+		[]Prediction{{Index: 1, Value: "b", Confidence: 0.9}, {Index: 2, Value: "c", Confidence: 0.5}},
+		nil,
+		[]Prediction{{Index: 0, Value: "a'", Confidence: 0.5}},
+	)
+	want := []Prediction{
+		{Index: 1, Value: "b", Confidence: 0.9},
+		{Index: 0, Value: "a", Confidence: 0.5},
+		{Index: 2, Value: "c", Confidence: 0.5},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Pool = %v, want %v", got, want)
+	}
+}
+
 func TestBaselinesOnGeneratedColumns(t *testing.T) {
 	// Smoke test across many generated dirty columns: every method must
 	// run without panicking and produce bounded confidences.
 	r := rand.New(rand.NewSource(5))
-	dets := AllPlusUnion()
+	dets := allPlusUnion()
 	for trial := 0; trial < 40; trial++ {
 		dom := corpus.Domains()[r.Intn(len(corpus.Domains()))]
 		col, err := corpus.GenerateColumn(r, dom, 15)

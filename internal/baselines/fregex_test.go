@@ -38,7 +38,7 @@ func TestBuiltinTypeExamples(t *testing.T) {
 
 func TestDetectorNamesUnique(t *testing.T) {
 	seen := map[string]bool{}
-	for _, d := range AllPlusUnion() {
+	for _, d := range allPlusUnion() {
 		if seen[d.Name()] {
 			t.Errorf("duplicate detector name %q", d.Name())
 		}

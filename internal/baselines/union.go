@@ -19,9 +19,20 @@ func (*Union) Name() string { return "Union" }
 
 // Detect implements Detector.
 func (u *Union) Detect(values []string) []Prediction {
+	preds := make([][]Prediction, len(u.Members))
+	for i, m := range u.Members {
+		preds[i] = m.Detect(values)
+	}
+	return Pool(preds...)
+}
+
+// Pool is Union's pooling rule over the members' predictions for one
+// column: each value keeps its maximum confidence (the earliest member's
+// prediction on a tie), ranked by confidence, then row.
+func Pool(preds ...[]Prediction) []Prediction {
 	best := map[int]Prediction{}
-	for _, m := range u.Members {
-		for _, p := range m.Detect(values) {
+	for _, ps := range preds {
+		for _, p := range ps {
 			if cur, ok := best[p.Index]; !ok || p.Confidence > cur.Confidence {
 				best[p.Index] = p
 			}
@@ -41,7 +52,7 @@ func (u *Union) Detect(values []string) []Prediction {
 }
 
 // All returns the full baseline roster in the order of the paper's
-// Figure 4(a), excluding Union (compose one with AllPlusUnion if needed).
+// Figure 4(a), excluding Union.
 func All() []Detector {
 	return []Detector{
 		&FRegex{},
@@ -55,12 +66,6 @@ func All() []Detector {
 		&DBOD{},
 		&LOF{},
 	}
-}
-
-// AllPlusUnion returns the baselines plus a Union over all of them.
-func AllPlusUnion() []Detector {
-	ds := All()
-	return append(ds, &Union{Members: All()})
 }
 
 // AutoDetect adapts a trained core.Detector to the baseline Detector

@@ -32,33 +32,31 @@ type Example struct {
 type Config struct {
 	// PositivePairs and NegativePairs are the target sizes of T+ and T−.
 	PositivePairs, NegativePairs int
-	// CompatThreshold is the minimum crude-NPMI between all value pairs of
-	// a column for the column to join the verified-compatible set C+.
-	// The paper uses 0.
-	CompatThreshold float64
-	// PruneThreshold drops candidate negatives (u, v) whose crude-NPMI is
-	// at or above it, since such mixes may be compatible by coincidence.
-	// The paper uses −0.3.
-	PruneThreshold float64
-	// PairsPerColumn bounds how many pairs one column contributes.
-	PairsPerColumn int
-	// MaxDistinct skips columns with more distinct values than this when
-	// verifying compatibility (O(k²) check).
-	MaxDistinct int
 	// Seed drives all sampling.
 	Seed int64
 }
 
+// The paper's distant-supervision constants (Appendix F).
+const (
+	// compatThreshold is the minimum crude-NPMI between all value pairs of
+	// a column for the column to join the verified-compatible set C+.
+	compatThreshold = 0
+	// pruneThreshold drops candidate negatives (u, v) whose crude-NPMI is
+	// at or above it, since such mixes may be compatible by coincidence.
+	pruneThreshold = -0.3
+	// pairsPerColumn bounds how many pairs one column contributes.
+	pairsPerColumn = 8
+	// maxDistinct skips columns with more distinct values than this when
+	// verifying compatibility (O(k²) check).
+	maxDistinct = 40
+)
+
 // DefaultConfig returns the paper's settings at a laptop-friendly scale.
 func DefaultConfig() Config {
 	return Config{
-		PositivePairs:   50000,
-		NegativePairs:   50000,
-		CompatThreshold: 0,
-		PruneThreshold:  -0.3,
-		PairsPerColumn:  8,
-		MaxDistinct:     40,
-		Seed:            1,
+		PositivePairs: 50000,
+		NegativePairs: 50000,
+		Seed:          1,
 	}
 }
 
@@ -92,12 +90,6 @@ func Generate(c *corpus.Corpus, cfg Config) (*Data, error) {
 	if c == nil || len(c.Columns) < 2 {
 		return nil, errors.New("distsup: need a corpus with at least two columns")
 	}
-	if cfg.PairsPerColumn <= 0 {
-		cfg.PairsPerColumn = 8
-	}
-	if cfg.MaxDistinct <= 0 {
-		cfg.MaxDistinct = 40
-	}
 	r := rand.New(rand.NewSource(cfg.Seed))
 
 	// Pass 1: crude co-occurrence statistics over the whole corpus.
@@ -125,10 +117,10 @@ func Generate(c *corpus.Corpus, cfg Config) (*Data, error) {
 	var compat []int
 	for i := range cache {
 		vs := cache[i]
-		if len(vs.values) < 2 || len(vs.values) > cfg.MaxDistinct {
+		if len(vs.values) < 2 || len(vs.values) > maxDistinct {
 			continue
 		}
-		if columnCompatible(crude, vs.patterns, cfg.CompatThreshold) {
+		if columnCompatible(crude, vs.patterns) {
 			compat = append(compat, i)
 		}
 	}
@@ -141,7 +133,7 @@ func Generate(c *corpus.Corpus, cfg Config) (*Data, error) {
 	// T+: pairs sampled within compatible columns.
 	for len(d.Examples) < cfg.PositivePairs {
 		cc := cache[compat[r.Intn(len(compat))]]
-		for p := 0; p < cfg.PairsPerColumn && len(d.Examples) < cfg.PositivePairs; p++ {
+		for p := 0; p < pairsPerColumn && len(d.Examples) < cfg.PositivePairs; p++ {
 			i, j := r.Intn(len(cc.values)), r.Intn(len(cc.values))
 			if i == j {
 				continue
@@ -165,12 +157,12 @@ func Generate(c *corpus.Corpus, cfg Config) (*Data, error) {
 		c2 := cache[compat[r.Intn(len(compat))]]
 		ui := r.Intn(len(c1.values))
 		u, up := c1.values[ui], c1.patterns[ui]
-		if tooSimilar(crude, up, c2.patterns, cfg.PruneThreshold) {
+		if tooSimilar(crude, up, c2.patterns, pruneThreshold) {
 			d.PrunedNegatives++
 			continue
 		}
 		uRuns := pattern.Encode(u)
-		for p := 0; p < cfg.PairsPerColumn && negatives < cfg.NegativePairs; p++ {
+		for p := 0; p < pairsPerColumn && negatives < cfg.NegativePairs; p++ {
 			v := c2.values[r.Intn(len(c2.values))]
 			d.Examples = append(d.Examples, Example{
 				U: u, V: v,
@@ -191,14 +183,14 @@ func Generate(c *corpus.Corpus, cfg Config) (*Data, error) {
 }
 
 // columnCompatible reports whether every pattern pair of the column has
-// crude NPMI above the threshold.
-func columnCompatible(crude *stats.LanguageStats, patterns []string, thresh float64) bool {
+// crude NPMI above compatThreshold.
+func columnCompatible(crude *stats.LanguageStats, patterns []string) bool {
 	for i := 0; i < len(patterns); i++ {
 		for j := i + 1; j < len(patterns); j++ {
 			if patterns[i] == patterns[j] {
 				continue
 			}
-			if crude.NPMI(patterns[i], patterns[j]) <= thresh {
+			if crude.NPMI(patterns[i], patterns[j]) <= compatThreshold {
 				return false
 			}
 		}

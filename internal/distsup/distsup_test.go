@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/pattern"
+	"repro/internal/stats"
 )
 
 func genCorpus(t *testing.T, n int) *corpus.Corpus {
@@ -101,23 +102,37 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
+// TestPruneThresholdEffect: a stricter (lower) prune threshold rejects
+// more candidate negatives than a lax one, and the paper's −0.3 sits
+// between them.
 func TestPruneThresholdEffect(t *testing.T) {
 	c := genCorpus(t, 2000)
-	loose := DefaultConfig()
-	loose.PositivePairs, loose.NegativePairs = 200, 2000
-	loose.PruneThreshold = -0.9 // prune almost everything not maximally incompatible
-	strict, err := Generate(c, loose)
-	if err != nil {
-		t.Fatal(err)
+	g := pattern.Crude()
+	crude := stats.NewLanguageStats(g, 0)
+	patterns := make([][]string, len(c.Columns))
+	for i, col := range c.Columns {
+		vs := col.DistinctValues()
+		crude.AddColumn(vs)
+		for _, v := range vs {
+			patterns[i] = append(patterns[i], g.Generalize(v))
+		}
 	}
-	loose.PruneThreshold = 0.9 // prune almost nothing
-	lax, err := Generate(c, loose)
-	if err != nil {
-		t.Fatal(err)
+	// Mix the first value of each column into the column after it.
+	pruned := func(prune float64) int {
+		n := 0
+		for i, ps := range patterns {
+			if len(ps) > 0 && tooSimilar(crude, ps[0], patterns[(i+1)%len(patterns)], prune) {
+				n++
+			}
+		}
+		return n
 	}
-	if strict.PrunedNegatives <= lax.PrunedNegatives {
-		t.Errorf("stricter prune threshold pruned %d ≤ lax %d",
-			strict.PrunedNegatives, lax.PrunedNegatives)
+	strict, paper, lax := pruned(-0.9), pruned(pruneThreshold), pruned(0.9)
+	if strict <= lax {
+		t.Errorf("stricter prune threshold pruned %d ≤ lax %d", strict, lax)
+	}
+	if paper > strict || paper < lax {
+		t.Errorf("−0.3 pruned %d, want between lax %d and strict %d", paper, lax, strict)
 	}
 }
 

@@ -175,16 +175,30 @@ func EvaluateCases(det baselines.Detector, cases []Case, ks []int) Result {
 // non-nil Dirty), pooling each column's top prediction; a prediction is
 // correct iff it names a labeled dirty cell.
 func EvaluateCorpus(det baselines.Detector, cols []*corpus.Column, ks []int) Result {
+	return scoreLabeled(det.Name(), cols, detectLabeled(det, cols), ks)
+}
+
+// detectLabeled runs det over the labeled columns of cols; preds[i] is
+// column i's predictions, nil for an unlabeled column.
+func detectLabeled(det baselines.Detector, cols []*corpus.Column) (preds [][]baselines.Prediction) {
+	preds = make([][]baselines.Prediction, len(cols))
+	for ci, col := range cols {
+		if col.Dirty != nil {
+			preds[ci] = det.Detect(col.Values)
+		}
+	}
+	return preds
+}
+
+// scoreLabeled is EvaluateCorpus over saved predictions, preds[i] being
+// column i's.
+func scoreLabeled(name string, cols []*corpus.Column, preds [][]baselines.Prediction, ks []int) Result {
 	var pool []PooledPrediction
 	for ci, col := range cols {
-		if col.Dirty == nil {
+		if col.Dirty == nil || len(preds[ci]) == 0 {
 			continue
 		}
-		preds := det.Detect(col.Values)
-		if len(preds) == 0 {
-			continue
-		}
-		top := preds[0]
+		top := preds[ci][0]
 		correct := false
 		for _, di := range col.Dirty {
 			if col.Values[di] == top.Value {
@@ -199,7 +213,7 @@ func EvaluateCorpus(det baselines.Detector, cols []*corpus.Column, ks []int) Res
 			Correct:    correct,
 		})
 	}
-	return summarize(det.Name(), pool, ks)
+	return summarize(name, pool, ks)
 }
 
 // summarize sorts the pool by confidence and computes precision@k.

@@ -338,41 +338,41 @@ func (s *Suite) Table3() *Table {
 // Figure4a reproduces Figure 4(a): precision@k of every method on the
 // labeled WIKI corpus.
 func (s *Suite) Figure4a() (*Table, error) {
-	ad, err := s.autoDetectMethod()
-	if err != nil {
-		return nil, err
-	}
-	methods := append([]baselines.Detector{ad}, baselines.AllPlusUnion()...)
-	ks := s.Scale.CorpusKs
-	t := &Table{
-		ID:     "Figure 4a",
-		Title:  "precision@k on WIKI (labeled corpus, top prediction per column)",
-		Header: append([]string{"method"}, kHeader(ks)...),
-	}
-	cols := s.WikiTest().Columns
-	for _, m := range methods {
-		t.Rows = append(t.Rows, resultRow(EvaluateCorpus(m, cols, ks), ks))
-	}
-	return t, nil
+	return s.figure4("Figure 4a", "precision@k on WIKI (labeled corpus, top prediction per column)",
+		s.WikiTest().Columns, s.Scale.CorpusKs)
 }
 
 // Figure4b reproduces Figure 4(b): precision@k on the labeled CSV suite.
 func (s *Suite) Figure4b() (*Table, error) {
+	return s.figure4("Figure 4b", "precision@k on the CSV suite (441 labeled columns)",
+		corpus.CSVSuite().Columns, s.Scale.CSVKs)
+}
+
+// figure4 ranks Auto-Detect, every baseline and their Union by
+// precision@k on cols. Each baseline runs once per column; Union pools
+// their saved predictions (baselines.Pool) instead of running them again.
+func (s *Suite) figure4(id, title string, cols []*corpus.Column, ks []int) (*Table, error) {
 	ad, err := s.autoDetectMethod()
 	if err != nil {
 		return nil, err
 	}
-	methods := append([]baselines.Detector{ad}, baselines.AllPlusUnion()...)
-	ks := s.Scale.CSVKs
-	t := &Table{
-		ID:     "Figure 4b",
-		Title:  "precision@k on the CSV suite (441 labeled columns)",
-		Header: append([]string{"method"}, kHeader(ks)...),
+	t := &Table{ID: id, Title: title, Header: append([]string{"method"}, kHeader(ks)...)}
+	t.Rows = append(t.Rows, resultRow(EvaluateCorpus(ad, cols, ks), ks))
+	members := baselines.All()
+	saved := make([][][]baselines.Prediction, len(members))
+	for i, m := range members {
+		saved[i] = detectLabeled(m, cols)
+		t.Rows = append(t.Rows, resultRow(scoreLabeled(m.Name(), cols, saved[i], ks), ks))
 	}
-	cols := corpus.CSVSuite().Columns
-	for _, m := range methods {
-		t.Rows = append(t.Rows, resultRow(EvaluateCorpus(m, cols, ks), ks))
+	union := make([][]baselines.Prediction, len(cols))
+	for ci := range cols {
+		per := make([][]baselines.Prediction, len(members))
+		for i := range members {
+			per[i] = saved[i][ci]
+		}
+		union[ci] = baselines.Pool(per...)
 	}
+	t.Rows = append(t.Rows, resultRow(scoreLabeled((&baselines.Union{}).Name(), cols, union, ks), ks))
 	return t, nil
 }
 

@@ -35,11 +35,6 @@ type Config struct {
 	// JobTimeout bounds one executor pickup's wall-clock time; an expired
 	// job transitions to failed (0 disables).
 	JobTimeout time.Duration
-	// ColumnFloor, when > 0, stops a job before a column whose remaining
-	// deadline budget is below it: the column would be killed mid-score by
-	// the JobTimeout anyway, so the executor fails fast at a checkpoint
-	// boundary instead of burning a core on doomed work (0 disables).
-	ColumnFloor time.Duration
 	// Model snapshots the served model pair; called once per executor
 	// pickup so a whole job scores against one consistent model even
 	// across hot swaps (required; a nil detector fails the job).
@@ -532,13 +527,6 @@ func (m *Manager) runJob(id string) {
 	for i := st.ColumnsDone; i < len(order); i++ {
 		if jobCtx.Err() != nil {
 			break
-		}
-		if m.cfg.ColumnFloor > 0 {
-			if dl, ok := jobCtx.Deadline(); ok && time.Until(dl) < m.cfg.ColumnFloor {
-				execErr = fmt.Errorf("deadline budget %s below the %s per-column floor at column %d/%d; failing fast at checkpoint",
-					time.Until(dl).Round(time.Millisecond), m.cfg.ColumnFloor, i, len(order))
-				break
-			}
 		}
 		colStart := time.Now()
 		colCtx, endCol := observe.Span(ctx, "job_column")

@@ -17,27 +17,28 @@ import (
 // K-th completed trace is kept as a background sample. Everything else
 // is counted and dropped.
 
-// RecorderConfig sizes a FlightRecorder. Zero fields take the defaults
-// noted on each.
+// RecorderConfig configures a FlightRecorder's background sample.
 type RecorderConfig struct {
-	// Capacity is the number of completed traces retained (default 256).
-	Capacity int
-	// MaxSpans caps spans kept per trace; further spans are counted in
-	// TraceRecord.DroppedSpans (default 512).
-	MaxSpans int
-	// SlowN is the size of the slowest-N admission set (default 32). A
-	// completing trace strictly slower than the fastest member is "slow"
-	// (strict, so a tight cluster of identical latencies does not admit
-	// everything). The set resets every slowWindow completions so it
-	// adapts when the latency regime shifts.
-	SlowN int
 	// SampleEvery keeps one of every K non-error, non-slow traces
 	// (default 16). Set 1 to keep everything (tests), <0 to disable the
 	// background sample.
 	SampleEvery int
 }
 
-const slowWindow = 4096
+const (
+	// recorderCapacity is the number of completed traces retained.
+	recorderCapacity = 256
+	// maxSpansPerTrace caps spans kept per trace; further spans are
+	// counted in TraceRecord.DroppedSpans.
+	maxSpansPerTrace = 512
+	// slowN is the size of the slowest-N admission set. A completing trace
+	// strictly slower than the fastest member is "slow" (strict, so a
+	// tight cluster of identical latencies does not admit everything). The
+	// set resets every slowWindow completions so it adapts when the
+	// latency regime shifts.
+	slowN      = 32
+	slowWindow = 4096
+)
 
 // SpanRecord is one completed span inside a recorded trace.
 type SpanRecord struct {
@@ -89,19 +90,10 @@ type FlightRecorder struct {
 
 // NewFlightRecorder builds a recorder with cfg (zero values defaulted).
 func NewFlightRecorder(cfg RecorderConfig) *FlightRecorder {
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = 256
-	}
-	if cfg.MaxSpans <= 0 {
-		cfg.MaxSpans = 512
-	}
-	if cfg.SlowN <= 0 {
-		cfg.SlowN = 32
-	}
 	if cfg.SampleEvery == 0 {
 		cfg.SampleEvery = 16
 	}
-	return &FlightRecorder{cfg: cfg, ring: make([]TraceRecord, cfg.Capacity)}
+	return &FlightRecorder{cfg: cfg, ring: make([]TraceRecord, recorderCapacity)}
 }
 
 // Register exposes the recorder's counters on reg as the
@@ -128,12 +120,12 @@ type traceBuf struct {
 	err     bool
 }
 
-func (b *traceBuf) add(s SpanRecord, max int, isErr bool) {
+func (b *traceBuf) add(s SpanRecord, isErr bool) {
 	b.mu.Lock()
 	if isErr {
 		b.err = true
 	}
-	if len(b.spans) >= max {
+	if len(b.spans) >= maxSpansPerTrace {
 		b.dropped++
 	} else {
 		b.spans = append(b.spans, s)
@@ -163,7 +155,7 @@ func (r *FlightRecorder) finalize(b *traceBuf, root SpanRecord, remoteParent str
 	switch {
 	case isErr:
 		reason = "error"
-	case len(r.slow) < r.cfg.SlowN || dur > r.slow[0]:
+	case len(r.slow) < slowN || dur > r.slow[0]:
 		reason = "slow"
 	case r.cfg.SampleEvery > 0 && r.completed%uint64(r.cfg.SampleEvery) == 0:
 		reason = "sampled"
@@ -197,7 +189,7 @@ func (r *FlightRecorder) finalize(b *traceBuf, root SpanRecord, remoteParent str
 // noteSlow feeds one completed duration into the slowest-N min-heap.
 // Caller holds r.mu.
 func (r *FlightRecorder) noteSlow(d int64) {
-	if len(r.slow) < r.cfg.SlowN {
+	if len(r.slow) < slowN {
 		r.slow = append(r.slow, d)
 		// sift up
 		for i := len(r.slow) - 1; i > 0; {

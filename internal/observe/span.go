@@ -134,7 +134,7 @@ func (st *spanState) end(d time.Duration) {
 		r.finalize(st.buf, rec, remote)
 		return
 	}
-	st.buf.add(rec, r.cfg.MaxSpans, rec.Error != "")
+	st.buf.add(rec, rec.Error != "")
 }
 
 // SetSpanError marks the innermost active span (and therefore its trace)

@@ -182,35 +182,53 @@ type headerMap map[string]string
 
 func (h headerMap) Set(k, v string) { h[k] = v }
 
+// testTraceID is the synthetic trace ID of finalizeTrace's id.
+func testTraceID(id int) TraceID {
+	var tid TraceID
+	tid[0], tid[1] = byte(id), byte(id>>8)
+	tid[15] = 1
+	return tid
+}
+
 // finalizeTrace pushes one synthetic completed trace through the
 // recorder's admission path with a controlled duration.
-func finalizeTrace(r *FlightRecorder, id byte, dur time.Duration, isErr bool) {
-	var tid TraceID
-	tid[0] = id
-	tid[15] = 1
+func finalizeTrace(r *FlightRecorder, id int, dur time.Duration, isErr bool) {
 	root := SpanRecord{SpanID: "feedfeedfeedfeed", Name: "root", DurationNanos: dur.Nanoseconds()}
 	if isErr {
 		root.Error = "boom"
 	}
-	r.finalize(&traceBuf{traceID: tid}, root, "")
+	r.finalize(&traceBuf{traceID: testTraceID(id)}, root, "")
+}
+
+// fillSlowSet completes slowN one-second traces: each is "slow" while the
+// slowest-N set fills, and no later trace at or under a second beats its
+// threshold.
+func fillSlowSet(r *FlightRecorder) {
+	for i := 0; i < slowN; i++ {
+		finalizeTrace(r, 1000+i, time.Second, false)
+	}
 }
 
 func TestRecorderTailSampling(t *testing.T) {
-	// SlowN=1 with a descending duration series: only the first trace is
-	// "slow" (later ones never beat the slowest-1 threshold), errors are
-	// always kept, and every 5th of the rest is the background sample.
-	r := NewFlightRecorder(RecorderConfig{Capacity: 64, SlowN: 1, SampleEvery: 5})
-	finalizeTrace(r, 0, time.Second, false) // completed #1: slow (fills the set)
+	// The first slowN traces fill the slow set; later ones never beat its
+	// threshold (the one-second trace ties, and ties are not slow), errors
+	// are always kept, and every 5th completion of the rest is the
+	// background sample.
+	r := NewFlightRecorder(RecorderConfig{SampleEvery: 5})
+	fillSlowSet(r)                          // completions #1..#32: slow
+	finalizeTrace(r, 0, time.Second, false) // #33: ties the threshold
 	for i := 1; i <= 20; i++ {
-		finalizeTrace(r, byte(i), time.Millisecond, i == 7) // #8 is an error
+		finalizeTrace(r, i, time.Millisecond, i == 6) // #34..#53; #39 is an error
 	}
 	var reasons []string
 	for _, tc := range r.Snapshot(TraceFilter{}) {
 		reasons = append(reasons, tc.Reason)
 	}
-	// Completions 5, 10, 15, 20 are sampled; #1 slow; #8 error. #5 is both
-	// "every 5th" and not slow → sampled. Newest first.
-	want := []string{"sampled", "sampled", "sampled", "error", "sampled", "slow"}
+	// Completions 35, 40, 45, 50 are sampled; #39 error. Newest first.
+	want := []string{"sampled", "sampled", "sampled", "error", "sampled"}
+	for i := 0; i < slowN; i++ {
+		want = append(want, "slow")
+	}
 	if len(reasons) != len(want) {
 		t.Fatalf("retained %d traces (%v), want %d", len(reasons), reasons, len(want))
 	}
@@ -219,47 +237,50 @@ func TestRecorderTailSampling(t *testing.T) {
 			t.Fatalf("reasons = %v, want %v", reasons, want)
 		}
 	}
-	if got := r.droppedTotal.Load(); got != 21-6 {
-		t.Fatalf("dropped = %d, want 15", got)
+	if got := r.droppedTotal.Load(); got != 53-37 {
+		t.Fatalf("dropped = %d, want 16", got)
 	}
 }
 
 func TestRecorderDisabledSamplingKeepsOnlyErrorsAndSlow(t *testing.T) {
-	r := NewFlightRecorder(RecorderConfig{Capacity: 64, SlowN: 1, SampleEvery: -1})
-	finalizeTrace(r, 0, time.Second, false)
+	r := NewFlightRecorder(RecorderConfig{SampleEvery: -1})
+	fillSlowSet(r)
 	for i := 1; i <= 10; i++ {
-		finalizeTrace(r, byte(i), time.Millisecond, false)
+		finalizeTrace(r, i, time.Millisecond, false)
 	}
 	finalizeTrace(r, 11, time.Millisecond, true)
 	got := r.Snapshot(TraceFilter{})
-	if len(got) != 2 || got[0].Reason != "error" || got[1].Reason != "slow" {
-		t.Fatalf("retained %v, want [error slow]", got)
+	if len(got) != slowN+1 || got[0].Reason != "error" {
+		t.Fatalf("retained %d traces, want %d (error, then the slow set)", len(got), slowN+1)
+	}
+	for _, tc := range got[1:] {
+		if tc.Reason != "slow" {
+			t.Fatalf("retained a %q trace, want only error and slow", tc.Reason)
+		}
 	}
 }
 
 func TestRecorderRingEvictsOldest(t *testing.T) {
-	r := NewFlightRecorder(RecorderConfig{Capacity: 2, SampleEvery: 1})
-	for i := 1; i <= 3; i++ {
-		finalizeTrace(r, byte(i), time.Duration(i)*time.Millisecond, false)
+	r := NewFlightRecorder(RecorderConfig{SampleEvery: 1})
+	for i := 1; i <= recorderCapacity+1; i++ {
+		finalizeTrace(r, i, time.Duration(i)*time.Millisecond, false)
 	}
 	got := r.Snapshot(TraceFilter{})
-	if len(got) != 2 {
-		t.Fatalf("ring holds %d, want 2", len(got))
+	if len(got) != recorderCapacity {
+		t.Fatalf("ring holds %d, want %d", len(got), recorderCapacity)
 	}
-	var t1 TraceID
-	t1[0], t1[15] = 1, 1
-	if _, ok := r.Trace(t1.String()); ok {
+	if _, ok := r.Trace(testTraceID(1).String()); ok {
 		t.Fatal("oldest trace should have been evicted")
 	}
-	var t3 TraceID
-	t3[0], t3[15] = 3, 1
-	if _, ok := r.Trace(t3.String()); !ok {
-		t.Fatal("newest trace missing")
+	for _, id := range []int{2, recorderCapacity + 1} {
+		if _, ok := r.Trace(testTraceID(id).String()); !ok {
+			t.Fatalf("trace %d missing", id)
+		}
 	}
 }
 
 func TestRecorderSnapshotFilters(t *testing.T) {
-	r := NewFlightRecorder(RecorderConfig{Capacity: 16, SampleEvery: 1})
+	r := NewFlightRecorder(RecorderConfig{SampleEvery: 1})
 	finalizeTrace(r, 1, time.Millisecond, false)
 	finalizeTrace(r, 2, 100*time.Millisecond, false)
 	finalizeTrace(r, 3, time.Millisecond, true)
@@ -275,10 +296,10 @@ func TestRecorderSnapshotFilters(t *testing.T) {
 }
 
 func TestRecorderCapsSpansPerTrace(t *testing.T) {
-	tr := NewTracer(NewFlightRecorder(RecorderConfig{MaxSpans: 4, SampleEvery: 1}), NewIDSource(1))
+	tr := NewTracer(NewFlightRecorder(RecorderConfig{SampleEvery: 1}), NewIDSource(1))
 	ctx := ContextWithTracer(context.Background(), tr)
 	rctx, endRoot := RecorderSpan(ctx, "root")
-	for i := 0; i < 10; i++ {
+	for i := 0; i < maxSpansPerTrace+1; i++ {
 		_, end := RecorderSpan(rctx, "child")
 		end()
 	}
@@ -287,8 +308,8 @@ func TestRecorderCapsSpansPerTrace(t *testing.T) {
 	if len(traces) != 1 {
 		t.Fatalf("recorded %d traces", len(traces))
 	}
-	// 4 children kept + the root record itself rides along.
-	if len(traces[0].Spans) != 5 || traces[0].DroppedSpans != 6 {
-		t.Fatalf("spans=%d dropped=%d, want 5/6", len(traces[0].Spans), traces[0].DroppedSpans)
+	// maxSpansPerTrace children kept + the root record itself rides along.
+	if len(traces[0].Spans) != maxSpansPerTrace+1 || traces[0].DroppedSpans != 1 {
+		t.Fatalf("spans=%d dropped=%d, want %d/1", len(traces[0].Spans), traces[0].DroppedSpans, maxSpansPerTrace+1)
 	}
 }

@@ -202,17 +202,16 @@ func checkpointPath(dir string, columns uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("checkpoint-%012d.ckpt", columns))
 }
 
-// defaultKeepCheckpoints is how many newest shards survive pruning when
-// Options.KeepLastCheckpoints is unset. Keeping more than one is what makes
-// the corrupt-newest-shard fallback possible: a torn write (or bit rot) in
-// the latest shard costs one checkpoint interval of recounting, not the
-// whole build.
-const defaultKeepCheckpoints = 3
+// keepLastCheckpoints is how many newest shards survive pruning. Keeping
+// more than one is what makes the corrupt-newest-shard fallback possible:
+// a torn write (or bit rot) in the latest shard costs one checkpoint
+// interval of recounting, not the whole build.
+const keepLastCheckpoints = 3
 
 // writeCheckpoint durably persists the shard — temp file, fsync, rename,
-// parent-dir fsync via atomicio — and prunes all but the newest keepLast
-// shards.
-func writeCheckpoint(dir string, c *checkpoint, keepLast int) error {
+// parent-dir fsync via atomicio — and prunes all but the newest
+// keepLastCheckpoints shards.
+func writeCheckpoint(dir string, c *checkpoint) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("pipeline: %w", err)
 	}
@@ -226,14 +225,11 @@ func writeCheckpoint(dir string, c *checkpoint, keepLast int) error {
 	}); err != nil {
 		return fmt.Errorf("pipeline: writing checkpoint: %w", err)
 	}
-	if keepLast <= 0 {
-		keepLast = defaultKeepCheckpoints
-	}
-	// Prune superseded shards, oldest first, keeping the newest keepLast.
-	// Shard names embed the zero-padded column boundary, so lexical order
-	// is chronological order.
+	// Prune superseded shards, oldest first, keeping the newest
+	// keepLastCheckpoints. Shard names embed the zero-padded column
+	// boundary, so lexical order is chronological order.
 	shards := listCheckpoints(dir)
-	for i := 0; i < len(shards)-keepLast; i++ {
+	for i := 0; i < len(shards)-keepLastCheckpoints; i++ {
 		os.Remove(shards[i])
 	}
 	return nil

@@ -145,8 +145,8 @@ func TestCheckpointAllCorruptIsAnError(t *testing.T) {
 	}
 }
 
-// TestCheckpointKeepK: pruning honors KeepLastCheckpoints and keeps the
-// newest shards.
+// TestCheckpointKeepK: pruning keeps the newest keepLastCheckpoints (3)
+// shards.
 func TestCheckpointKeepK(t *testing.T) {
 	dir := t.TempDir()
 	mk := func(columns uint64) *checkpoint {
@@ -156,15 +156,15 @@ func TestCheckpointKeepK(t *testing.T) {
 		}
 	}
 	for i := uint64(1); i <= 5; i++ {
-		if err := writeCheckpoint(dir, mk(i*100), 2); err != nil {
+		if err := writeCheckpoint(dir, mk(i*100)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	shards := listCheckpoints(dir)
-	if len(shards) != 2 {
-		t.Fatalf("kept %d shards, want 2", len(shards))
+	if len(shards) != 3 {
+		t.Fatalf("kept %d shards, want 3", len(shards))
 	}
-	if shards[0] != checkpointPath(dir, 400) || shards[1] != checkpointPath(dir, 500) {
-		t.Errorf("kept %v, want the newest two (400, 500)", shards)
+	if shards[0] != checkpointPath(dir, 300) || shards[1] != checkpointPath(dir, 400) || shards[2] != checkpointPath(dir, 500) {
+		t.Errorf("kept %v, want the newest three (300, 400, 500)", shards)
 	}
 }

@@ -74,16 +74,10 @@ type Options struct {
 	// KeepCheckpoints leaves the final checkpoint shard on disk after a
 	// successful build instead of consuming it.
 	KeepCheckpoints bool
-	// KeepLastCheckpoints is how many newest checkpoint shards survive
-	// pruning (default 3). Keeping several is what allows resume to fall
-	// back past a torn or bit-rotted newest shard.
-	KeepLastCheckpoints int
 	// Progress, when set, receives throughput snapshots every
-	// ProgressEvery (default 2s) during counting plus one per stage
-	// transition. Called from pipeline goroutines.
+	// progressEvery (2s) during counting plus one per stage transition.
+	// Called from pipeline goroutines.
 	Progress func(Progress)
-	// ProgressEvery is the progress sampling period.
-	ProgressEvery time.Duration
 	// Metrics, when set, receives live build telemetry: per-stage
 	// cumulative seconds, column/value totals, worker busy time and
 	// checkpoint counts (see DESIGN.md "Observability" for the metric
@@ -122,6 +116,8 @@ type Result struct {
 const (
 	defaultCheckpointEvery = 100000
 	columnBatchSize        = 32
+	// progressEvery is the throughput sampling period of Options.Progress.
+	progressEvery = 2 * time.Second
 )
 
 // resolveTrain applies the defaults Options documents and NumCPU workers.
@@ -179,7 +175,6 @@ func Run(ctx context.Context, src ColumnSource, opts Options) (*Result, error) {
 	if b.ckptEvery <= 0 {
 		b.ckptEvery = defaultCheckpointEvery
 	}
-	b.keepLast = opts.KeepLastCheckpoints
 
 	// Resume from the newest valid shard, falling back past torn or
 	// corrupted ones.
@@ -255,8 +250,6 @@ type build struct {
 	base []*stats.LanguageStats
 	smp  *sample
 
-	keepLast int
-
 	columns, values atomic.Uint64
 	resumed         uint64
 	ckptsWritten    int
@@ -311,11 +304,7 @@ func startBuild(ctx context.Context, src ColumnSource, opts Options) (*build, er
 	b.smp = newSample(opts.SampleColumns, uint64(b.ds.Seed))
 
 	if b.progress != nil {
-		every := opts.ProgressEvery
-		if every <= 0 {
-			every = 2 * time.Second
-		}
-		tick := time.NewTicker(every)
+		tick := time.NewTicker(progressEvery)
 		done := make(chan struct{})
 		b.stopProgress = func() { tick.Stop(); close(done) }
 		go func() {
@@ -537,7 +526,7 @@ func (b *build) count(ctx context.Context) error {
 				entries:     b.smp.entries(),
 				stats:       b.base,
 				workers:     b.workers,
-			}, b.keepLast); err != nil {
+			}); err != nil {
 				return err
 			}
 			b.noteCheckpoint()

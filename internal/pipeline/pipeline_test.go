@@ -6,7 +6,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/corpus"
@@ -191,9 +190,9 @@ func TestRunCheckpointResume(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	shards := listCheckpoints(ckdir)
-	if len(shards) == 0 || len(shards) > defaultKeepCheckpoints {
+	if len(shards) == 0 || len(shards) > keepLastCheckpoints {
 		t.Fatalf("after interrupt: %d checkpoint files, want 1..%d (keep-K pruning)",
-			len(shards), defaultKeepCheckpoints)
+			len(shards), keepLastCheckpoints)
 	}
 
 	// Resume.
@@ -256,10 +255,9 @@ func TestRunProgressAndStages(t *testing.T) {
 	c := corpus.Generate(corpus.WebProfile(), 300, 3)
 	var reports []Progress
 	res, err := Run(context.Background(), NewSliceSource(c.Columns), Options{
-		Workers:       2,
-		Train:         testTrainConfig(),
-		Progress:      func(p Progress) { reports = append(reports, p) },
-		ProgressEvery: time.Millisecond,
+		Workers:  2,
+		Train:    testTrainConfig(),
+		Progress: func(p Progress) { reports = append(reports, p) },
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -140,14 +140,12 @@ type DirConfig struct {
 	// Open replaces os.Open — the injection point for the faultfs chaos
 	// harness. Nil means the real filesystem.
 	Open func(path string) (io.ReadCloser, error)
-	// MaxColumnCells quarantines any single column larger than this many
-	// cells (default 1<<22): a mega-column is almost always a parse
-	// artifact, and one of them can dominate the statistics of an entire
-	// shard. Negative disables the guard.
-	MaxColumnCells int
 }
 
-const defaultMaxColumnCells = 1 << 22
+// maxColumnCells quarantines any single column larger than this many
+// cells: a mega-column is almost always a parse artifact, and one of them
+// can dominate the statistics of an entire shard.
+const maxColumnCells = 1 << 22
 
 // quarantineManifest is the file name written under DirConfig.QuarantineDir.
 const quarantineManifest = "quarantine.jsonl"
@@ -185,13 +183,12 @@ type DirSource struct {
 	fileIdx   int
 	pending   []*corpus.Column
 
-	cfg      DirConfig
-	open     func(string) (io.ReadCloser, error)
-	pol      retry.Policy
-	maxCells int
-	budget   int
-	ctx      context.Context
-	met      *sourceMetrics
+	cfg    DirConfig
+	open   func(string) (io.ReadCloser, error)
+	pol    retry.Policy
+	budget int
+	ctx    context.Context
+	met    *sourceMetrics
 
 	budgetUsed     int
 	skippedFiles   uint64
@@ -269,10 +266,6 @@ func newDirSource(dir string, cfg DirConfig, files []string, sizes []int64) (*Di
 	s.open = cfg.Open
 	if s.open == nil {
 		s.open = func(path string) (io.ReadCloser, error) { return os.Open(path) }
-	}
-	s.maxCells = cfg.MaxColumnCells
-	if s.maxCells == 0 {
-		s.maxCells = defaultMaxColumnCells
 	}
 	s.budget = cfg.MaxBadFiles
 	if frac := int(cfg.MaxBadFrac * float64(len(s.files))); frac > s.budget {
@@ -424,7 +417,7 @@ func (s *DirSource) Next() (*corpus.Column, error) {
 		}
 		kept := cols[:0]
 		for i, c := range cols {
-			if verr := validateColumn(c, s.maxCells); verr != nil {
+			if verr := validateColumn(c); verr != nil {
 				if qerr := s.quarantineColumn(rel, i, c.Name, verr); qerr != nil {
 					return nil, qerr
 				}
@@ -491,9 +484,9 @@ func (s *DirSource) readFile(path string) ([]*corpus.Column, error) {
 
 // validateColumn screens one parsed column for binary garbage that would
 // poison corpus statistics.
-func validateColumn(c *corpus.Column, maxCells int) error {
-	if maxCells > 0 && len(c.Values) > maxCells {
-		return fmt.Errorf("column has %d cells, cap is %d (mega-column, likely a delimiter artifact)", len(c.Values), maxCells)
+func validateColumn(c *corpus.Column) error {
+	if len(c.Values) > maxColumnCells {
+		return fmt.Errorf("column has %d cells, cap is %d (mega-column, likely a delimiter artifact)", len(c.Values), maxColumnCells)
 	}
 	for _, v := range c.Values {
 		if strings.IndexByte(v, 0) >= 0 {

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/corpus"
 	"repro/internal/faultfs"
 	"repro/internal/observe"
 	"repro/internal/retry"
@@ -332,6 +333,20 @@ func TestDirSourceQuarantinesGarbageColumns(t *testing.T) {
 	}
 	if len(entries) != 1 || entries[0].Kind != "column" || entries[0].Column != 1 || entries[0].Name != "binary" {
 		t.Fatalf("manifest = %+v, want one column entry for index 1", entries)
+	}
+}
+
+// TestValidateColumnMegaColumnGuard: a column of exactly maxColumnCells
+// cells passes validation, and one more cell makes it a quarantinable
+// mega-column.
+func TestValidateColumnMegaColumnGuard(t *testing.T) {
+	values := make([]string, maxColumnCells+1)
+	if err := validateColumn(&corpus.Column{Values: values[:maxColumnCells]}); err != nil {
+		t.Fatalf("column of %d cells rejected: %v", maxColumnCells, err)
+	}
+	err := validateColumn(&corpus.Column{Values: values})
+	if err == nil || !strings.Contains(err.Error(), "mega-column") {
+		t.Fatalf("column of %d cells: err = %v, want the mega-column error", len(values), err)
 	}
 }
 

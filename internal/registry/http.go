@@ -92,16 +92,16 @@ type publishResponse struct {
 //	valid + first                  → persist durably, 200 "accepted"
 func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	met := s.store.met
-	raw, err := io.ReadAll(io.LimitReader(r.Body, s.store.maxModel+1))
+	raw, err := io.ReadAll(io.LimitReader(r.Body, maxModelBytes+1))
 	if err != nil {
 		met.reject("integrity")
 		writeRetryable(w, r, "model upload interrupted, retry")
 		return
 	}
-	if int64(len(raw)) > s.store.maxModel {
+	if int64(len(raw)) > maxModelBytes {
 		met.reject("request")
 		resilience.WriteError(w, r, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("model exceeds %d bytes", s.store.maxModel))
+			fmt.Sprintf("model exceeds %d bytes", maxModelBytes))
 		return
 	}
 	q := r.URL.Query()

@@ -42,8 +42,6 @@ type PullerConfig struct {
 	// Allow first, and an open breaker aborts the whole poll round with one
 	// cheap ErrBreakerOpen instead of a storm of doomed requests.
 	Breaker *resilience.Breaker
-	// MaxModelBytes caps accepted downloads (default DefaultMaxModelBytes).
-	MaxModelBytes int64
 	// Apply receives each newly pulled version's digest-verified bytes.
 	// Returning an error keeps the puller on its old version; the same
 	// version is retried on the next poll. Required.
@@ -92,9 +90,6 @@ func NewPuller(cfg PullerConfig) (*Puller, error) {
 	}
 	if cfg.Poll <= 0 {
 		cfg.Poll = DefaultPoll
-	}
-	if cfg.MaxModelBytes <= 0 {
-		cfg.MaxModelBytes = DefaultMaxModelBytes
 	}
 	p := &Puller{
 		cfg:  cfg,
@@ -156,7 +151,7 @@ func (p *Puller) PullNow(ctx context.Context) (VersionInfo, bool, error) {
 		}
 		return req, err
 	}
-	err := p.call.Do(ctx, p.cfg.MaxModelBytes, newRequest, func(resp *http.Response, body []byte) error {
+	err := p.call.Do(ctx, maxModelBytes, newRequest, func(resp *http.Response, body []byte) error {
 		switch resp.StatusCode {
 		case http.StatusNotModified:
 			p.met.inc(p.met.notModified)

@@ -88,9 +88,9 @@ const (
 	maxManifestBytes = 1 << 26 // 64 MiB of version history
 	maxMetaBytes     = 1 << 20 // 1 MiB per version record
 
-	// DefaultMaxModelBytes caps published model payloads (2 GiB, matching
-	// the distbuild shard upload cap).
-	DefaultMaxModelBytes = int64(1) << 31
+	// maxModelBytes caps published and pulled model payloads (2 GiB,
+	// matching the distbuild shard upload cap).
+	maxModelBytes = int64(1) << 31
 )
 
 // Sentinel errors. HTTP status mapping: ErrNotFound → 404, ErrConflict →

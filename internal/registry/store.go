@@ -23,9 +23,6 @@ import (
 
 // Options configures Open.
 type Options struct {
-	// MaxModelBytes caps accepted model payloads (default
-	// DefaultMaxModelBytes).
-	MaxModelBytes int64
 	// Metrics, when set, receives the autodetect_registry_* families.
 	Metrics *observe.Registry
 	// Logf, when set, receives one line per store event (nil discards).
@@ -39,11 +36,10 @@ type Options struct {
 // concurrent use; Publish and Pin serialize on one mutex, Get copies the
 // version record under the lock and reads the model file outside it.
 type Store struct {
-	dir      string
-	maxModel int64
-	met      *metrics
-	logf     func(format string, args ...any)
-	now      func() time.Time
+	dir  string
+	met  *metrics
+	logf func(format string, args ...any)
+	now  func() time.Time
 
 	mu  sync.Mutex
 	man manifestState
@@ -74,14 +70,10 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("registry: %w", err)
 	}
 	s := &Store{
-		dir:      dir,
-		maxModel: opts.MaxModelBytes,
-		met:      newMetrics(opts.Metrics),
-		logf:     opts.Logf,
-		now:      opts.now,
-	}
-	if s.maxModel <= 0 {
-		s.maxModel = DefaultMaxModelBytes
+		dir:  dir,
+		met:  newMetrics(opts.Metrics),
+		logf: opts.Logf,
+		now:  opts.now,
 	}
 	if s.logf == nil {
 		s.logf = func(string, ...any) {}
@@ -261,8 +253,8 @@ func (s *Store) quarantineDir(n int, cause error) error {
 // persisted with the version and echoed to pullers so downstream hot-swap
 // spans join the producing build's trace. "" publishes untraced.
 func (s *Store) Publish(raw []byte, fingerprint, source, traceparent string) (VersionInfo, bool, error) {
-	if int64(len(raw)) > s.maxModel {
-		return VersionInfo{}, false, fmt.Errorf("%w: %d bytes exceeds cap %d", ErrInvalidModel, len(raw), s.maxModel)
+	if int64(len(raw)) > maxModelBytes {
+		return VersionInfo{}, false, fmt.Errorf("%w: %d bytes exceeds cap %d", ErrInvalidModel, len(raw), maxModelBytes)
 	}
 	det, err := core.Load(bytes.NewReader(raw))
 	if err != nil {

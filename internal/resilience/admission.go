@@ -45,24 +45,10 @@ type AdmissionConfig struct {
 	// the same knob the flat -max-inflight gate used to be. <= 0 disables
 	// admission control entirely (Middleware passes through).
 	MaxConcurrency int
-	// MinConcurrency is the AIMD limit's lower bound (default 1): even in
-	// the deepest brownout some interactive work is admitted.
-	MinConcurrency int
 	// Target is the latency the limit adapts toward (default 250ms):
 	// completions slower than Target shrink the limit multiplicatively,
 	// completions under it grow the limit additively.
 	Target time.Duration
-	// BackgroundFrac is the fraction of the current limit available to
-	// background requests (default 0.5), so background saturates — and
-	// sheds — well before interactive does.
-	BackgroundFrac float64
-	// DecreaseFactor is the multiplicative backoff applied to the limit on
-	// an over-target completion (default 0.9), at most once per Target
-	// interval so one slow burst doesn't collapse the limit to the floor.
-	DecreaseFactor float64
-	// RetryAfter is the hint attached to shed responses (default
-	// DefaultRetryAfter).
-	RetryAfter time.Duration
 	// Tier classifies requests (default: everything TierInteractive).
 	Tier func(*http.Request) Tier
 	// Clock is the time source; tests inject a fake (default time.Now).
@@ -71,14 +57,28 @@ type AdmissionConfig struct {
 	Metrics *observe.Registry
 }
 
+const (
+	// minConcurrency is the AIMD limit's lower bound: even in the deepest
+	// brownout some interactive work is admitted.
+	minConcurrency = 1
+	// backgroundFrac is the fraction of the current limit available to
+	// background requests, so background saturates — and sheds — well
+	// before interactive does.
+	backgroundFrac = 0.5
+	// decreaseFactor is the multiplicative backoff applied to the limit on
+	// an over-target completion, at most once per Target interval so one
+	// slow burst doesn't collapse the limit to the floor.
+	decreaseFactor = 0.9
+)
+
 // Admission is the priority-tiered, latency-adaptive concurrency gate that
 // replaces the flat inflight semaphore. One AIMD-controlled limit L floats
-// between MinConcurrency and MaxConcurrency, tracking observed latency
+// between minConcurrency and MaxConcurrency, tracking observed latency
 // against Target; admission is then tiered against L:
 //
 //	critical:    always admitted (and still counted inflight)
 //	interactive: admitted while inflight < L
-//	background:  admitted while inflight < max(1, BackgroundFrac·L)
+//	background:  admitted while inflight < max(1, backgroundFrac·L)
 //
 // so overload sheds background first, then interactive, never critical.
 // Shed requests get 429 + Retry-After immediately — fast rejection keeps
@@ -100,20 +100,8 @@ type Admission struct {
 // NewAdmission applies defaults and registers the admission metric
 // families when a registry is configured.
 func NewAdmission(cfg AdmissionConfig) *Admission {
-	if cfg.MinConcurrency <= 0 {
-		cfg.MinConcurrency = 1
-	}
 	if cfg.Target <= 0 {
 		cfg.Target = 250 * time.Millisecond
-	}
-	if cfg.BackgroundFrac <= 0 || cfg.BackgroundFrac > 1 {
-		cfg.BackgroundFrac = 0.5
-	}
-	if cfg.DecreaseFactor <= 0 || cfg.DecreaseFactor >= 1 {
-		cfg.DecreaseFactor = 0.9
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = DefaultRetryAfter
 	}
 	if cfg.Tier == nil {
 		cfg.Tier = func(*http.Request) Tier { return TierInteractive }
@@ -163,7 +151,7 @@ func (a *Admission) acquire(t Tier) bool {
 	defer a.mu.Unlock()
 	bound := a.limit
 	if t == TierBackground {
-		bound = a.limit * a.cfg.BackgroundFrac
+		bound = a.limit * backgroundFrac
 		if bound < 1 {
 			bound = 1
 		}
@@ -191,9 +179,9 @@ func (a *Admission) release(latency time.Duration) {
 		// Multiplicative decrease, at most once per Target window: a batch
 		// of slow completions is one overload signal, not N.
 		if now.Sub(a.lastDecrease) >= a.cfg.Target {
-			a.limit *= a.cfg.DecreaseFactor
-			if min := float64(a.cfg.MinConcurrency); a.limit < min {
-				a.limit = min
+			a.limit *= decreaseFactor
+			if a.limit < minConcurrency {
+				a.limit = minConcurrency
 			}
 			a.lastDecrease = now
 		}
@@ -218,17 +206,13 @@ func (a *Admission) Middleware() Middleware {
 		if a == nil || a.cfg.MaxConcurrency <= 0 {
 			return next
 		}
-		secs := int(a.cfg.RetryAfter / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			tier := a.cfg.Tier(r)
 			if !a.acquire(tier) {
 				if a.sheds != nil {
 					a.sheds.With(tier.String()).Inc()
 				}
-				w.Header().Set("Retry-After", strconv.Itoa(secs))
+				w.Header().Set("Retry-After", strconv.Itoa(DefaultRetryAfterSeconds))
 				WriteError(w, r, http.StatusTooManyRequests,
 					"server overloaded ("+tier.String()+" tier shed), retry later")
 				return

@@ -73,11 +73,11 @@ func (bh *blockingHarness) status(path string) int {
 }
 
 func TestAdmissionShedsBackgroundFirst(t *testing.T) {
-	a := NewAdmission(AdmissionConfig{MaxConcurrency: 4, BackgroundFrac: 0.5, Tier: pathTier})
+	a := NewAdmission(AdmissionConfig{MaxConcurrency: 4, Tier: pathTier})
 	bh := newBlockingHarness(a)
 
-	// 2 inflight = background bound (4*0.5): background sheds, interactive
-	// still admitted.
+	// 2 inflight = background bound (4*backgroundFrac): background sheds,
+	// interactive still admitted.
 	wg := bh.occupy(t, 2, "/check")
 	if got := bh.status("/jobs/submit"); got != http.StatusTooManyRequests {
 		t.Fatalf("background at bound: status = %d, want 429", got)
@@ -119,20 +119,19 @@ func TestAdmissionAIMDAdaptsLimit(t *testing.T) {
 	a := NewAdmission(AdmissionConfig{
 		MaxConcurrency: 100,
 		Target:         100 * time.Millisecond,
-		DecreaseFactor: 0.5,
 		Clock:          clk.Now,
 	})
 	if got := a.Limit(); got != 100 {
 		t.Fatalf("initial limit = %v, want 100", got)
 	}
-	// One over-target completion halves the limit...
+	// One over-target completion cuts the limit by decreaseFactor (0.9)...
 	if !a.acquire(TierInteractive) {
 		t.Fatal("acquire failed")
 	}
 	clk.Advance(200 * time.Millisecond)
 	a.release(200 * time.Millisecond)
-	if got := a.Limit(); got != 50 {
-		t.Fatalf("limit after slow completion = %v, want 50", got)
+	if got := a.Limit(); got != 90 {
+		t.Fatalf("limit after slow completion = %v, want 90", got)
 	}
 	// ...but a burst of slow completions inside one Target window counts
 	// once.
@@ -142,8 +141,8 @@ func TestAdmissionAIMDAdaptsLimit(t *testing.T) {
 		}
 		a.release(200 * time.Millisecond)
 	}
-	if got := a.Limit(); got != 50 {
-		t.Fatalf("limit after same-window slow burst = %v, want still 50", got)
+	if got := a.Limit(); got != 90 {
+		t.Fatalf("limit after same-window slow burst = %v, want still 90", got)
 	}
 	// Fast completions grow it back additively (+1/limit each).
 	for i := 0; i < 100; i++ {
@@ -152,8 +151,8 @@ func TestAdmissionAIMDAdaptsLimit(t *testing.T) {
 		}
 		a.release(10 * time.Millisecond)
 	}
-	if got := a.Limit(); got <= 50 || got > 100 {
-		t.Fatalf("limit after fast completions = %v, want (50, 100]", got)
+	if got := a.Limit(); got <= 90 || got > 100 {
+		t.Fatalf("limit after fast completions = %v, want (90, 100]", got)
 	}
 }
 
@@ -161,7 +160,6 @@ func TestAdmissionAIMDRespectsMin(t *testing.T) {
 	clk := newFakeClock()
 	a := NewAdmission(AdmissionConfig{
 		MaxConcurrency: 8,
-		MinConcurrency: 2,
 		Target:         10 * time.Millisecond,
 		Clock:          clk.Now,
 	})
@@ -172,12 +170,13 @@ func TestAdmissionAIMDRespectsMin(t *testing.T) {
 		clk.Advance(20 * time.Millisecond)
 		a.release(20 * time.Millisecond)
 	}
-	if got := a.Limit(); got != 2 {
-		t.Fatalf("limit floor = %v, want MinConcurrency 2", got)
+	// 8·0.9^50 is far below the floor.
+	if got := a.Limit(); got != minConcurrency {
+		t.Fatalf("limit floor = %v, want minConcurrency %d", got, minConcurrency)
 	}
 	// Even in the deepest brownout interactive work is admitted.
 	if !a.acquire(TierInteractive) {
-		t.Fatal("interactive rejected below MinConcurrency occupancy")
+		t.Fatal("interactive rejected below minConcurrency occupancy")
 	}
 	a.release(time.Millisecond)
 }

@@ -50,15 +50,6 @@ type BreakerConfig struct {
 	// ConsecutiveFailures trips the breaker after this many back-to-back
 	// failures (default 5).
 	ConsecutiveFailures int
-	// ErrorRate trips the breaker when the failure fraction over the
-	// rolling outcome window reaches this value with at least MinSamples
-	// outcomes recorded (default 0.5).
-	ErrorRate float64
-	// MinSamples is the minimum window occupancy before ErrorRate can trip
-	// (default 10).
-	MinSamples int
-	// WindowSize is the rolling outcome window length (default 32).
-	WindowSize int
 	// OpenTimeout is how long the breaker stays open before admitting a
 	// half-open probe (default 10s).
 	OpenTimeout time.Duration
@@ -67,12 +58,19 @@ type BreakerConfig struct {
 	// Metrics, when set, receives the autodetect_resilience_breaker_*
 	// families labelled by Name.
 	Metrics *observe.Registry
-	// Logf, when set, receives one line per state transition.
+	// Logf, when set, receives one line per state transition (called
+	// outside the breaker lock).
 	Logf func(format string, args ...any)
-	// OnStateChange, when set, observes transitions (called outside the
-	// breaker lock).
-	OnStateChange func(from, to BreakerState)
 }
+
+// The windowed error-rate trip: the breaker opens when the failure
+// fraction over the last breakerWindow outcomes reaches breakerErrorRate
+// with at least breakerMinSamples outcomes recorded.
+const (
+	breakerErrorRate  = 0.5
+	breakerMinSamples = 10
+	breakerWindow     = 32
+)
 
 // Breaker is a closed/open/half-open circuit breaker guarding one
 // downstream dependency. Calls feed outcomes in via Record (Client.Do does
@@ -86,12 +84,12 @@ type Breaker struct {
 
 	mu          sync.Mutex
 	state       BreakerState
-	consecutive int       // consecutive failures while closed
-	window      []bool    // rolling outcomes, true = failure
-	windowAt    int       // next write position
-	windowLen   int       // occupancy (≤ len(window))
-	openedAt    time.Time // when the breaker last opened
-	probing     bool      // half-open probe in flight
+	consecutive int                 // consecutive failures while closed
+	window      [breakerWindow]bool // rolling outcomes, true = failure
+	windowAt    int                 // next write position
+	windowLen   int                 // occupancy (≤ len(window))
+	openedAt    time.Time           // when the breaker last opened
+	probing     bool                // half-open probe in flight
 
 	stateGauge  *observe.Gauge
 	transitions *observe.CounterVec
@@ -107,22 +105,13 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 	if cfg.ConsecutiveFailures <= 0 {
 		cfg.ConsecutiveFailures = 5
 	}
-	if cfg.ErrorRate <= 0 || cfg.ErrorRate > 1 {
-		cfg.ErrorRate = 0.5
-	}
-	if cfg.MinSamples <= 0 {
-		cfg.MinSamples = 10
-	}
-	if cfg.WindowSize <= 0 {
-		cfg.WindowSize = 32
-	}
 	if cfg.OpenTimeout <= 0 {
 		cfg.OpenTimeout = 10 * time.Second
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
-	b := &Breaker{cfg: cfg, window: make([]bool, cfg.WindowSize)}
+	b := &Breaker{cfg: cfg}
 	if reg := cfg.Metrics; reg != nil {
 		b.stateGauge = reg.GaugeVec("autodetect_resilience_breaker_state",
 			"Circuit breaker state: 0 closed, 1 half-open, 2 open.", "name").With(cfg.Name)
@@ -241,7 +230,7 @@ func (b *Breaker) tripLocked() bool {
 	if b.consecutive >= b.cfg.ConsecutiveFailures {
 		return true
 	}
-	if b.windowLen < b.cfg.MinSamples {
+	if b.windowLen < breakerMinSamples {
 		return false
 	}
 	failures := 0
@@ -250,7 +239,7 @@ func (b *Breaker) tripLocked() bool {
 			failures++
 		}
 	}
-	return float64(failures)/float64(b.windowLen) >= b.cfg.ErrorRate
+	return float64(failures)/float64(b.windowLen) >= breakerErrorRate
 }
 
 // openLocked trips the breaker.
@@ -281,15 +270,9 @@ func (b *Breaker) setStateLocked(s BreakerState) {
 	}
 }
 
-// announce fires the transition hooks outside the lock.
+// announce logs a transition outside the lock.
 func (b *Breaker) announce(from, to BreakerState) {
-	if from == to {
-		return
-	}
-	if b.cfg.Logf != nil {
+	if from != to && b.cfg.Logf != nil {
 		b.cfg.Logf("resilience: breaker %s: %s -> %s", b.cfg.Name, from, to)
-	}
-	if b.cfg.OnStateChange != nil {
-		b.cfg.OnStateChange(from, to)
 	}
 }

@@ -67,14 +67,8 @@ func TestBreakerTripsOnErrorRate(t *testing.T) {
 	clk := newFakeClock()
 	// Alternate success/failure so the consecutive counter never fires;
 	// only the windowed rate can trip.
-	b := NewBreaker(BreakerConfig{
-		ConsecutiveFailures: 100,
-		ErrorRate:           0.5,
-		MinSamples:          10,
-		WindowSize:          16,
-		Clock:               clk.Now,
-	})
-	for i := 0; i < 9; i++ {
+	b := NewBreaker(BreakerConfig{ConsecutiveFailures: 100, Clock: clk.Now})
+	for i := 0; i < breakerMinSamples-1; i++ {
 		if err := b.Allow(); err != nil {
 			t.Fatalf("Allow() rejected at outcome %d: %v", i, err)
 		}
@@ -84,10 +78,11 @@ func TestBreakerTripsOnErrorRate(t *testing.T) {
 			b.Record(nil)
 		}
 		if got := b.State(); got != BreakerClosed {
-			t.Fatalf("state tripped at %d outcomes (<MinSamples): %v", i+1, got)
+			t.Fatalf("state tripped at %d outcomes (<breakerMinSamples): %v", i+1, got)
 		}
 	}
-	// The 10th outcome reaches MinSamples with 5/10 failures >= 0.5.
+	// The 10th outcome reaches breakerMinSamples with 5/10 failures >=
+	// breakerErrorRate (0.5).
 	if err := b.Allow(); err != nil {
 		t.Fatalf("Allow() rejected at outcome 10: %v", err)
 	}
@@ -193,8 +188,8 @@ func TestBreakerDoAndMetrics(t *testing.T) {
 		OpenTimeout:         time.Second,
 		Clock:               clk.Now,
 		Metrics:             reg,
-		OnStateChange: func(from, to BreakerState) {
-			transitions = append(transitions, from.String()+">"+to.String())
+		Logf: func(format string, args ...any) {
+			transitions = append(transitions, fmt.Sprintf(format, args...))
 		},
 	})
 	for _, outcome := range []error{nil, errBoom, errBoom} {
@@ -220,7 +215,7 @@ func TestBreakerDoAndMetrics(t *testing.T) {
 			t.Errorf("metrics page missing %q", want)
 		}
 	}
-	if len(transitions) != 1 || transitions[0] != "closed>open" {
-		t.Errorf("transitions = %v, want [closed>open]", transitions)
+	if want := "resilience: breaker dep: closed -> open"; len(transitions) != 1 || transitions[0] != want {
+		t.Errorf("transitions = %q, want [%q]", transitions, want)
 	}
 }

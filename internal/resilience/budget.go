@@ -11,21 +11,21 @@ type BudgetConfig struct {
 	// Name labels the budget's metrics ("registry_pull", "publish", ...).
 	// Default "default".
 	Name string
-	// Ratio is the fraction of a token deposited per successful attempt
-	// (default 0.1: one retry earned per ten successes).
-	Ratio float64
-	// Burst caps the token balance (default 10).
+	// Burst caps the token balance and is the starting balance (default
+	// 10), so a cold client can still ride out a brief fault before
+	// earning credit.
 	Burst float64
-	// Initial is the starting balance (default Burst), so a cold client
-	// can still ride out a brief fault before earning credit.
-	Initial float64
 	// Metrics, when set, receives the autodetect_resilience_retry_budget_*
 	// families labelled by Name.
 	Metrics *observe.Registry
 }
 
+// budgetRatio is the fraction of a token deposited per successful attempt:
+// one retry earned per ten successes.
+const budgetRatio = 0.1
+
 // RetryBudget is a token bucket bounding retry amplification: every retry
-// spends one token, every success deposits Ratio of a token, and the
+// spends one token, every success deposits budgetRatio of a token, and the
 // balance never exceeds Burst. Under total failure the bucket drains and
 // stays empty — total retries across all callers sharing the budget are
 // bounded by the initial balance plus deposits, no matter how many hops
@@ -48,16 +48,10 @@ func NewRetryBudget(cfg BudgetConfig) *RetryBudget {
 	if cfg.Name == "" {
 		cfg.Name = "default"
 	}
-	if cfg.Ratio <= 0 {
-		cfg.Ratio = 0.1
-	}
 	if cfg.Burst <= 0 {
 		cfg.Burst = 10
 	}
-	if cfg.Initial <= 0 || cfg.Initial > cfg.Burst {
-		cfg.Initial = cfg.Burst
-	}
-	b := &RetryBudget{cfg: cfg, balance: cfg.Initial}
+	b := &RetryBudget{cfg: cfg, balance: cfg.Burst}
 	if reg := cfg.Metrics; reg != nil {
 		b.balanceGauge = reg.GaugeVec("autodetect_resilience_retry_budget_balance",
 			"Retry-budget token balance, by client.", "client").With(cfg.Name)
@@ -93,11 +87,11 @@ func (b *RetryBudget) Withdraw() bool {
 	return true
 }
 
-// Deposit credits Ratio of a token, saturating at Burst.
+// Deposit credits budgetRatio of a token, saturating at Burst.
 func (b *RetryBudget) Deposit() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.balance += b.cfg.Ratio
+	b.balance += budgetRatio
 	if b.balance > b.cfg.Burst {
 		b.balance = b.cfg.Burst
 	}

@@ -13,24 +13,27 @@ import (
 )
 
 func TestRetryBudgetWithdrawDeposit(t *testing.T) {
-	b := NewRetryBudget(BudgetConfig{Burst: 2, Ratio: 0.5})
+	b := NewRetryBudget(BudgetConfig{Burst: 2})
 	if !b.Withdraw() || !b.Withdraw() {
 		t.Fatal("fresh budget must cover Burst withdrawals")
 	}
 	if b.Withdraw() {
 		t.Fatal("drained budget must reject the next withdrawal")
 	}
-	b.Deposit() // +0.5: still below one token
+	deposit := func(n int) {
+		for i := 0; i < n; i++ {
+			b.Deposit()
+		}
+	}
+	deposit(5) // 5 × budgetRatio (0.1): half a token
 	if b.Withdraw() {
 		t.Fatal("half a token must not fund a retry")
 	}
-	b.Deposit() // balance 1.0
+	deposit(5) // balance 1.0, up to float error
 	if !b.Withdraw() {
 		t.Fatal("a full deposited token must fund a retry")
 	}
-	for i := 0; i < 10; i++ {
-		b.Deposit()
-	}
+	deposit(30)
 	if got := b.Balance(); got != 2 {
 		t.Fatalf("balance saturates at Burst: got %v, want 2", got)
 	}
@@ -82,7 +85,7 @@ func TestRetryBudgetBoundsAttempts(t *testing.T) {
 
 // TestRetryBudgetRecoversOnSuccess checks deposits refill retry capacity.
 func TestRetryBudgetRecoversOnSuccess(t *testing.T) {
-	b := NewRetryBudget(BudgetConfig{Burst: 2, Ratio: 0.1})
+	b := NewRetryBudget(BudgetConfig{Burst: 2})
 	pol := retry.Policy{
 		MaxAttempts: 3,
 		BaseDelay:   time.Microsecond,
@@ -98,7 +101,7 @@ func TestRetryBudgetRecoversOnSuccess(t *testing.T) {
 	if b.Balance() >= 1 {
 		t.Fatalf("balance = %v, want drained", b.Balance())
 	}
-	// 10 successes at Ratio 0.1 earn one retry back.
+	// 10 successes at budgetRatio 0.1 earn one retry back.
 	for i := 0; i < 10; i++ {
 		if err := pol.DoCtx(context.Background(), func(context.Context) error { return nil }); err != nil {
 			t.Fatalf("success path errored: %v", err)

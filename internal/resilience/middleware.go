@@ -39,10 +39,6 @@ import (
 // retry pacing is tuned in exactly one place.
 const DefaultRetryAfterSeconds = 5
 
-// DefaultRetryAfter is DefaultRetryAfterSeconds as a duration, for APIs
-// that take one (e.g. AdmissionConfig.RetryAfter).
-const DefaultRetryAfter = DefaultRetryAfterSeconds * time.Second
-
 // Middleware wraps an http.Handler with one hardening concern.
 type Middleware func(http.Handler) http.Handler
 
@@ -61,24 +57,13 @@ func Chain(mws ...Middleware) Middleware {
 // every response.
 const HeaderRequestID = "X-Request-Id"
 
-type ctxKey int
-
-const requestIDKey ctxKey = iota
-
-// RequestIDFrom returns the request ID injected by the RequestID
-// middleware, or "" outside of it.
-func RequestIDFrom(ctx context.Context) string {
-	id, _ := ctx.Value(requestIDKey).(string)
-	return id
-}
-
 // RequestID propagates a well-formed incoming X-Request-Id or generates a
-// fresh one, stores it in the request context, and echoes it on the
-// response so every reply — including 429s and recovered panics — is
-// attributable in client and server logs. The ID is also mirrored into
-// the observe context, so slog records emitted through the ctx-aware
-// methods (see observe.NewLogger and the AccessLog middleware) carry the
-// same request_id as the response header.
+// fresh one, stores it in the request context (observe.RequestIDFrom
+// reads it back), and echoes it on the response so every reply —
+// including 429s and recovered panics — is attributable in client and
+// server logs. slog records emitted through the ctx-aware methods (see
+// observe.NewLogger and the AccessLog middleware) carry the same
+// request_id as the response header.
 //
 // Inbound IDs are accepted only when they are 1–128 bytes drawn from
 // [A-Za-z0-9._:-]; anything else — oversized values, control bytes,
@@ -95,9 +80,7 @@ func RequestID() Middleware {
 				id = hex.EncodeToString(b[:])
 			}
 			w.Header().Set(HeaderRequestID, id)
-			ctx := context.WithValue(r.Context(), requestIDKey, id)
-			ctx = observe.ContextWithRequestID(ctx, id)
-			next.ServeHTTP(w, r.WithContext(ctx))
+			next.ServeHTTP(w, r.WithContext(observe.ContextWithRequestID(r.Context(), id)))
 		})
 	}
 }
@@ -137,7 +120,7 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 // WriteError writes the JSON error envelope: msg plus the request's ID,
 // which the stack always sets.
 func WriteError(w http.ResponseWriter, r *http.Request, status int, msg string) {
-	WriteJSON(w, status, errorBody{Error: msg, RequestID: RequestIDFrom(r.Context())})
+	WriteJSON(w, status, errorBody{Error: msg, RequestID: observe.RequestIDFrom(r.Context())})
 }
 
 // errorMessage reads the JSON error envelope: its message when body is
@@ -168,7 +151,7 @@ func Recover(logf func(format string, args ...any)) Middleware {
 				}
 				if logf != nil {
 					logf("panic serving %s %s (request %s): %v\n%s",
-						r.Method, r.URL.Path, RequestIDFrom(r.Context()), p, debug.Stack())
+						r.Method, r.URL.Path, observe.RequestIDFrom(r.Context()), p, debug.Stack())
 				}
 				WriteError(w, r, http.StatusInternalServerError, "internal server error")
 			}()

@@ -7,12 +7,14 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/faultfs"
+	"repro/internal/observe"
 )
 
 func okHandler() http.Handler {
@@ -41,7 +43,7 @@ func TestChainOrder(t *testing.T) {
 func TestRequestIDGeneratedAndPropagated(t *testing.T) {
 	var seen string
 	h := RequestID()(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		seen = RequestIDFrom(r.Context())
+		seen = observe.RequestIDFrom(r.Context())
 	}))
 
 	rec := httptest.NewRecorder()
@@ -146,7 +148,7 @@ func TestLimitSheds429WithRetryAfter(t *testing.T) {
 		<-release
 		w.WriteHeader(http.StatusOK)
 	})
-	adm := NewAdmission(AdmissionConfig{MaxConcurrency: 1, RetryAfter: 2 * time.Second})
+	adm := NewAdmission(AdmissionConfig{MaxConcurrency: 1})
 	s := httptest.NewServer(Chain(RequestID(), adm.Middleware())(blocked))
 	defer s.Close()
 
@@ -169,8 +171,8 @@ func TestLimitSheds429WithRetryAfter(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429", resp.StatusCode)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "2" {
-		t.Errorf("Retry-After = %q, want \"2\"", ra)
+	if ra, want := resp.Header.Get("Retry-After"), strconv.Itoa(DefaultRetryAfterSeconds); ra != want {
+		t.Errorf("Retry-After = %q, want %q", ra, want)
 	}
 	if id := resp.Header.Get(HeaderRequestID); id == "" {
 		t.Error("429 missing request ID")

@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/observe"
 )
@@ -60,7 +59,7 @@ func TestMetricsCountsShedRequests(t *testing.T) {
 		<-release
 		w.WriteHeader(http.StatusOK)
 	})
-	adm := NewAdmission(AdmissionConfig{MaxConcurrency: 1, RetryAfter: 2 * time.Second})
+	adm := NewAdmission(AdmissionConfig{MaxConcurrency: 1})
 	h := Chain(Metrics(m), adm.Middleware())(slow)
 
 	done := make(chan struct{})

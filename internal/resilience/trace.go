@@ -50,7 +50,7 @@ func Tracing(tr *observe.Tracer, route func(*http.Request) string) Middleware {
 			defer func() {
 				code := sw.Status()
 				observe.SetSpanAttr(ctx, "status", strconv.Itoa(code))
-				if id := RequestIDFrom(ctx); id != "" {
+				if id := observe.RequestIDFrom(ctx); id != "" {
 					observe.SetSpanAttr(ctx, "request_id", id)
 				}
 				if code >= 500 {

@@ -100,7 +100,7 @@ func TestHostileCorrelationHeadersRejected(t *testing.T) {
 	tr := newTracingTracer()
 	var seenID string
 	h := Chain(RequestID(), Tracing(tr, nil))(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		seenID = RequestIDFrom(r.Context())
+		seenID = observe.RequestIDFrom(r.Context())
 	}))
 
 	hostileIDs := []string{

@@ -42,8 +42,8 @@ type Budget interface {
 var ErrBudgetExhausted = errors.New("retry: budget exhausted")
 
 // Policy configures Do. The zero value is usable: DefaultAttempts attempts,
-// DefaultBaseDelay base backoff, DefaultMaxDelay cap, IsTransient
-// classification, real sleeping.
+// DefaultBaseDelay base backoff, DefaultMaxDelay cap, real sleeping. Only
+// errors IsTransient accepts are retried.
 type Policy struct {
 	// MaxAttempts is the total number of attempts including the first
 	// (default DefaultAttempts). 1 disables retrying.
@@ -63,9 +63,6 @@ type Policy struct {
 	// the call context expiring stays fatal. Only DoCtx attempts can observe
 	// the per-attempt context; Do's op runs under the wall clock alone.
 	AttemptTimeout time.Duration
-	// Classify reports whether an error is worth retrying (default
-	// IsTransient).
-	Classify func(error) bool
 	// Sleep waits out a backoff; tests inject it to run instantly. The
 	// default honors context cancellation.
 	Sleep func(ctx context.Context, d time.Duration) error
@@ -100,8 +97,8 @@ func (p Policy) Do(ctx context.Context, op func() error) error {
 // a fresh per-attempt deadline, so one hung attempt (a stalled HTTP upload,
 // a wedged NFS read) is abandoned and retried instead of pinning the whole
 // call until the caller's deadline. An attempt that fails because its own
-// per-attempt deadline expired is retryable regardless of Classify; ctx
-// itself expiring ends the call with ctx's error.
+// per-attempt deadline expired is retryable even when IsTransient says
+// otherwise; ctx itself expiring ends the call with ctx's error.
 func (p Policy) DoCtx(ctx context.Context, op func(ctx context.Context) error) error {
 	attempts := p.MaxAttempts
 	if attempts <= 0 {
@@ -114,10 +111,6 @@ func (p Policy) DoCtx(ctx context.Context, op func(ctx context.Context) error) e
 	maxd := p.MaxDelay
 	if maxd <= 0 {
 		maxd = DefaultMaxDelay
-	}
-	classify := p.Classify
-	if classify == nil {
-		classify = IsTransient
 	}
 	sleep := p.Sleep
 	if sleep == nil {
@@ -135,7 +128,7 @@ func (p Policy) DoCtx(ctx context.Context, op func(ctx context.Context) error) e
 			}
 			return nil
 		}
-		if !classify(err) && !(p.AttemptTimeout > 0 && isAttemptTimeout(ctx, err)) {
+		if !IsTransient(err) && !(p.AttemptTimeout > 0 && isAttemptTimeout(ctx, err)) {
 			return err
 		}
 		if attempt >= attempts {
