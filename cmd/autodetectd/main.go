@@ -302,19 +302,35 @@ func loadModelFile(path string) (*core.Detector, service.ModelInfo, error) {
 	return det, service.ModelInfo{Source: "file", SHA256: hex.EncodeToString(sum[:])}, nil
 }
 
-// runServe serves the detection API until SIGINT/SIGTERM.
-func runServe(c *config) error {
-	logger, reg, tracer := c.stack.Logger, c.stack.Metrics, c.stack.Tracer
+// logValueModel logs, on every model load and swap, whether the value-level
+// detector is on and with how many supported values and pairs, or why it
+// is off.
+func logValueModel(logger *slog.Logger, sem *semantic.Model, off string) {
+	if sem == nil {
+		logger.Info("value-level detector off", "reason", off)
+		return
+	}
+	logger.Info("value-level detector on",
+		"supported_values", sem.SupportedValues(), "supported_pairs", sem.SupportedPairs())
+}
+
+// modelSource picks the model source. Its load function builds the first
+// model and, except for the one-off synthetic corpus (reloadable false),
+// is the reload hook behind SIGHUP and /v1/admin/reload: a file is
+// re-read, a directory rescanned, a database re-introspected. It is nil
+// for a replica that waits on its registry.
+func modelSource(c *config, logger *slog.Logger) (load func() (*core.Detector, *semantic.Model, service.ModelInfo, error), reloadable bool) {
 	buildOpts := c.build.Options()
-	buildOpts.Metrics = reg
+	buildOpts.Metrics = c.stack.Metrics
 
 	// build streams src through the sharded pipeline; every in-process
-	// model, at startup and on each reload, is built here.
-	build := func(src pipeline.ColumnSource, opts pipeline.Options, attrs ...any) (*core.Detector, error) {
+	// model, at startup and on each reload, is built here, the value-level
+	// model from the same count.
+	build := func(src pipeline.ColumnSource, opts pipeline.Options, attrs ...any) (*core.Detector, *semantic.Model, error) {
 		logger.Info("pipeline build starting", append(attrs, "workers", opts.Workers)...)
 		res, err := pipeline.Run(context.Background(), src, opts)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		logger.Info("pipeline build done",
 			"columns", res.Columns, "values", res.Values,
@@ -326,65 +342,66 @@ func runServe(c *config) error {
 			logger.Warn("degraded ingestion", "files_skipped", res.FilesSkipped,
 				"columns_quarantined", res.ColumnsQuarantined, "quarantine_dir", c.build.QuarantineDir)
 		}
-		return res.Detector, nil
+		sem, off := res.Semantic, "Leaf is not among the counted languages"
+		if sem != nil && sem.SupportedValues() == 0 {
+			sem, off = nil, "no value reached MinSupport"
+		}
+		logValueModel(logger, sem, off)
+		return res.Detector, sem, nil
 	}
 
-	// One decision picks the model source. Its load function builds the
-	// first model and, except for the one-off synthetic corpus, is the
-	// reload hook behind SIGHUP and /v1/admin/reload: a file is re-read, a
-	// directory rescanned, a database re-introspected.
-	var load func() (*core.Detector, *semantic.Model, service.ModelInfo, error)
-	reloadable := true
 	switch {
 	case c.modelPath != "":
-		load = func() (*core.Detector, *semantic.Model, service.ModelInfo, error) {
+		return func() (*core.Detector, *semantic.Model, service.ModelInfo, error) {
 			d, info, err := loadModelFile(c.modelPath)
+			if err == nil {
+				logValueModel(logger, nil, "the model file carries no value statistics")
+			}
 			return d, nil, info, err
-		}
+		}, true
 	case c.trainDir != "":
-		load = func() (*core.Detector, *semantic.Model, service.ModelInfo, error) {
+		return func() (*core.Detector, *semantic.Model, service.ModelInfo, error) {
 			src, err := pipeline.NewDirSourceWith(c.trainDir, c.build.DirConfig(true))
 			if err != nil {
 				return nil, nil, service.ModelInfo{}, err
 			}
-			d, err := build(src, buildOpts, "files", src.Files(), "train_dir", c.trainDir,
+			d, sem, err := build(src, buildOpts, "files", src.Files(), "train_dir", c.trainDir,
 				"max_bad_files", c.build.MaxBadFiles, "max_bad_frac", c.build.MaxBadFrac, "io_retries", c.build.IORetries)
-			return d, nil, service.ModelInfo{Source: "train-dir"}, err
-		}
+			return d, sem, service.ModelInfo{Source: "train-dir"}, err
+		}, true
 	case c.trainDSN != "":
-		load = func() (*core.Detector, *semantic.Model, service.ModelInfo, error) {
+		return func() (*core.Detector, *semantic.Model, service.ModelInfo, error) {
 			src, err := dbsource.NewSource(context.Background(), dbsource.Config{
 				Driver:  c.trainDriver,
 				DSN:     c.trainDSN,
 				Retry:   c.build.Retry(),
-				Metrics: reg,
+				Metrics: c.stack.Metrics,
 			})
 			if err != nil {
 				return nil, nil, service.ModelInfo{}, err
 			}
 			defer src.Close()
-			d, err := build(src, buildOpts, "driver", c.trainDriver,
+			d, sem, err := build(src, buildOpts, "driver", c.trainDriver,
 				"db_columns", src.Len(), "schema_hash", src.SchemaHash())
-			return d, nil, service.ModelInfo{Source: "train-dsn"}, err
-		}
+			return d, sem, service.ModelInfo{Source: "train-dsn"}, err
+		}, true
 	case c.train:
-		reloadable = false
-		load = func() (*core.Detector, *semantic.Model, service.ModelInfo, error) {
+		return func() (*core.Detector, *semantic.Model, service.ModelInfo, error) {
 			corp := corpus.Generate(corpus.WebProfile(), c.columns, c.build.Seed)
 			opts := buildOpts
 			opts.SampleColumns = 0 // -train keeps every column, as it always has: same model bytes
-			d, err := build(pipeline.NewSliceSource(corp.Columns), opts, "synthetic_columns", c.columns)
-			if err != nil {
-				return nil, nil, service.ModelInfo{}, err
-			}
-			sem, err := semantic.Train(corp, semantic.DefaultConfig())
-			if err != nil {
-				logger.Warn("semantic model unavailable", "error", err)
-				sem = nil
-			}
-			return d, sem, service.ModelInfo{Source: "synthetic"}, nil
-		}
-	default:
+			d, sem, err := build(pipeline.NewSliceSource(corp.Columns), opts, "synthetic_columns", c.columns)
+			return d, sem, service.ModelInfo{Source: "synthetic"}, err
+		}, false
+	}
+	return nil, false
+}
+
+// runServe serves the detection API until SIGINT/SIGTERM.
+func runServe(c *config) error {
+	logger, reg, tracer := c.stack.Logger, c.stack.Metrics, c.stack.Tracer
+	load, reloadable := modelSource(c, logger)
+	if load == nil {
 		// -registry-url with no local model: start not-ready and let the
 		// puller deliver the first version; readyz flips once it applies.
 		logger.Info("no local model; waiting for the registry's pinned version",
@@ -467,10 +484,14 @@ func runServe(c *config) error {
 				if err != nil {
 					return err
 				}
-				return svc.SwapInfo(d, sem, service.ModelInfo{
+				if err := svc.SwapInfo(d, sem, service.ModelInfo{
 					Version: info.Version, Source: "registry",
 					SHA256: info.SHA256, PublishedUnixMs: info.PublishedUnixMs,
-				})
+				}); err != nil {
+					return err
+				}
+				logValueModel(logger, sem, "the registry version carries no value statistics")
+				return nil
 			},
 			Logf:    observe.Logf(logger, slog.LevelInfo),
 			Metrics: reg,

@@ -11,22 +11,19 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/pipeline"
-	"repro/internal/semantic"
 )
 
 func main() {
-	// One corpus feeds both detectors.
+	// One corpus pass feeds both detectors: the value-level model is the
+	// build's count of raw values (the Leaf language), pruned to the
+	// supported ones.
 	c := corpus.Generate(corpus.WebProfile(), 6000, 5)
 
 	res, err := pipeline.Run(context.Background(), pipeline.NewSliceSource(c.Columns), pipeline.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	patternModel := res.Detector
-	valueModel, err := semantic.Train(c, semantic.DefaultConfig())
-	if err != nil {
-		log.Fatal(err)
-	}
+	patternModel, valueModel := res.Detector, res.Semantic
 
 	column := []string{"Washington", "Oregon", "Texas", "Florida", "Ohio", "Seattle", "Nevada", "Utah"}
 	fmt.Println("column:", column)

@@ -93,34 +93,16 @@ func Generate(c *corpus.Corpus, cfg Config) (*Data, error) {
 	r := rand.New(rand.NewSource(cfg.Seed))
 
 	// Pass 1: crude co-occurrence statistics over the whole corpus.
-	// Unsmoothed: the Appendix F thresholds (0 for C+ membership, −0.3 for
-	// negative pruning) are calibrated against raw NPMI, where a
-	// never-co-occurring pair scores exactly −1.
-	crude := stats.NewLanguageStats(pattern.Crude(), 0)
-	type colCache struct {
-		values   []string
-		patterns []string
-	}
-	cache := make([]colCache, len(c.Columns))
-	g := pattern.Crude()
-	for i, col := range c.Columns {
-		vs := col.DistinctValues()
-		ps := make([]string, len(vs))
-		for j, v := range vs {
-			ps[j] = g.Generalize(v)
-		}
-		cache[i] = colCache{values: vs, patterns: ps}
-		crude.AddColumn(vs)
-	}
+	crude, cache := CrudeCount(c)
 
 	// Pass 2: find C+, the statistically-compatible columns.
 	var compat []int
 	for i := range cache {
 		vs := cache[i]
-		if len(vs.values) < 2 || len(vs.values) > maxDistinct {
+		if len(vs.Values) < 2 || len(vs.Values) > maxDistinct {
 			continue
 		}
-		if columnCompatible(crude, vs.patterns) {
+		if Compatible(crude, vs.Patterns) {
 			compat = append(compat, i)
 		}
 	}
@@ -134,13 +116,13 @@ func Generate(c *corpus.Corpus, cfg Config) (*Data, error) {
 	for len(d.Examples) < cfg.PositivePairs {
 		cc := cache[compat[r.Intn(len(compat))]]
 		for p := 0; p < pairsPerColumn && len(d.Examples) < cfg.PositivePairs; p++ {
-			i, j := r.Intn(len(cc.values)), r.Intn(len(cc.values))
+			i, j := r.Intn(len(cc.Values)), r.Intn(len(cc.Values))
 			if i == j {
 				continue
 			}
 			d.Examples = append(d.Examples, Example{
-				U: cc.values[i], V: cc.values[j],
-				URuns: pattern.Encode(cc.values[i]), VRuns: pattern.Encode(cc.values[j]),
+				U: cc.Values[i], V: cc.Values[j],
+				URuns: pattern.Encode(cc.Values[i]), VRuns: pattern.Encode(cc.Values[j]),
 			})
 		}
 	}
@@ -155,15 +137,15 @@ func Generate(c *corpus.Corpus, cfg Config) (*Data, error) {
 		attempts++
 		c1 := cache[compat[r.Intn(len(compat))]]
 		c2 := cache[compat[r.Intn(len(compat))]]
-		ui := r.Intn(len(c1.values))
-		u, up := c1.values[ui], c1.patterns[ui]
-		if tooSimilar(crude, up, c2.patterns, pruneThreshold) {
+		ui := r.Intn(len(c1.Values))
+		u, up := c1.Values[ui], c1.Patterns[ui]
+		if TooSimilar(crude, up, c2.Patterns, pruneThreshold) {
 			d.PrunedNegatives++
 			continue
 		}
 		uRuns := pattern.Encode(u)
 		for p := 0; p < pairsPerColumn && negatives < cfg.NegativePairs; p++ {
-			v := c2.values[r.Intn(len(c2.values))]
+			v := c2.Values[r.Intn(len(c2.Values))]
 			d.Examples = append(d.Examples, Example{
 				U: u, V: v,
 				URuns: uRuns, VRuns: pattern.Encode(v),
@@ -182,9 +164,35 @@ func Generate(c *corpus.Corpus, cfg Config) (*Data, error) {
 	return d, nil
 }
 
-// columnCompatible reports whether every pattern pair of the column has
-// crude NPMI above compatThreshold.
-func columnCompatible(crude *stats.LanguageStats, patterns []string) bool {
+// Column is one corpus column's distinct values and their crude patterns.
+type Column struct {
+	Values, Patterns []string
+}
+
+// CrudeCount counts the corpus under the crude language, unsmoothed: the
+// Appendix F thresholds (0 for C+ membership, −0.3 for negative pruning)
+// are calibrated against raw NPMI, where a never-co-occurring pair scores
+// exactly −1. It returns the statistics and every column's distinct
+// values with their crude patterns.
+func CrudeCount(c *corpus.Corpus) (*stats.LanguageStats, []Column) {
+	g := pattern.Crude()
+	crude := stats.NewLanguageStats(g, 0)
+	cols := make([]Column, len(c.Columns))
+	for i, col := range c.Columns {
+		vs := col.DistinctValues()
+		ps := make([]string, len(vs))
+		for j, v := range vs {
+			ps[j] = g.Generalize(v)
+		}
+		cols[i] = Column{Values: vs, Patterns: ps}
+		crude.AddColumn(vs)
+	}
+	return crude, cols
+}
+
+// Compatible reports whether every pattern pair of a column has crude
+// NPMI above compatThreshold: the column's membership of C+.
+func Compatible(crude *stats.LanguageStats, patterns []string) bool {
 	for i := 0; i < len(patterns); i++ {
 		for j := i + 1; j < len(patterns); j++ {
 			if patterns[i] == patterns[j] {
@@ -198,9 +206,9 @@ func columnCompatible(crude *stats.LanguageStats, patterns []string) bool {
 	return true
 }
 
-// tooSimilar reports whether u's crude pattern is compatible (NPMI at or
+// TooSimilar reports whether u's crude pattern is compatible (NPMI at or
 // above the prune threshold) with any pattern of the target column.
-func tooSimilar(crude *stats.LanguageStats, up string, patterns []string, prune float64) bool {
+func TooSimilar(crude *stats.LanguageStats, up string, patterns []string, prune float64) bool {
 	for _, p := range patterns {
 		if up == p {
 			return true

@@ -121,7 +121,7 @@ func TestPruneThresholdEffect(t *testing.T) {
 	pruned := func(prune float64) int {
 		n := 0
 		for i, ps := range patterns {
-			if len(ps) > 0 && tooSimilar(crude, ps[0], patterns[(i+1)%len(patterns)], prune) {
+			if len(ps) > 0 && TooSimilar(crude, ps[0], patterns[(i+1)%len(patterns)], prune) {
 				n++
 			}
 		}

@@ -13,8 +13,7 @@ import (
 
 	"repro/internal/baselines"
 	"repro/internal/corpus"
-	"repro/internal/pattern"
-	"repro/internal/stats"
+	"repro/internal/distsup"
 )
 
 // Case is one evaluation column.
@@ -41,44 +40,10 @@ func BuildAutoEval(c *corpus.Corpus, nDirty, nClean int, seed int64) ([]Case, er
 		return nil, errors.New("eval: test corpus too small")
 	}
 	r := rand.New(rand.NewSource(seed))
-	g := pattern.Crude()
-
-	crude := stats.NewLanguageStats(g, 0)
-	type colCache struct {
-		values   []string
-		patterns []string
-	}
-	cache := make([]colCache, len(c.Columns))
-	for i, col := range c.Columns {
-		vs := col.DistinctValues()
-		ps := make([]string, len(vs))
-		for j, v := range vs {
-			ps[j] = g.Generalize(v)
-		}
-		cache[i] = colCache{vs, ps}
-		crude.AddColumn(vs)
-	}
-
+	crude, cache := distsup.CrudeCount(c)
 	var clean []int
-	for i := range cache {
-		vs := cache[i]
-		if len(vs.values) < 4 || len(vs.values) > 60 {
-			continue
-		}
-		ok := true
-	outer:
-		for a := 0; a < len(vs.patterns); a++ {
-			for b := a + 1; b < len(vs.patterns); b++ {
-				if vs.patterns[a] == vs.patterns[b] {
-					continue
-				}
-				if crude.NPMI(vs.patterns[a], vs.patterns[b]) <= 0 {
-					ok = false
-					break outer
-				}
-			}
-		}
-		if ok {
+	for i, cc := range cache {
+		if len(cc.Values) >= 4 && len(cc.Values) <= 60 && distsup.Compatible(crude, cc.Patterns) {
 			clean = append(clean, i)
 		}
 	}
@@ -92,20 +57,13 @@ func BuildAutoEval(c *corpus.Corpus, nDirty, nClean int, seed int64) ([]Case, er
 		attempts++
 		c1 := cache[clean[r.Intn(len(clean))]]
 		c2 := cache[clean[r.Intn(len(clean))]]
-		u := c1.values[r.Intn(len(c1.values))]
-		up := g.Generalize(u)
-		incompatible := true
-		for _, p := range c2.patterns {
-			if up == p || crude.NPMI(up, p) >= -0.3 {
-				incompatible = false
-				break
-			}
-		}
-		if !incompatible {
+		ui := r.Intn(len(c1.Values))
+		if distsup.TooSimilar(crude, c1.Patterns[ui], c2.Patterns, -0.3) {
 			continue
 		}
-		values := make([]string, 0, len(c2.values)+1)
-		values = append(values, c2.values...)
+		u := c1.Values[ui]
+		values := make([]string, 0, len(c2.Values)+1)
+		values = append(values, c2.Values...)
 		pos := r.Intn(len(values) + 1)
 		values = append(values, "")
 		copy(values[pos+1:], values[pos:])
@@ -117,8 +75,8 @@ func BuildAutoEval(c *corpus.Corpus, nDirty, nClean int, seed int64) ([]Case, er
 	}
 	for i := 0; i < nClean; i++ {
 		cc := cache[clean[r.Intn(len(clean))]]
-		values := make([]string, len(cc.values))
-		copy(values, cc.values)
+		values := make([]string, len(cc.Values))
+		copy(values, cc.Values)
 		cases = append(cases, Case{Values: values, DirtyIndex: -1})
 	}
 	r.Shuffle(len(cases), func(i, j int) { cases[i], cases[j] = cases[j], cases[i] })

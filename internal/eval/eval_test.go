@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -229,9 +230,23 @@ func TestSuiteHeadlineShape(t *testing.T) {
 	}
 	// Auto-Detect's p@smallest-k should be at least 0.9 and at least as
 	// good as every baseline.
-	adP := f4a.Rows[0][1]
-	if adP < "0.900" {
-		t.Errorf("Auto-Detect p@%d = %s on WIKI", s.Scale.CorpusKs[0], adP)
+	cell := func(row []string, i int) float64 {
+		t.Helper()
+		v, err := strconv.ParseFloat(row[i], 64)
+		if err != nil {
+			t.Fatalf("row %v, cell %d: %v", row, i, err)
+		}
+		return v
+	}
+	k := s.Scale.CorpusKs[0]
+	adP := cell(f4a.Rows[0], 1)
+	if adP < 0.9 {
+		t.Errorf("Auto-Detect p@%d = %.3f on WIKI", k, adP)
+	}
+	for _, row := range f4a.Rows[1:] {
+		if p := cell(row, 1); p > adP {
+			t.Errorf("%s p@%d = %.3f beats Auto-Detect's %.3f on WIKI", row[0], k, p, adP)
+		}
 	}
 
 	f5, err := s.Figure5()
@@ -240,21 +255,21 @@ func TestSuiteHeadlineShape(t *testing.T) {
 	}
 	// Find Auto-Detect rows at 1:1 and 1:10; the 1:1 precision at the
 	// largest k should not be below the 1:10 one.
-	var p11, p110 string
+	var p11, p110 []string
 	for _, row := range f5.Rows {
 		if row[1] == "Auto-Detect" {
 			if row[0] == "1:1" {
-				p11 = row[len(row)-1]
+				p11 = row
 			}
 			if row[0] == "1:10" {
-				p110 = row[len(row)-1]
+				p110 = row
 			}
 		}
 	}
-	if p11 == "" || p110 == "" {
+	if p11 == nil || p110 == nil {
 		t.Fatal("missing Auto-Detect rows in Figure 5")
 	}
-	if p11 < p110 {
-		t.Errorf("precision should not improve as clean columns are added: 1:1=%s < 1:10=%s", p11, p110)
+	if a, b := cell(p11, len(p11)-1), cell(p110, len(p110)-1); a < b {
+		t.Errorf("precision should not improve as clean columns are added: 1:1=%.3f < 1:10=%.3f", a, b)
 	}
 }

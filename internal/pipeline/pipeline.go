@@ -40,6 +40,7 @@ import (
 	"repro/internal/distsup"
 	"repro/internal/observe"
 	"repro/internal/pattern"
+	"repro/internal/semantic"
 	"repro/internal/stats"
 )
 
@@ -93,6 +94,10 @@ type Result struct {
 	// Report summarizes the candidate space, the training set and the
 	// selected ensemble.
 	Report *core.TrainReport
+	// Semantic is the value-level model, pruned from the counted Leaf
+	// statistics (semantic.FromLeaf at its defaults); nil when Leaf is not
+	// among the counted languages.
+	Semantic *semantic.Model
 	// Columns and Values count the corpus cells folded into the model,
 	// including checkpoint-restored ones.
 	Columns, Values uint64
@@ -212,6 +217,14 @@ func Run(ctx context.Context, src ColumnSource, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	var sem *semantic.Model
+	for _, ls := range p.Stats {
+		if ls.Language() == pattern.Leaf() {
+			if sem, err = semantic.FromLeaf(ls, semantic.DefaultConfig()); err != nil {
+				return nil, err
+			}
+		}
+	}
 	b.met.buildDone()
 
 	if b.ckptDir != "" && !opts.KeepCheckpoints {
@@ -220,6 +233,7 @@ func Run(ctx context.Context, src ColumnSource, opts Options) (*Result, error) {
 	res := &Result{
 		Detector:                  det,
 		Report:                    report,
+		Semantic:                  sem,
 		Columns:                   b.columns.Load(),
 		Values:                    b.values.Load(),
 		ResumedColumns:            b.resumed,

@@ -11,6 +11,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/distsup"
 	"repro/internal/pattern"
+	"repro/internal/semantic"
 	"repro/internal/stats"
 )
 
@@ -349,5 +350,37 @@ func TestRunValidation(t *testing.T) {
 	}
 	if _, err := Run(context.Background(), NewSliceSource(nil), Options{Train: testTrainConfig()}); err == nil {
 		t.Error("empty source should error")
+	}
+}
+
+// TestRunValueModelNeedsLeaf: a build returns the value-level model exactly
+// when Leaf is among its counted languages, and then the model Train
+// builds over the same corpus.
+func TestRunValueModelNeedsLeaf(t *testing.T) {
+	c := corpus.Generate(corpus.WebProfile(), 400, 23)
+	run := func(langs []pattern.Language) *Result {
+		t.Helper()
+		cfg := testTrainConfig()
+		cfg.Languages = langs
+		res, err := Run(context.Background(), NewSliceSource(c.Columns), Options{Workers: 2, Train: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	langs := testTrainConfig().Languages
+	if langs[0] != pattern.Leaf() {
+		t.Fatalf("the test candidates start with %v, not Leaf", langs[0])
+	}
+	if res := run(langs[1:]); res.Semantic != nil {
+		t.Error("a build without Leaf returned a value model")
+	}
+	want, err := semantic.Train(c, semantic.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := run(langs).Semantic
+	if got == nil || got.SupportedValues() != want.SupportedValues() || got.SupportedPairs() != want.SupportedPairs() {
+		t.Fatalf("value model %+v, want %d values and %d pairs as Train", got, want.SupportedValues(), want.SupportedPairs())
 	}
 }

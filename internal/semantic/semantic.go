@@ -7,20 +7,25 @@
 // in thousands of columns, "Washington" and "Seattle" far more rarely
 // relative to their popularity.
 //
-// To keep memory bounded without generalization, the model only keeps
-// values above a support threshold; columns dominated by unsupported
-// values yield no verdicts (the pattern-level detector handles those).
+// Raw values are the patterns of the Leaf language, which performs no
+// generalization, so the value-level model is the corpus statistics of
+// Leaf that every pipeline build already counts, pruned to the values
+// above a support threshold to keep memory bounded. Columns dominated by
+// unsupported values yield no verdicts (the pattern-level detector handles
+// those).
 package semantic
 
 import (
+	"cmp"
 	"errors"
 
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/pattern"
 	"repro/internal/stats"
 )
 
-// Config tunes value-level training.
+// Config tunes the value-level model.
 type Config struct {
 	// MinSupport keeps only values occurring in at least this many columns
 	// (default 5).
@@ -33,95 +38,73 @@ type Config struct {
 	Threshold float64
 }
 
-// DefaultConfig returns the default value-level settings; Train fills a
-// zero field of its Config from here. Smoothing is far lighter than the
-// pattern-level default: value marginals are small, so Jelinek–Mercer
-// blending at f = 0.1 would lift genuinely disjoint value pairs well above
-// any usable threshold.
+// DefaultConfig returns the default value-level settings; FromLeaf and
+// Train fill a zero field of their Config from here. Smoothing is far
+// lighter than the pattern-level default: value marginals are small, so
+// Jelinek–Mercer blending at f = 0.1 would lift genuinely disjoint value
+// pairs well above any usable threshold.
 func DefaultConfig() Config {
 	return Config{MinSupport: 5, MaxValueLength: 40, Smoothing: 0.01, Threshold: -0.25}
 }
 
-// Model holds value-level co-occurrence statistics.
+// Model answers value-level NPMI from pruned Leaf statistics: every
+// pattern is a supported value.
 type Model struct {
-	cfg Config
-	n   uint64
-	ids map[string]uint32
-	occ []uint32
-	prs *stats.MapPairStore
+	threshold float64
+	ls        *stats.LanguageStats
 }
 
-// Train builds the model from a corpus, keeping only supported values.
-// Zero (or, for the two sizes, negative) fields of cfg take their
-// DefaultConfig values.
+// FromLeaf builds the model from Leaf statistics: it keeps the values in
+// at least cfg.MinSupport columns and at most cfg.MaxValueLength bytes
+// long, their co-occurrence counts and N, at cfg.Smoothing. Zero (or, for
+// the two sizes, negative) fields of cfg take their DefaultConfig values.
+// A corpus where no value reaches the support threshold yields a model
+// with no supported values, which flags nothing.
+func FromLeaf(leaf *stats.LanguageStats, cfg Config) (*Model, error) {
+	if leaf == nil || leaf.Language().ID != pattern.Leaf().ID {
+		return nil, errors.New("semantic: the value-level model needs Leaf statistics")
+	}
+	def := DefaultConfig()
+	cfg.MinSupport = cmp.Or(max(cfg.MinSupport, 0), def.MinSupport)
+	cfg.MaxValueLength = cmp.Or(max(cfg.MaxValueLength, 0), def.MaxValueLength)
+	cfg.Smoothing = cmp.Or(cfg.Smoothing, def.Smoothing)
+	cfg.Threshold = cmp.Or(cfg.Threshold, def.Threshold)
+	ls, err := leaf.Prune(func(v string, count uint64) bool {
+		return count >= uint64(cfg.MinSupport) && len(v) <= cfg.MaxValueLength
+	})
+	if err != nil {
+		return nil, err
+	}
+	ls.SetSmoothing(cfg.Smoothing)
+	return &Model{threshold: cfg.Threshold, ls: ls}, nil
+}
+
+// Train counts the corpus under Leaf, with the kernel pipeline workers
+// run, and builds the model from that count (FromLeaf).
 func Train(c *corpus.Corpus, cfg Config) (*Model, error) {
 	if c == nil || len(c.Columns) == 0 {
 		return nil, errors.New("semantic: empty corpus")
 	}
-	def := DefaultConfig()
-	if cfg.MinSupport <= 0 {
-		cfg.MinSupport = def.MinSupport
-	}
-	if cfg.MaxValueLength <= 0 {
-		cfg.MaxValueLength = def.MaxValueLength
-	}
-	if cfg.Smoothing == 0 {
-		cfg.Smoothing = def.Smoothing
-	}
-	if cfg.Threshold == 0 {
-		cfg.Threshold = def.Threshold
-	}
-
-	// Pass 1: column-level value support.
-	support := map[string]int{}
+	b := stats.NewBuilder([]pattern.Language{pattern.Leaf()}, 0)
 	for _, col := range c.Columns {
-		for _, v := range col.DistinctValues() {
-			if len(v) <= cfg.MaxValueLength {
-				support[v]++
-			}
-		}
+		b.AddColumn(col.Values)
 	}
-	m := &Model{cfg: cfg, ids: map[string]uint32{}, prs: stats.NewMapPairStore()}
-	for v, s := range support {
-		if s >= cfg.MinSupport {
-			m.ids[v] = uint32(len(m.occ))
-			m.occ = append(m.occ, 0)
-		}
+	m, err := FromLeaf(b.Stats()[0], cfg)
+	if err != nil {
+		return nil, err
 	}
-	if len(m.ids) == 0 {
+	if m.SupportedValues() == 0 {
 		return nil, errors.New("semantic: no value meets the support threshold")
-	}
-
-	// Pass 2: occurrence and co-occurrence over supported values.
-	for _, col := range c.Columns {
-		m.n++
-		var ids []uint32
-		for _, v := range col.DistinctValues() {
-			if id, ok := m.ids[v]; ok {
-				ids = append(ids, id)
-				m.occ[id]++
-			}
-		}
-		if len(ids) > 64 {
-			ids = ids[:64]
-		}
-		for i := 0; i < len(ids); i++ {
-			for j := i + 1; j < len(ids); j++ {
-				m.prs.Add(ids[i], ids[j], 1)
-			}
-		}
 	}
 	return m, nil
 }
 
-// Supported reports whether the model has statistics for the value.
-func (m *Model) Supported(v string) bool {
-	_, ok := m.ids[v]
-	return ok
-}
-
 // SupportedValues returns the number of values the model tracks.
-func (m *Model) SupportedValues() int { return len(m.ids) }
+func (m *Model) SupportedValues() int { return m.ls.DistinctPatterns() }
+
+// SupportedPairs returns the number of co-occurring supported value pairs
+// the model stores.
+func (m *Model) SupportedPairs() int { return m.ls.PairStoreEntries() }
 
 // NPMI returns the value-level NPMI of two supported values; ok is false
 // when either value lacks support.
@@ -129,18 +112,12 @@ func (m *Model) NPMI(v1, v2 string) (npmi float64, ok bool) {
 	if v1 == v2 {
 		return 1, true
 	}
-	id1, ok1 := m.ids[v1]
-	id2, ok2 := m.ids[v2]
-	if !ok1 || !ok2 || m.n == 0 {
+	id1, ok1 := m.ls.PatternID(v1)
+	id2, ok2 := m.ls.PatternID(v2)
+	if !ok1 || !ok2 {
 		return 0, false
 	}
-	return m.npmi(id1, id2), true
-}
-
-// npmi is NPMI over two distinct value IDs of a model with n > 0.
-func (m *Model) npmi(id1, id2 uint32) float64 {
-	c12 := float64(m.prs.Get(id1, id2))
-	return stats.SmoothedNPMI(float64(m.occ[id1]), float64(m.occ[id2]), c12, float64(m.n), m.cfg.Smoothing)
+	return m.ls.NPMIByID(id1, id2), true
 }
 
 // DetectColumn is DetectDistinct over the column's distinct table.
@@ -159,17 +136,17 @@ func (m *Model) DetectDistinct(table []core.Distinct) []core.Finding {
 	var distinct []core.Distinct
 	var ids []uint32
 	for _, d := range table {
-		if id, ok := m.ids[d.Value]; ok {
+		if id, ok := m.ls.PatternID(d.Value); ok {
 			distinct = append(distinct, d)
 			ids = append(ids, id)
 		}
 	}
-	if len(distinct) < 3 || m.n == 0 {
+	if len(distinct) < 3 {
 		return nil
 	}
-	t := m.cfg.Threshold
+	t := m.threshold
 	return core.Attribute(distinct, func(i, j int) (float64, bool) {
-		s := m.npmi(ids[i], ids[j])
+		s := m.ls.NPMIByID(ids[i], ids[j])
 		if s > t {
 			return 0, false
 		}

@@ -45,10 +45,10 @@ func TestTrainValidation(t *testing.T) {
 
 func TestSupport(t *testing.T) {
 	m := sharedModel(t)
-	if !m.Supported("Washington") || !m.Supported("Seattle") {
+	if _, ok := m.NPMI("Washington", "Seattle"); !ok {
 		t.Fatal("common values should be supported")
 	}
-	if m.Supported("zzz-never-seen") {
+	if _, ok := m.NPMI("Washington", "zzz-never-seen"); ok {
 		t.Error("unseen value supported")
 	}
 	if m.SupportedValues() < 100 {

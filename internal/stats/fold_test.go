@@ -183,7 +183,7 @@ func marshalPairsReference(s *MapPairStore) []byte {
 func TestMapPairStoreMarshalMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 50; trial++ {
-		s := NewMapPairStore()
+		s := newMapPairStore()
 		ids := 1 + r.Intn(300)
 		patterns := ids
 		if trial%5 == 0 {

@@ -78,7 +78,7 @@ func NewLanguageStats(lang pattern.Language, smoothing float64) *LanguageStats {
 		lang:                 lang,
 		ids:                  make(map[uint64]uint32),
 		byString:             make(map[string]uint32),
-		pairs:                NewMapPairStore(),
+		pairs:                newMapPairStore(),
 		smoothing:            smoothing,
 		maxPatternsPerColumn: 64,
 	}
@@ -349,19 +349,12 @@ func (ls *LanguageStats) NPMIRuns(r1, r2 pattern.Runs) float64 {
 	if ls.n == 0 {
 		return 0
 	}
-	var c1, c2, c12 float64
 	id1, ok1 := ls.ids[h1]
 	id2, ok2 := ls.ids[h2]
-	if ok1 {
-		c1 = float64(ls.occ[id1])
+	if !ok1 || !ok2 {
+		return -1 // an unseen pattern: zero co-occurrence, smoothed or not
 	}
-	if ok2 {
-		c2 = float64(ls.occ[id2])
-	}
-	if ok1 && ok2 {
-		c12 = float64(ls.pairCountByID(id1, id2))
-	}
-	return SmoothedNPMI(c1, c2, c12, float64(ls.n), ls.smoothing)
+	return ls.NPMIByID(id1, id2)
 }
 
 // NPMIRunsLOO is NPMIRuns with leave-one-out discounting for
@@ -426,19 +419,61 @@ func (ls *LanguageStats) NPMI(p1, p2 string) float64 {
 	if ls.n == 0 {
 		return 0
 	}
-	var c1, c2, c12 float64
 	id1, ok1 := ls.byString[p1]
 	id2, ok2 := ls.byString[p2]
-	if ok1 {
-		c1 = float64(ls.occ[id1])
+	if !ok1 || !ok2 {
+		return -1 // an unseen pattern: zero co-occurrence, smoothed or not
 	}
-	if ok2 {
-		c2 = float64(ls.occ[id2])
+	return ls.NPMIByID(id1, id2)
+}
+
+// PatternID returns the ID of an observed pattern, for NPMIByID.
+func (ls *LanguageStats) PatternID(p string) (uint32, bool) {
+	id, ok := ls.byString[p]
+	return id, ok
+}
+
+// NPMIByID is NPMI over the IDs of two observed patterns (PatternID),
+// without NPMI's two string lookups per pair.
+func (ls *LanguageStats) NPMIByID(id1, id2 uint32) float64 {
+	if id1 == id2 {
+		return 1
 	}
-	if ok1 && ok2 {
-		c12 = float64(ls.pairCountByID(id1, id2))
+	return SmoothedNPMI(float64(ls.occ[id1]), float64(ls.occ[id2]), float64(ls.pairCountByID(id1, id2)), float64(ls.n), ls.smoothing)
+}
+
+// Prune returns statistics holding only the patterns keep accepts, given
+// each pattern and its count c(p): their occurrence counts, the
+// co-occurrence counts among them, and the receiver's N and smoothing.
+// Kept patterns keep their relative ID order, so pruning canonical
+// statistics yields canonical statistics. Requires an exact pair store;
+// the receiver is not modified.
+func (ls *LanguageStats) Prune(keep func(p string, count uint64) bool) (*LanguageStats, error) {
+	exact, ok := ls.pairs.(*MapPairStore)
+	if !ok {
+		return nil, errors.New("stats: prune requires an exact pair store")
 	}
-	return SmoothedNPMI(c1, c2, c12, float64(ls.n), ls.smoothing)
+	if ls.collision != nil {
+		return nil, ls.collision
+	}
+	out := NewLanguageStats(ls.lang, ls.smoothing)
+	out.n = ls.n
+	const dropped = math.MaxUint32
+	perm := make([]uint32, len(ls.patterns)) // old ID → new ID, or dropped
+	for id, p := range ls.patterns {
+		perm[id] = dropped
+		if keep(p, uint64(ls.occ[id])) {
+			perm[id] = out.internPattern(p)
+			out.occ[perm[id]] = ls.occ[id]
+		}
+	}
+	pairs := out.pairs.(*MapPairStore)
+	for k, v := range exact.m {
+		if a, b := perm[uint32(k>>32)], perm[uint32(k&0xffffffff)]; a != dropped && b != dropped {
+			pairs.m[PairKey(a, b)] = v
+		}
+	}
+	return out, nil
 }
 
 // SmoothedNPMI is NPMI (Equation 2) over raw counts: c1 and c2 columns
@@ -520,7 +555,7 @@ func (ls *LanguageStats) PairNPMIDistribution() []float64 {
 	for k := range exact.m {
 		a := uint32(k >> 32)
 		b := uint32(k & 0xffffffff)
-		out = append(out, ls.NPMI(ls.patterns[a], ls.patterns[b]))
+		out = append(out, ls.NPMIByID(a, b))
 	}
 	sort.Float64s(out)
 	return out

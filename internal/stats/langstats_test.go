@@ -160,7 +160,7 @@ func TestNPMISymmetricBounded(t *testing.T) {
 }
 
 func TestMapPairStore(t *testing.T) {
-	s := NewMapPairStore()
+	s := newMapPairStore()
 	s.Add(3, 7, 2)
 	s.Add(7, 3, 1)
 	if got := s.Get(3, 7); got != 3 {
@@ -207,10 +207,10 @@ func TestSketchPairStoreAgreesOnHeavyPairs(t *testing.T) {
 }
 
 func TestCompressPairStoreValidation(t *testing.T) {
-	if _, err := CompressPairStore(NewMapPairStore(), 0, 4); err == nil {
+	if _, err := CompressPairStore(newMapPairStore(), 0, 4); err == nil {
 		t.Error("ratio 0 should error")
 	}
-	if _, err := CompressPairStore(NewMapPairStore(), 1.5, 4); err == nil {
+	if _, err := CompressPairStore(newMapPairStore(), 1.5, 4); err == nil {
 		t.Error("ratio > 1 should error")
 	}
 	if _, err := NewSketchPairStore(0, 4); err == nil {
@@ -376,5 +376,58 @@ func BenchmarkNPMI(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = ls.NPMIValues("2011-01-01", "1,000")
+	}
+}
+
+// TestPrune: pruning keeps exactly the accepted patterns with their counts,
+// the co-occurrences among them, N and the smoothing, in canonical order:
+// its bytes equal those of a canonical build that never saw the dropped
+// pattern. The source statistics are left as they were.
+func TestPrune(t *testing.T) {
+	build := func(cols [][]string) *LanguageStats {
+		ls := NewLanguageStats(pattern.Leaf(), 0.3)
+		for _, c := range cols {
+			ls.AddColumn(c)
+		}
+		if err := ls.Canonicalize(); err != nil {
+			t.Fatal(err)
+		}
+		return ls
+	}
+	ls := build([][]string{{"c", "a", "b"}, {"a", "b"}, {"d", "a", "c"}, {"b", "d"}, {"e"}})
+	pruned, err := ls.Prune(func(p string, count uint64) bool { return count >= 2 && p != "d" })
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := pruned.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := build([][]string{{"c", "a", "b"}, {"a", "b"}, {"a", "c"}, {"b"}, {}}).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("pruned statistics differ from a canonical build without the dropped patterns")
+	}
+	if ls.DistinctPatterns() != 5 || ls.PairStoreEntries() != 6 {
+		t.Errorf("source now holds %d patterns, %d pairs; want 5 and 6", ls.DistinctPatterns(), ls.PairStoreEntries())
+	}
+	for _, p := range [][2]string{{"a", "b"}, {"a", "c"}, {"b", "c"}} {
+		id1, ok1 := pruned.PatternID(p[0])
+		id2, ok2 := pruned.PatternID(p[1])
+		if !ok1 || !ok2 || pruned.NPMIByID(id1, id2) != ls.NPMI(p[0], p[1]) {
+			t.Errorf("NPMIByID(%q, %q) = %v, source NPMI %v", p[0], p[1], pruned.NPMIByID(id1, id2), ls.NPMI(p[0], p[1]))
+		}
+	}
+	if _, ok := pruned.PatternID("d"); ok {
+		t.Error("a dropped pattern keeps an ID")
+	}
+	sk, err := ls.SketchCopy(0.5, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sk.Prune(func(string, uint64) bool { return true }); err == nil {
+		t.Error("pruning sketch-backed statistics should error")
 	}
 }

@@ -46,8 +46,8 @@ type MapPairStore struct {
 	m map[uint64]uint32
 }
 
-// NewMapPairStore returns an empty exact pair store.
-func NewMapPairStore() *MapPairStore {
+// newMapPairStore returns an empty exact pair store.
+func newMapPairStore() *MapPairStore {
 	return &MapPairStore{m: make(map[uint64]uint32)}
 }
 
@@ -67,19 +67,6 @@ func (s *MapPairStore) Bytes() int { return len(s.m) * 20 }
 
 // Entries implements PairStore.
 func (s *MapPairStore) Entries() int { return len(s.m) }
-
-// Keys returns all stored pair keys with their counts; used when
-// compressing an exact store into a sketch.
-func (s *MapPairStore) Keys() map[uint64]uint32 { return s.m }
-
-// Merge adds every entry of another exact store into the receiver. Both
-// stores must be keyed by the same pattern-ID space (LanguageStats.Merge
-// remaps IDs before delegating here when they are not).
-func (s *MapPairStore) Merge(other *MapPairStore) {
-	for k, v := range other.m {
-		s.m[k] += v
-	}
-}
 
 // binarySize is the length of the store's encoding: an entry count, then
 // 12 bytes per entry.
@@ -173,7 +160,7 @@ func CompressPairStore(exact *MapPairStore, ratio float64, depth int) (*SketchPa
 	if err != nil {
 		return nil, err
 	}
-	for k, v := range exact.Keys() {
+	for k, v := range exact.m {
 		s.cm.Add(k, v)
 	}
 	return s, nil
