@@ -326,3 +326,47 @@ func BenchmarkGenerateWikiColumn(b *testing.B) {
 		}
 	}
 }
+
+// TestPatternMetacharactersInGeneratedValues pins where generated values
+// hold `\` or `[`, the two characters that start a class token or a run
+// count in a rendered pattern: `[` nowhere, and `\` only in Windows paths,
+// whether generated by the path_windows domain or swapped into a path_unix
+// column by InjectError. Escaping `[` in leaf text therefore changes no
+// pattern of a generated corpus; escaping `\` changes those of the
+// Windows-path values that every profile generates. Covers every domain
+// generator, InjectError's corruptions and the four profiles under several
+// seeds.
+func TestPatternMetacharactersInGeneratedValues(t *testing.T) {
+	check := func(where, v string, windowsPath bool) {
+		t.Helper()
+		if strings.Contains(v, "[") || (!windowsPath && strings.Contains(v, `\`)) {
+			t.Fatalf("%s generated %q", where, v)
+		}
+	}
+	r := rand.New(rand.NewSource(5))
+	for _, d := range Domains() {
+		for trial := 0; trial < 20; trial++ {
+			col, err := GenerateColumn(r, d, 30)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range col.Values {
+				check("domain "+d, v, d == "path_windows")
+			}
+			kind := InjectError(r, col)
+			for _, i := range col.Dirty {
+				check("InjectError "+kind+" on domain "+d, col.Values[i], d == "path_windows" || kind == "format-swap:path_windows")
+			}
+		}
+	}
+	for _, p := range []Profile{WebProfile(), PubXLSProfile(), WikiProfile(), EntXLSProfile()} {
+		for seed := int64(1); seed <= 4; seed++ {
+			for _, col := range Generate(p, 300, seed).Columns {
+				for i, v := range col.Values {
+					check("profile "+p.Name+" domain "+col.Domain, v,
+						col.Domain == "path_windows" || (col.Domain == "path_unix" && col.IsDirty(i)))
+				}
+			}
+		}
+	}
+}

@@ -22,7 +22,9 @@
 //     shards already accepted instead of recounting the corpus.
 //
 // Wire format: JSON request/response bodies on /distbuild/v1/* for control,
-// and the binary pipeline shard encoding (AUTODETECT-SH/1) for data.
+// and the binary pipeline shard encoding (AUTODETECT-SH/1) for data: an
+// encoded pipeline.Partial, the same file a checkpointed build writes at
+// each barrier.
 package distbuild
 
 import (

@@ -42,25 +42,25 @@ func TestBarrierBytesIndependentOfWorkers(t *testing.T) {
 		if err := mergeBuilders(base, roundShards(t, cols, 3), workers); err != nil {
 			t.Fatal(err)
 		}
-		payload, err := (&checkpoint{
-			fingerprint: "fp", columns: uint64(len(cols)), values: 1234,
-			entries: smp.entries(), stats: base, workers: workers,
-		}).marshal()
-		if err != nil {
+		var buf bytes.Buffer
+		if err := EncodePartial(&buf, &Partial{
+			Fingerprint: "fp", Columns: uint64(len(cols)), Values: 1234,
+			smp: smp, stats: base, workers: workers,
+		}); err != nil {
 			t.Fatal(err)
 		}
-		return payload
+		return buf.Bytes()
 	}
 	want := checkpointBytes(1)
 	if got := checkpointBytes(4); !bytes.Equal(got, want) {
 		t.Fatal("checkpoint payload differs between 1 and 4 workers")
 	}
-	ck, err := unmarshalCheckpoint(want)
+	ck, err := DecodePartial(bytes.NewReader(want))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ck.stats) != len(langs) || ck.columns != uint64(len(cols)) {
-		t.Fatalf("checkpoint round trip: %d languages, %d columns", len(ck.stats), ck.columns)
+	if len(ck.stats) != len(langs) || ck.Columns != uint64(len(cols)) {
+		t.Fatalf("checkpoint round trip: %d languages, %d columns", len(ck.stats), ck.Columns)
 	}
 
 	p, err := CountPartial(context.Background(), NewSliceSource(cols), Options{Workers: 1, Train: testTrainConfig(), SampleColumns: 50})
@@ -92,16 +92,19 @@ func TestMergeBarrierErrorNamesLowestLanguage(t *testing.T) {
 	b := &build{
 		src: NewSliceSource(cols), langs: langs, tc: tc, ds: ds,
 		workers: 4, ckptDir: dir, ckptEvery: 50,
-		clock: newStageClock(), smp: newSample(0, 1), startTime: time.Now(),
+		clock: newStageClock(), startTime: time.Now(),
+		part: &Partial{
+			smp: newSample(0, 1), workers: 4,
+			stats: stats.NewBuilder(langs, tc.Smoothing).Stats(),
+		},
 	}
-	b.base = stats.NewBuilder(langs, tc.Smoothing).Stats()
 	// Sketch-backed stores cannot absorb a merge.
 	for _, i := range []int{2, 5} {
-		sk, err := b.base[i].SketchCopy(0.5, 4)
+		sk, err := b.part.stats[i].SketchCopy(0.5, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b.base[i] = sk
+		b.part.stats[i] = sk
 	}
 	err := b.count(context.Background())
 	if err == nil {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"os"
+	"syscall"
 	"testing"
 
 	"repro/internal/corpus"
@@ -149,10 +150,11 @@ func TestCheckpointAllCorruptIsAnError(t *testing.T) {
 // shards.
 func TestCheckpointKeepK(t *testing.T) {
 	dir := t.TempDir()
-	mk := func(columns uint64) *checkpoint {
-		return &checkpoint{
-			fingerprint: "fp",
-			columns:     columns,
+	mk := func(columns uint64) *Partial {
+		return &Partial{
+			Fingerprint: "fp",
+			Columns:     columns,
+			smp:         newSample(0, 0),
 		}
 	}
 	for i := uint64(1); i <= 5; i++ {
@@ -166,5 +168,30 @@ func TestCheckpointKeepK(t *testing.T) {
 	}
 	if shards[0] != checkpointPath(dir, 300) || shards[1] != checkpointPath(dir, 400) || shards[2] != checkpointPath(dir, 500) {
 		t.Errorf("kept %v, want the newest three (300, 400, 500)", shards)
+	}
+}
+
+// TestCheckpointOpenFailureIsAnError: a newest checkpoint that cannot be
+// opened is not known to be corrupt, so resume must return the error
+// instead of falling back past it and counting it as skipped.
+func TestCheckpointOpenFailureIsAnError(t *testing.T) {
+	c := corpus.Generate(corpus.WebProfile(), 300, 19)
+	opts := Options{
+		Workers:         1,
+		Train:           testTrainConfig(),
+		CheckpointDir:   t.TempDir(),
+		CheckpointEvery: 90,
+	}
+	interrupt(t, c.Columns, opts, 200)
+	if len(listCheckpoints(opts.CheckpointDir)) == 0 {
+		t.Fatal("no checkpoints written")
+	}
+	// A self-referencing symlink fails to open with ELOOP, even as root.
+	loop := checkpointPath(opts.CheckpointDir, 1<<40)
+	if err := os.Symlink(loop, loop); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(context.Background(), NewSliceSource(c.Columns), opts); !errors.Is(err, syscall.ELOOP) {
+		t.Fatalf("resume with an unopenable newest checkpoint: err = %v, want ELOOP", err)
 	}
 }

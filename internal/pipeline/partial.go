@@ -1,11 +1,14 @@
 package pipeline
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -16,18 +19,29 @@ import (
 	"repro/internal/stats"
 )
 
-// Shard files exchanged by the distributed build (internal/distbuild) carry
-// a Partial inside the same integrity envelope as checkpoints, under their
-// own magic: a torn upload or a bit flip in transit is rejected at decode,
-// never merged.
+// A Partial on disk or on the wire — a checkpoint, or a shard a distributed
+// build (internal/distbuild) uploads — is one SH/1 file: the payload inside
+// the integrity envelope of models (length header + CRC64 trailer), so a
+// torn write, a torn upload or a bit flip is rejected at decode, never
+// merged.
 var shardMagic = []byte("AUTODETECT-SH/1\n")
 
-// Partial is the result of counting one corpus partition without
-// finalizing: the per-language statistics, the partition's share of the
-// distant-supervision sample, and the fingerprint of (partition source,
-// training configuration) it was counted under. Partials from the
-// partitions of one corpus merge into exactly the state a single-process
-// build holds after its counting stage.
+// ck2Magic marks the checkpoints older builds wrote, which resume still
+// reads (see decodePartial). Nothing writes CK/2 any more. CK/1 files fail
+// the magic check like any other unreadable checkpoint.
+var ck2Magic = []byte("AUTODETECT-CK/2\n")
+
+// maxCheckpointPayload caps the declared payload length of a checkpoint or
+// shard.
+const maxCheckpointPayload = 1 << 32
+
+// Partial is the counted state of a slice of a corpus, before finalizing:
+// the per-language statistics, the slice's share of the distant-supervision
+// sample, and the fingerprint of (source, training configuration) it was
+// counted under. The slice is a distributed partition, or for a build's
+// checkpoint the columns before a barrier. Partials from the partitions of
+// one corpus merge into exactly the state a single-process build holds
+// after its counting stage.
 type Partial struct {
 	// Fingerprint is buildFingerprint(source, config) — the coordinator
 	// recomputes it per partition and refuses shards that disagree.
@@ -63,7 +77,7 @@ func CountPartial(ctx context.Context, src ColumnSource, opts Options) (*Partial
 	if err := b.count(ctx); err != nil {
 		return nil, err
 	}
-	return b.partial(), nil
+	return b.part, nil
 }
 
 // Merge folds another partition's partial into the receiver. Statistics and
@@ -158,8 +172,20 @@ func EncodePartial(w io.Writer, p *Partial) error {
 
 // DecodePartial reads and integrity-checks one shard. Torn or bit-flipped
 // shards fail with envelope.ErrIntegrity wrapped in the returned error.
-func DecodePartial(rd io.Reader) (*Partial, error) {
-	payload, err := envelope.Read(rd, shardMagic, maxCheckpointPayload)
+func DecodePartial(rd io.Reader) (*Partial, error) { return decodePartial(rd, nil) }
+
+// decodePartial is DecodePartial that, given the resuming build's sample as
+// ck2, also reads a CK/2 checkpoint. A CK/2 payload is the SH/1 payload
+// without the sample's cap and seed; they come from ck2 instead, which is
+// safe because the build fingerprint the caller then checks pins both.
+func decodePartial(rd io.Reader, ck2 *sample) (*Partial, error) {
+	br := bufio.NewReader(rd)
+	magic := shardMagic
+	// A short or failed peek cannot match, and envelope.Read reports it.
+	if head, _ := br.Peek(len(ck2Magic)); ck2 != nil && bytes.Equal(head, ck2Magic) {
+		magic = ck2Magic
+	}
+	payload, err := envelope.Read(br, magic, maxCheckpointPayload)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: shard: %w", err)
 	}
@@ -167,16 +193,109 @@ func DecodePartial(rd io.Reader) (*Partial, error) {
 	p := &Partial{Fingerprint: d.String()}
 	p.Columns = d.U64()
 	p.Values = d.U64()
-	capv := d.U64()
-	p.smp = newSample(int(int64(capv)), d.U64())
+	if bytes.Equal(magic, ck2Magic) {
+		p.smp = newSample(ck2.cap, ck2.seed)
+	} else {
+		capv := d.U64()
+		p.smp = newSample(int(int64(capv)), d.U64())
+	}
 	p.smp.restore(readSampleEntries(d))
-	if p.stats, err = readLanguageStats(d, "shard"); err != nil {
-		return nil, err
+	if p.stats, err = readLanguageStats(d); err != nil {
+		return nil, fmt.Errorf("pipeline: shard: %w", err)
 	}
 	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("pipeline: shard: %w", err)
 	}
 	return p, nil
+}
+
+// appendLanguageStats appends a partial's statistics: the language count,
+// then each language's length-framed MarshalBinary blob. The blobs are
+// encoded on up to workers goroutines, each into its own slot, and appended
+// in language order, so the bytes do not depend on the worker count.
+func appendLanguageStats(buf []byte, all []*stats.LanguageStats, workers int) ([]byte, error) {
+	blobs := make([][]byte, len(all))
+	if err := stats.ForEachLanguage(len(all), workers, func(i int) error {
+		blob, err := all[i].MarshalBinary()
+		if err != nil {
+			return fmt.Errorf("pipeline: serializing %v statistics: %w", all[i].Language(), err)
+		}
+		blobs[i] = blob
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	size := 8
+	for _, blob := range blobs {
+		size += 8 + len(blob)
+	}
+	buf = slices.Grow(buf, size)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(blobs)))
+	for i, blob := range blobs {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(blob)))
+		buf = append(buf, blob...)
+		blobs[i] = nil // copied into buf; a collection may now reclaim it
+	}
+	return buf, nil
+}
+
+// readLanguageStats is the inverse of appendLanguageStats.
+func readLanguageStats(d *envelope.Decoder) ([]*stats.LanguageStats, error) {
+	n := d.Count(8)
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	if n > 4096 {
+		return nil, errors.New("implausible language count")
+	}
+	all := make([]*stats.LanguageStats, n)
+	for i := range all {
+		blob := d.Bytes()
+		if err := d.Err(); err != nil {
+			return nil, fmt.Errorf("statistics %d: %w", i, err)
+		}
+		ls := &stats.LanguageStats{}
+		if err := ls.UnmarshalBinary(blob); err != nil {
+			return nil, fmt.Errorf("statistics %d: %w", i, err)
+		}
+		all[i] = ls
+	}
+	return all, nil
+}
+
+// appendSampleEntries appends the distant-supervision sample: entry count,
+// then per entry the selection priority and the length-framed values. Only
+// Values are persisted — distsup reads nothing else from a column.
+func appendSampleEntries(buf []byte, entries []sampleEntry) []byte {
+	le := binary.LittleEndian
+	buf = le.AppendUint64(buf, uint64(len(entries)))
+	for _, e := range entries {
+		buf = le.AppendUint64(buf, e.pri)
+		buf = le.AppendUint64(buf, uint64(len(e.col.Values)))
+		for _, v := range e.col.Values {
+			buf = envelope.AppendString(buf, v)
+		}
+	}
+	return buf
+}
+
+// readSampleEntries is the inverse of appendSampleEntries. It returns nil
+// once d has failed; the caller reports d's error.
+func readSampleEntries(d *envelope.Decoder) []sampleEntry {
+	// Each entry is at least its priority and its value count.
+	entries := make([]sampleEntry, d.Count(16))
+	for i := range entries {
+		entries[i].pri = d.U64()
+		vals := make([]string, d.Count(8))
+		for j := range vals {
+			vals[j] = d.String()
+		}
+		if d.Err() != nil {
+			return nil
+		}
+		entries[i].col = &corpus.Column{Values: vals}
+	}
+	return entries
 }
 
 // CountParams are the resolved configuration knobs that shape the counting

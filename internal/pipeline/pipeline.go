@@ -19,10 +19,12 @@
 // (internal/distbuild) merge into the byte-identical sample of a
 // single-process pass.
 //
-// Periodic checkpoints persist the merged shard, the sample, and the
-// stream position inside the model-v2 integrity envelope; an interrupted
-// build resumes from the last barrier and converges to the byte-identical
-// model an uninterrupted build would have produced.
+// Periodic checkpoints persist the build's Partial — the merged statistics,
+// the sample and the stream position — as an SH/1 file, the same format a
+// distributed worker uploads; an interrupted build resumes from the last
+// barrier and converges to the byte-identical model an uninterrupted build
+// would have produced. CK/2 checkpoints written by older builds still
+// resume; nothing writes them any more.
 package pipeline
 
 import (
@@ -181,20 +183,11 @@ func Run(ctx context.Context, src ColumnSource, opts Options) (*Result, error) {
 		b.ckptEvery = defaultCheckpointEvery
 	}
 
-	// Resume from the newest valid shard, falling back past torn or
+	// Resume from the newest valid checkpoint, falling back past torn or
 	// corrupted ones.
 	if b.ckptDir != "" {
-		ck, corrupt, err := loadLatestCheckpoint(b.ckptDir, b.fingerprint, b.langs)
-		if err != nil {
+		if err := b.resume(); err != nil {
 			return nil, err
-		}
-		b.corruptSkipped = len(corrupt)
-		if ck != nil {
-			b.base = ck.stats
-			b.smp.restore(ck.entries)
-			b.columns.Store(ck.columns)
-			b.values.Store(ck.values)
-			b.resumed = ck.columns
 		}
 	}
 
@@ -205,11 +198,10 @@ func Run(ctx context.Context, src ColumnSource, opts Options) (*Result, error) {
 	if err := b.count(ctx); err != nil {
 		return nil, err
 	}
-	part := b.partial()
-	if part.Columns == 0 {
+	if b.part.Columns == 0 {
 		return nil, errors.New("pipeline: source yielded no columns")
 	}
-	p, err := part.prepare(b)
+	p, err := b.part.prepare(b)
 	if err != nil {
 		return nil, err
 	}
@@ -234,8 +226,8 @@ func Run(ctx context.Context, src ColumnSource, opts Options) (*Result, error) {
 		Detector:                  det,
 		Report:                    report,
 		Semantic:                  sem,
-		Columns:                   b.columns.Load(),
-		Values:                    b.values.Load(),
+		Columns:                   b.part.Columns,
+		Values:                    b.part.Values,
 		ResumedColumns:            b.resumed,
 		CheckpointsWritten:        b.checkpointsWritten(),
 		CorruptCheckpointsSkipped: b.corruptSkipped,
@@ -250,20 +242,20 @@ func Run(ctx context.Context, src ColumnSource, opts Options) (*Result, error) {
 
 // build carries the state of one Run or CountPartial.
 type build struct {
-	src         ColumnSource
-	langs       []pattern.Language
-	tc          core.TrainConfig
-	ds          distsup.Config
-	workers     int
-	ckptDir     string
-	ckptEvery   int
-	fingerprint string
+	src       ColumnSource
+	langs     []pattern.Language
+	tc        core.TrainConfig
+	ds        distsup.Config
+	workers   int
+	ckptDir   string
+	ckptEvery int
 
-	// base holds the merged statistics; nil until a fresh build's first
-	// barrier.
-	base []*stats.LanguageStats
-	smp  *sample
+	// part is the counted state the build checkpoints and returns: the
+	// fingerprint, the merged statistics (nil until a fresh build's first
+	// barrier), the sample, and Columns and Values as of the last barrier.
+	part *Partial
 
+	// columns and values are the live totals progress reports read.
 	columns, values atomic.Uint64
 	resumed         uint64
 	ckptsWritten    int
@@ -314,8 +306,11 @@ func startBuild(ctx context.Context, src ColumnSource, opts Options) (*build, er
 	if am, ok := src.(interface{ AttachMetrics(*sourceMetrics) }); ok {
 		am.AttachMetrics(newSourceMetrics(opts.Metrics))
 	}
-	b.fingerprint = buildFingerprint(src.Fingerprint(), b.langs, b.tc.Smoothing, opts.SampleColumns, b.ds.Seed)
-	b.smp = newSample(opts.SampleColumns, uint64(b.ds.Seed))
+	b.part = &Partial{
+		Fingerprint: buildFingerprint(src.Fingerprint(), b.langs, b.tc.Smoothing, opts.SampleColumns, b.ds.Seed),
+		smp:         newSample(opts.SampleColumns, uint64(b.ds.Seed)),
+		workers:     b.workers,
+	}
 
 	if b.progress != nil {
 		tick := time.NewTicker(progressEvery)
@@ -486,7 +481,7 @@ func (b *build) count(ctx context.Context) error {
 				srcErr = err
 				break
 			}
-			b.smp.add(col)
+			b.part.smp.add(col)
 			batch = append(batch, col)
 			if len(batch) == columnBatchSize {
 				batches <- batch
@@ -503,20 +498,21 @@ func (b *build) count(ctx context.Context) error {
 		wg.Wait()
 		b.addStage(StageCount, time.Since(roundStart))
 
-		// Barrier: fold the round's private shards into the base. A fresh
-		// build's first barrier adopts worker 0's shard as the base:
-		// merging it into empty statistics would copy it whole, IDs and
-		// all, and hold both copies until the round ends.
+		// Barrier: fold the round's private shards into the merged
+		// statistics. A fresh build's first barrier adopts worker 0's shard
+		// as them: merging it into empty statistics would copy it whole,
+		// IDs and all, and hold both copies until the round ends.
 		mergeStart := time.Now()
 		shards := partials
-		if b.base == nil {
-			b.base, shards = partials[0].Stats(), partials[1:]
+		if b.part.stats == nil {
+			b.part.stats, shards = partials[0].Stats(), partials[1:]
 		}
-		if err := mergeBuilders(b.base, shards, b.workers); err != nil {
+		if err := mergeBuilders(b.part.stats, shards, b.workers); err != nil {
 			return err
 		}
 		b.addStage(StageMerge, time.Since(mergeStart))
-		b.met.progress(b.columns.Load(), b.values.Load())
+		b.part.Columns, b.part.Values = b.columns.Load(), b.values.Load()
+		b.met.progress(b.part.Columns, b.part.Values)
 
 		// A context-aware source (DirSource aborts retry backoffs on
 		// cancellation) reports the build's own cancellation as a read
@@ -533,14 +529,7 @@ func (b *build) count(ctx context.Context) error {
 		// Persist the barrier state: at every full round, and on
 		// cancellation so the interrupted work is not lost.
 		if b.ckptDir != "" && (!drained || cancelled) {
-			if err := writeCheckpoint(b.ckptDir, &checkpoint{
-				fingerprint: b.fingerprint,
-				columns:     b.columns.Load(),
-				values:      b.values.Load(),
-				entries:     b.smp.entries(),
-				stats:       b.base,
-				workers:     b.workers,
-			}); err != nil {
+			if err := writeCheckpoint(b.ckptDir, b.part); err != nil {
 				return err
 			}
 			b.noteCheckpoint()
@@ -551,18 +540,6 @@ func (b *build) count(ctx context.Context) error {
 		}
 	}
 	return nil
-}
-
-// partial is the build's counted state.
-func (b *build) partial() *Partial {
-	return &Partial{
-		Fingerprint: b.fingerprint,
-		Columns:     b.columns.Load(),
-		Values:      b.values.Load(),
-		stats:       b.base,
-		smp:         b.smp,
-		workers:     b.workers,
-	}
 }
 
 // train calibrates every candidate of p, selects the ensemble and fills in

@@ -177,6 +177,14 @@ func colPriority(seed uint64, values []string) uint64 {
 	return splitmix64(h.Sum64() ^ seed)
 }
 
+// splitmix64 is the finalizer of sample priorities.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
 // Max-heap plumbing over entryLess (root = largest kept key = first to be
 // evicted).
 
