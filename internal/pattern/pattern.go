@@ -163,8 +163,9 @@ func (l Language) String() string {
 // verbatim (byte-exact, including invalid UTF-8). The empty value
 // generalizes to the empty pattern.
 //
-// Generalize is defined as FromRuns∘Encode so the three generalization
-// entry points (Generalize, FromRuns, HashRuns) can never disagree.
+// Generalize is FromRuns∘Encode, and every pattern (FromRuns, HashRuns,
+// the statistics' lookup keys) is rendered by AppendRuns alone, so no two
+// entry points can disagree.
 func (l Language) Generalize(v string) string {
 	return l.FromRuns(Encode(v))
 }

@@ -1,6 +1,8 @@
 package pattern
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -57,8 +59,9 @@ func TestFromRunsMatchesGeneralize(t *testing.T) {
 	}
 }
 
-// Property: HashRuns streams exactly the FNV-1a hash of the rendered
-// pattern, for every candidate language.
+// Property: HashRuns is exactly the FNV-1a hash of the rendered pattern,
+// for every candidate language, also when the pattern outgrows the stack
+// buffer.
 func TestHashRunsMatchesFromRuns(t *testing.T) {
 	langs := All()
 	f := func(s string, id uint16) bool {
@@ -97,45 +100,28 @@ func BenchmarkFromRuns(b *testing.B) {
 	}
 }
 
-// Property: MatchRuns(rs, p) holds exactly when p is the rendering of rs,
-// and checking a pattern allocates nothing.
-func TestMatchRunsMatchesFromRuns(t *testing.T) {
-	langs := All()
-	f := func(s, other string, id uint16) bool {
-		l := langs[int(id)%len(langs)]
-		rs := Encode(s)
-		p := l.FromRuns(rs)
-		q := l.Generalize(other)
-		return l.MatchRuns(rs, p) && l.MatchRuns(rs, q) == (p == q) &&
-			!l.MatchRuns(rs, p+"x") && (p == "" || !l.MatchRuns(rs, p[:len(p)-1]))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-	values := []string{"", "2011-01-01", "aaaaaaaaaaaa1", "ABCdef123!!!", "ab", "abc"}
-	for _, v := range values {
-		rs := Encode(v)
-		for _, l := range langs {
-			for _, w := range values {
-				if got, want := l.MatchRuns(rs, l.Generalize(w)), l.Generalize(v) == l.Generalize(w); got != want {
-					t.Fatalf("lang %v: MatchRuns(%q, pattern of %q) = %v, want %v", l, v, w, got, want)
-				}
-			}
+// TestRunCounts: a run of one character renders bare and a longer one
+// with its decimal length, on both sides of the one-digit fast path.
+func TestRunCounts(t *testing.T) {
+	for _, n := range []int{1, 2, 9, 10, 11, 99, 100, 12345} {
+		want := `\D`
+		if n > 1 {
+			want += "[" + strconv.Itoa(n) + "]"
 		}
-	}
-	rs, l := Encode("ITF $50.000 WTA International 2011-01-02"), L2()
-	p := l.FromRuns(rs)
-	if n := testing.AllocsPerRun(100, func() { l.MatchRuns(rs, p) }); n != 0 {
-		t.Errorf("MatchRuns allocates %v times per call", n)
+		if got := L2().Generalize(strings.Repeat("7", n)); got != want {
+			t.Errorf("run of %d digits renders %q, want %q", n, got, want)
+		}
 	}
 }
 
-func BenchmarkMatchRuns(b *testing.B) {
-	rs := Encode("ITF $50.000 WTA International 2011-01-02")
-	l := L2()
-	p := l.FromRuns(rs)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = l.MatchRuns(rs, p)
+// TestRenderAllocs: FromRuns allocates only its result for a pattern that
+// fits the stack buffer, and HashRuns allocates nothing.
+func TestRenderAllocs(t *testing.T) {
+	rs, l := Encode("ITF $50.000 WTA International 2011-01-02"), L2()
+	if n := testing.AllocsPerRun(100, func() { l.FromRuns(rs) }); n != 1 {
+		t.Errorf("FromRuns allocates %v times per call, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { l.HashRuns(rs) }); n != 0 {
+		t.Errorf("HashRuns allocates %v times per call, want 0", n)
 	}
 }

@@ -9,7 +9,7 @@ import (
 // min-estimate of never-inserted keys drifts upward with collisions, while
 // the count-mean-min corrected estimate stays near zero.
 func TestEstimateCorrectedDebiasesZeros(t *testing.T) {
-	cm, _ := New(512, 5, false)
+	cm, _ := New(512, 5)
 	r := rand.New(rand.NewSource(4))
 	for i := 0; i < 20000; i++ {
 		cm.Add(uint64(r.Intn(2000)), uint32(1+r.Intn(5)))
@@ -32,7 +32,7 @@ func TestEstimateCorrectedDebiasesZeros(t *testing.T) {
 // TestEstimateCorrectedBounded: the corrected estimate never exceeds the
 // raw estimate and never goes negative.
 func TestEstimateCorrectedBounded(t *testing.T) {
-	cm, _ := New(128, 4, false)
+	cm, _ := New(128, 4)
 	r := rand.New(rand.NewSource(5))
 	truth := map[uint64]uint64{}
 	for i := 0; i < 5000; i++ {
@@ -59,7 +59,7 @@ func TestEstimateCorrectedBounded(t *testing.T) {
 }
 
 func TestEstimateCorrectedSparseExact(t *testing.T) {
-	cm, _ := New(1<<12, 4, false)
+	cm, _ := New(1<<12, 4)
 	for k := uint64(0); k < 20; k++ {
 		cm.Add(k, uint32(k+1))
 	}
@@ -74,7 +74,7 @@ func TestEstimateCorrectedSparseExact(t *testing.T) {
 }
 
 func TestEstimateCorrectedEvenDepthMedian(t *testing.T) {
-	cm, _ := New(64, 4, false) // even depth exercises the two-middle median
+	cm, _ := New(64, 4) // even depth exercises the two-middle median
 	for i := uint64(0); i < 1000; i++ {
 		cm.Add(i%50, 1)
 	}

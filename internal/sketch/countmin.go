@@ -18,28 +18,24 @@ import (
 // least 1−δ at width ⌈e/ε⌉ and depth ⌈ln(1/δ)⌉, where N is the sum of all
 // inserted values.
 type CountMin struct {
-	width        int
-	depth        int
-	rows         [][]uint32
-	total        uint64
-	conservative bool
-	seeds        []uint64
+	width int
+	depth int
+	rows  [][]uint32
+	total uint64
+	seeds []uint64
 }
 
 // New returns a sketch with the given width (columns) and depth (hash
-// rows). conservative enables conservative update, which only increments
-// the minimal counters and sharply reduces over-estimation on skewed
-// (power-law) key distributions such as pattern co-occurrence counts.
-func New(width, depth int, conservative bool) (*CountMin, error) {
+// rows).
+func New(width, depth int) (*CountMin, error) {
 	if width < 1 || depth < 1 {
 		return nil, errors.New("sketch: width and depth must be positive")
 	}
 	cm := &CountMin{
-		width:        width,
-		depth:        depth,
-		rows:         make([][]uint32, depth),
-		conservative: conservative,
-		seeds:        make([]uint64, depth),
+		width: width,
+		depth: depth,
+		rows:  make([][]uint32, depth),
+		seeds: make([]uint64, depth),
 	}
 	// Deterministic, pairwise-distinct odd seeds for the Kirsch–Mitzenmacher
 	// double-hashing scheme.
@@ -65,26 +61,11 @@ func (cm *CountMin) index(key uint64, i int) int {
 	return int(h % uint64(cm.width))
 }
 
-// Add increments key's count by n.
+// Add increments key's count by n in every hash row.
 func (cm *CountMin) Add(key uint64, n uint32) {
 	cm.total += uint64(n)
-	if !cm.conservative {
-		for i := 0; i < cm.depth; i++ {
-			cm.rows[i][cm.index(key, i)] += n
-		}
-		return
-	}
-	// Conservative update: raise every counter to at most estimate+n.
-	est := cm.Estimate(key)
-	target := est + uint64(n)
-	if target > math.MaxUint32 {
-		target = math.MaxUint32
-	}
 	for i := 0; i < cm.depth; i++ {
-		c := &cm.rows[i][cm.index(key, i)]
-		if uint64(*c) < target {
-			*c = uint32(target)
-		}
+		cm.rows[i][cm.index(key, i)] += n
 	}
 }
 

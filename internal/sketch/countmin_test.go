@@ -8,16 +8,16 @@ import (
 )
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(0, 3, false); err == nil {
+	if _, err := New(0, 3); err == nil {
 		t.Error("width 0 should error")
 	}
-	if _, err := New(10, 0, false); err == nil {
+	if _, err := New(10, 0); err == nil {
 		t.Error("depth 0 should error")
 	}
 }
 
 func TestExactWhenSparse(t *testing.T) {
-	cm, _ := New(1<<14, 4, false)
+	cm, _ := New(1<<14, 4)
 	for k := uint64(0); k < 100; k++ {
 		cm.Add(k, uint32(k+1))
 	}
@@ -33,20 +33,17 @@ func TestExactWhenSparse(t *testing.T) {
 
 // Property: the estimate never under-counts.
 func TestNeverUnderCounts(t *testing.T) {
-	for _, conservative := range []bool{false, true} {
-		cm, _ := New(64, 3, conservative) // deliberately tiny: force collisions
-		truth := map[uint64]uint64{}
-		r := rand.New(rand.NewSource(7))
-		for i := 0; i < 5000; i++ {
-			k := uint64(r.Intn(300))
-			cm.Add(k, 1)
-			truth[k]++
-		}
-		for k, v := range truth {
-			if got := cm.Estimate(k); got < v {
-				t.Fatalf("conservative=%v: Estimate(%d) = %d < truth %d",
-					conservative, k, got, v)
-			}
+	cm, _ := New(64, 3) // deliberately tiny: force collisions
+	truth := map[uint64]uint64{}
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < 5000; i++ {
+		k := uint64(r.Intn(300))
+		cm.Add(k, 1)
+		truth[k]++
+	}
+	for k, v := range truth {
+		if got := cm.Estimate(k); got < v {
+			t.Fatalf("Estimate(%d) = %d < truth %d", k, got, v)
 		}
 	}
 }
@@ -57,7 +54,7 @@ func TestEpsilonBoundOnPowerLaw(t *testing.T) {
 	// probability.
 	// Width ⌈e/ε⌉ and depth ⌈ln(1/δ)⌉ give the εN bound with probability 1−δ.
 	const epsilon, delta = 0.001, 0.01
-	cm, err := New(int(math.Ceil(math.E/epsilon)), int(math.Ceil(math.Log(1/delta))), false)
+	cm, err := New(int(math.Ceil(math.E/epsilon)), int(math.Ceil(math.Log(1/delta))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,43 +78,22 @@ func TestEpsilonBoundOnPowerLaw(t *testing.T) {
 	}
 }
 
-func TestConservativeAtLeastAsAccurate(t *testing.T) {
-	plain, _ := New(128, 3, false)
-	cons, _ := New(128, 3, true)
-	truth := map[uint64]uint64{}
-	r := rand.New(rand.NewSource(3))
-	for i := 0; i < 20000; i++ {
-		k := uint64(r.Intn(1000))
-		plain.Add(k, 1)
-		cons.Add(k, 1)
-		truth[k]++
-	}
-	var errPlain, errCons uint64
-	for k, v := range truth {
-		errPlain += plain.Estimate(k) - v
-		errCons += cons.Estimate(k) - v
-	}
-	if errCons > errPlain {
-		t.Errorf("conservative error %d > plain error %d", errCons, errPlain)
-	}
-}
-
 func TestBytes(t *testing.T) {
-	cm, _ := New(1000, 5, false)
+	cm, _ := New(1000, 5)
 	if cm.Bytes() != 1000*5*4 {
 		t.Errorf("Bytes = %d", cm.Bytes())
 	}
 }
 
-// Property: adding in any order yields the same estimates (plain update is
+// Property: adding in any order yields the same estimates (update is
 // commutative).
 func TestAddCommutative(t *testing.T) {
 	f := func(keys []uint64) bool {
 		if len(keys) == 0 {
 			return true
 		}
-		a, _ := New(256, 3, false)
-		b, _ := New(256, 3, false)
+		a, _ := New(256, 3)
+		b, _ := New(256, 3)
 		for _, k := range keys {
 			a.Add(k, 1)
 		}
@@ -137,7 +113,7 @@ func TestAddCommutative(t *testing.T) {
 }
 
 func BenchmarkAdd(b *testing.B) {
-	cm, _ := New(1<<16, 4, false)
+	cm, _ := New(1<<16, 4)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		cm.Add(uint64(i), 1)
@@ -145,7 +121,7 @@ func BenchmarkAdd(b *testing.B) {
 }
 
 func BenchmarkEstimate(b *testing.B) {
-	cm, _ := New(1<<16, 4, false)
+	cm, _ := New(1<<16, 4)
 	for i := 0; i < 100000; i++ {
 		cm.Add(uint64(i), 1)
 	}

@@ -8,7 +8,7 @@ import "testing"
 func TestHotPathCounters(t *testing.T) {
 	before := HotPath()
 
-	cm, err := New(4, 3, false)
+	cm, err := New(4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,9 +23,8 @@ func TestHotPathCounters(t *testing.T) {
 	}
 
 	after := HotPath()
-	// Add with non-conservative mode doesn't probe, so the delta is at
-	// least the explicit Estimate calls (other tests may run in parallel,
-	// hence >=).
+	// Add doesn't probe, so the delta is at least the explicit Estimate
+	// calls (other tests may run in parallel, hence >=).
 	if got := after.Estimates - before.Estimates; got < probes*hotSample {
 		t.Errorf("estimate counter grew by %d, want >= %d", got, probes*hotSample)
 	}

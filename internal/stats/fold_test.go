@@ -214,93 +214,6 @@ func TestMapPairStoreMarshalMatchesReference(t *testing.T) {
 	}
 }
 
-// plantCollision makes the pattern hash map b onto a's hash for the rest of
-// the test: two distinct patterns that share a 64-bit hash, whether hashed
-// rendered or from a value's runs.
-func plantCollision(t *testing.T, a, b string) {
-	t.Helper()
-	orig, origRuns := hash64, hashRuns
-	hash64 = func(p string) uint64 {
-		if p == b {
-			return orig(a)
-		}
-		return orig(p)
-	}
-	hashRuns = func(l pattern.Language, rs pattern.Runs) uint64 { return hash64(l.FromRuns(rs)) }
-	t.Cleanup(func() { hash64, hashRuns = orig, origRuns })
-}
-
-func wantCollision(t *testing.T, err error, a, b string) {
-	t.Helper()
-	var hc *HashCollisionError
-	if !errors.As(err, &hc) {
-		t.Fatalf("got %v, want a HashCollisionError", err)
-	}
-	if got := map[string]bool{hc.Patterns[0]: true, hc.Patterns[1]: true}; !got[a] || !got[b] {
-		t.Fatalf("collision names %q, want %q and %q", hc.Patterns, a, b)
-	}
-	if hc.Hash != pattern.Hash64(a) {
-		t.Fatalf("collision hash %#x, want %#x", hc.Hash, pattern.Hash64(a))
-	}
-}
-
-func TestHashCollisionFailsMergeCanonicalizeAndLoad(t *testing.T) {
-	lang := pattern.L1()
-	pa, pb := lang.Generalize("2011-06-20"), lang.Generalize("abc")
-	if pa == pb {
-		t.Fatal("test values must generalize to different patterns")
-	}
-
-	// Both patterns counted into one store and serialized before the
-	// collision is planted.
-	both := NewLanguageStats(lang, DefaultSmoothing)
-	both.AddColumn([]string{"2011-06-20", "abc"})
-	blob, err := both.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	left := NewLanguageStats(lang, DefaultSmoothing)
-	left.AddColumn([]string{"2011-06-20"})
-	right := NewLanguageStats(lang, DefaultSmoothing)
-	right.AddColumn([]string{"abc"})
-
-	plantCollision(t, pa, pb)
-	wantCollision(t, left.Merge(right), pa, pb)
-	wantCollision(t, both.Canonicalize(), pa, pb)
-	wantCollision(t, (&LanguageStats{}).UnmarshalBinary(blob), pa, pb)
-
-	// The fold surfaces the typed error through its language wrapping.
-	l2, r2 := NewLanguageStats(lang, DefaultSmoothing), NewLanguageStats(lang, DefaultSmoothing)
-	l2.AddColumn([]string{"2011-06-20"})
-	r2.AddColumn([]string{"abc"})
-	wantCollision(t, MergeAll([]*LanguageStats{l2}, 2, []*LanguageStats{r2}), pa, pb)
-}
-
-// TestHashCollisionFailsCounting: a collision inside one shard is caught
-// at the hash hit while counting, although the second pattern is never
-// interned, and every later step that would keep the aliased counts fails.
-func TestHashCollisionFailsCounting(t *testing.T) {
-	lang := pattern.L1()
-	pa, pb := lang.Generalize("2011-06-20"), lang.Generalize("abc")
-	plantCollision(t, pa, pb)
-
-	counted := func() *LanguageStats {
-		b := NewBuilder([]pattern.Language{lang}, DefaultSmoothing)
-		b.AddColumn([]string{"2011-06-20", "2011-06-21"})
-		b.AddColumn([]string{"abc", "2011-06-20"})
-		return b.Stats()[0]
-	}
-	ls := counted()
-	if ls.DistinctPatterns() != 1 {
-		t.Fatalf("interned %d patterns, want the planted alias to hit", ls.DistinctPatterns())
-	}
-	_, err := ls.MarshalBinary()
-	wantCollision(t, err, pa, pb)
-	wantCollision(t, ls.Canonicalize(), pa, pb)
-	wantCollision(t, NewLanguageStats(lang, DefaultSmoothing).Merge(counted()), pa, pb)
-	wantCollision(t, MergeAll([]*LanguageStats{NewLanguageStats(lang, DefaultSmoothing)}, 2, []*LanguageStats{counted()}), pa, pb)
-}
-
 func TestUnmarshalRejectsDuplicatePattern(t *testing.T) {
 	ls := NewLanguageStats(pattern.L1(), DefaultSmoothing)
 	ls.AddColumn([]string{"2011-06-20", "abc"})

@@ -14,30 +14,6 @@ import (
 	"repro/internal/pattern"
 )
 
-// hash64 and hashRuns key the ids index: the first by a rendered pattern,
-// the second by a value's runs without rendering them. They must agree,
-// hashRuns(l, rs) == hash64(l.FromRuns(rs)); tests replace both to plant
-// collisions.
-var (
-	hash64   = pattern.Hash64
-	hashRuns = pattern.Language.HashRuns
-)
-
-// HashCollisionError reports two distinct patterns of one language that
-// share a 64-bit pattern hash. The hash index (ids) cannot tell them apart,
-// so the statistics would silently add one pattern's counts to the other's;
-// merging, canonicalizing and loading refuse such statistics instead.
-type HashCollisionError struct {
-	Language pattern.Language
-	Hash     uint64
-	Patterns [2]string
-}
-
-func (e *HashCollisionError) Error() string {
-	return fmt.Sprintf("stats: language %v: patterns %q and %q share hash %#016x",
-		e.Language, e.Patterns[0], e.Patterns[1], e.Hash)
-}
-
 // LanguageStats holds the corpus statistics of one generalization language:
 // how many columns each pattern occurs in, and how many columns each pair
 // of patterns co-occurs in. NPMI queries (Section 2.1) are answered from
@@ -45,12 +21,8 @@ func (e *HashCollisionError) Error() string {
 type LanguageStats struct {
 	lang pattern.Language
 	n    uint64 // number of columns observed
-	// ids maps pattern.Hash64(pattern) → pattern ID. Interning by hash
-	// lets the hot path (Language.HashRuns) avoid building pattern strings
-	// per value occurrence.
-	ids map[uint64]uint32
-	// byString maps the rendered pattern to its ID, for string queries and
-	// serialization.
+	// byString maps each pattern (Language.AppendRuns) to its ID, which is
+	// its index in patterns and occ.
 	byString  map[string]uint32
 	patterns  []string
 	occ       []uint32
@@ -61,11 +33,6 @@ type LanguageStats struct {
 	// column that contribute pairs, bounding the O(k²) pair update for
 	// pathologically diverse columns. 0 means no cap.
 	maxPatternsPerColumn int
-
-	// collision is the first hash hit counting found on a different
-	// pattern. Counting cannot fail, so it is kept here and returned by
-	// every later Merge, Canonicalize and MarshalBinary.
-	collision *HashCollisionError
 }
 
 // DefaultSmoothing is the paper's default Jelinek–Mercer factor f = 0.1.
@@ -76,7 +43,6 @@ const DefaultSmoothing = 0.1
 func NewLanguageStats(lang pattern.Language, smoothing float64) *LanguageStats {
 	return &LanguageStats{
 		lang:                 lang,
-		ids:                  make(map[uint64]uint32),
 		byString:             make(map[string]uint32),
 		pairs:                newMapPairStore(),
 		smoothing:            smoothing,
@@ -99,25 +65,19 @@ func (ls *LanguageStats) SetSmoothing(f float64) { ls.smoothing = f }
 // Smoothing returns the current Jelinek–Mercer factor.
 func (ls *LanguageStats) Smoothing() float64 { return ls.smoothing }
 
+// patternBuf is the stack buffer a value's pattern is rendered into for a
+// lookup; a longer pattern spills to the heap.
+const patternBuf = 128
+
 // internRuns returns the stable ID of the pattern of rs, allocating one
-// (and rendering the pattern string, once per distinct pattern) if new. A
-// hash hit is checked against the stored pattern; a different pattern is
-// recorded as the statistics' collision.
+// (and the pattern string, once per distinct pattern) if new.
 func (ls *LanguageStats) internRuns(rs pattern.Runs) uint32 {
-	h := hashRuns(ls.lang, rs)
-	if id, ok := ls.ids[h]; ok {
-		if ls.collision == nil && !ls.lang.MatchRuns(rs, ls.patterns[id]) {
-			ls.collision = &HashCollisionError{Language: ls.lang, Hash: h, Patterns: [2]string{ls.patterns[id], ls.lang.FromRuns(rs)}}
-		}
+	var buf [patternBuf]byte
+	p := ls.lang.AppendRuns(buf[:0], rs)
+	if id, ok := ls.byString[string(p)]; ok {
 		return id
 	}
-	p := ls.lang.FromRuns(rs)
-	id := uint32(len(ls.patterns))
-	ls.ids[h] = id
-	ls.byString[p] = id
-	ls.patterns = append(ls.patterns, p)
-	ls.occ = append(ls.occ, 0)
-	return id
+	return ls.internPattern(string(p))
 }
 
 // internPattern is internRuns for an already-rendered pattern string; used
@@ -127,35 +87,26 @@ func (ls *LanguageStats) internPattern(p string) uint32 {
 		return id
 	}
 	id := uint32(len(ls.patterns))
-	ls.ids[hash64(p)] = id
 	ls.byString[p] = id
 	ls.patterns = append(ls.patterns, p)
 	ls.occ = append(ls.occ, 0)
 	return id
 }
 
-// checkIDs verifies that counting met no collision and that the hash index
-// holds exactly one entry per pattern. It costs O(1) unless the check
-// fails, when it finds the offending pair for the error.
+// checkIDs verifies that the index holds exactly one entry per pattern: a
+// pattern table from outside the program, such as a decoded model or
+// shard, may repeat a pattern. It costs O(1) unless the check fails, when
+// it finds the repeated pattern for the error.
 func (ls *LanguageStats) checkIDs() error {
-	if ls.collision != nil {
-		return ls.collision
-	}
-	if len(ls.ids) == len(ls.patterns) {
+	if len(ls.byString) == len(ls.patterns) {
 		return nil
 	}
-	seen := make(map[uint64]string, len(ls.patterns))
-	for _, p := range ls.patterns {
-		h := hash64(p)
-		if q, dup := seen[h]; dup {
-			if q == p {
-				return fmt.Errorf("stats: language %v: duplicate pattern %q", ls.lang, p)
-			}
-			return &HashCollisionError{Language: ls.lang, Hash: h, Patterns: [2]string{q, p}}
+	for id, p := range ls.patterns {
+		if ls.byString[p] != uint32(id) {
+			return fmt.Errorf("stats: language %v: duplicate pattern %q", ls.lang, p)
 		}
-		seen[h] = p
 	}
-	return fmt.Errorf("stats: language %v: hash index holds %d entries for %d patterns", ls.lang, len(ls.ids), len(ls.patterns))
+	return fmt.Errorf("stats: language %v: index holds %d entries for %d patterns", ls.lang, len(ls.byString), len(ls.patterns))
 }
 
 // satAdd32 adds saturating at the uint32 cap, so merging many shards of a
@@ -181,9 +132,6 @@ func (ls *LanguageStats) Merge(other *LanguageStats) error {
 	if ls.lang.ID != other.lang.ID {
 		return errors.New("stats: cannot merge statistics of different languages")
 	}
-	if other.collision != nil {
-		return other.collision
-	}
 	exact, ok := ls.pairs.(*MapPairStore)
 	if !ok {
 		return errors.New("stats: merge target pair store is not exact")
@@ -196,7 +144,6 @@ func (ls *LanguageStats) Merge(other *LanguageStats) error {
 	if len(ls.patterns) == 0 && len(exact.m) == 0 {
 		// Merging into an empty store keeps the source's IDs: copy its
 		// tables whole instead of re-interning entry by entry.
-		ls.ids = maps.Clone(other.ids)
 		ls.byString = maps.Clone(other.byString)
 		ls.patterns = slices.Clone(other.patterns)
 		ls.occ = slices.Clone(other.occ)
@@ -243,10 +190,8 @@ func (ls *LanguageStats) Canonicalize() error {
 		occ[newID] = ls.occ[oldID]
 	}
 	ls.patterns, ls.occ = patterns, occ
-	ls.ids = make(map[uint64]uint32, len(patterns))
 	ls.byString = make(map[string]uint32, len(patterns))
 	for id, p := range patterns {
-		ls.ids[hash64(p)] = uint32(id)
 		ls.byString[p] = uint32(id)
 	}
 	// perm is a bijection, so remapped keys stay distinct: plain stores
@@ -337,21 +282,33 @@ func (ls *LanguageStats) NPMIValues(v1, v2 string) float64 {
 	return ls.NPMIRuns(pattern.Encode(v1), pattern.Encode(v2))
 }
 
+// lookupRuns renders the patterns of two category-run encoded values into
+// stack buffers and looks both up; same reports that the patterns are
+// identical, in which case neither is looked up.
+func (ls *LanguageStats) lookupRuns(r1, r2 pattern.Runs) (id1, id2 uint32, ok1, ok2, same bool) {
+	var b1, b2 [patternBuf]byte
+	p1 := ls.lang.AppendRuns(b1[:0], r1)
+	p2 := ls.lang.AppendRuns(b2[:0], r2)
+	if string(p1) == string(p2) {
+		return 0, 0, false, false, true
+	}
+	id1, ok1 = ls.byString[string(p1)]
+	id2, ok2 = ls.byString[string(p2)]
+	return id1, id2, ok1, ok2, false
+}
+
 // NPMIRuns generalizes two category-run encoded values and returns their
-// pattern-level NPMI. This is the hot path used during calibration and
-// detection; it never materializes pattern strings.
+// pattern-level NPMI, equal to NPMI over their rendered patterns. This is
+// the hot path used during calibration and detection; it renders into
+// stack buffers and allocates nothing for patterns of ordinary length.
 func (ls *LanguageStats) NPMIRuns(r1, r2 pattern.Runs) float64 {
-	h1 := ls.lang.HashRuns(r1)
-	h2 := ls.lang.HashRuns(r2)
-	if h1 == h2 {
+	id1, id2, ok1, ok2, same := ls.lookupRuns(r1, r2)
+	switch {
+	case same:
 		return 1
-	}
-	if ls.n == 0 {
+	case ls.n == 0:
 		return 0
-	}
-	id1, ok1 := ls.ids[h1]
-	id2, ok2 := ls.ids[h2]
-	if !ok1 || !ok2 {
+	case !ok1 || !ok2:
 		return -1 // an unseen pattern: zero co-occurrence, smoothed or not
 	}
 	return ls.NPMIByID(id1, id2)
@@ -366,17 +323,14 @@ func (ls *LanguageStats) NPMIRuns(r1, r2 pattern.Runs) float64 {
 // (c12 ≥ 1 for every same-column pair) and calibrate to spuriously
 // aggressive thresholds.
 func (ls *LanguageStats) NPMIRunsLOO(r1, r2 pattern.Runs, sameColumn bool) float64 {
-	h1 := ls.lang.HashRuns(r1)
-	h2 := ls.lang.HashRuns(r2)
-	if h1 == h2 {
+	id1, id2, ok1, ok2, same := ls.lookupRuns(r1, r2)
+	if same {
 		return 1
 	}
 	if ls.n == 0 {
 		return 0
 	}
 	var c1, c2, c12 float64
-	id1, ok1 := ls.ids[h1]
-	id2, ok2 := ls.ids[h2]
 	if ok1 {
 		c1 = float64(ls.occ[id1]) - 1
 	}
@@ -453,9 +407,6 @@ func (ls *LanguageStats) Prune(keep func(p string, count uint64) bool) (*Languag
 	if !ok {
 		return nil, errors.New("stats: prune requires an exact pair store")
 	}
-	if ls.collision != nil {
-		return nil, ls.collision
-	}
 	out := NewLanguageStats(ls.lang, ls.smoothing)
 	out.n = ls.n
 	const dropped = math.MaxUint32
@@ -515,7 +466,10 @@ func (ls *LanguageStats) Bytes() int {
 	for _, p := range ls.patterns {
 		b += len(p) + 16 // string bytes + header
 	}
-	b += len(ls.patterns) * 48 // hash + string map entry overhead
+	// Per-pattern index overhead. The constant was sized for two indexes;
+	// it stays as it is because it is part of size(L), and changing it
+	// would change which languages the budgeted selection keeps.
+	b += len(ls.patterns) * 48
 	b += len(ls.occ) * 4
 	b += ls.pairs.Bytes()
 	return b
@@ -565,9 +519,6 @@ func (ls *LanguageStats) PairNPMIDistribution() []float64 {
 // counts, smoothing, and the exact pair store). Sketch-backed stats must be
 // serialized before compression.
 func (ls *LanguageStats) MarshalBinary() ([]byte, error) {
-	if ls.collision != nil {
-		return nil, ls.collision
-	}
 	exact, ok := ls.pairs.(*MapPairStore)
 	if !ok {
 		return nil, errors.New("stats: only exact stores serialize; compress after loading")
@@ -609,7 +560,6 @@ func (ls *LanguageStats) UnmarshalBinary(data []byte) error {
 	ls.maxPatternsPerColumn = int(mp)
 	ls.patterns = make([]string, np)
 	ls.occ = make([]uint32, np)
-	ls.ids = make(map[uint64]uint32, np)
 	ls.byString = make(map[string]uint32, np)
 	for i := range ls.patterns {
 		p := d.String()
@@ -618,7 +568,6 @@ func (ls *LanguageStats) UnmarshalBinary(data []byte) error {
 			return fmt.Errorf("stats: pattern %d: %w", i, err)
 		}
 		ls.patterns[i] = p
-		ls.ids[hash64(p)] = uint32(i)
 		ls.byString[p] = uint32(i)
 	}
 	if err := ls.checkIDs(); err != nil {

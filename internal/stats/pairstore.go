@@ -128,12 +128,12 @@ type SketchPairStore struct {
 }
 
 // NewSketchPairStore returns a sketch-backed pair store with the given
-// dimensions. Updates are plain (non-conservative): reads go through the
-// count-mean-min correction, whose collision-noise model assumes additive
-// rows — conservative update would break it and systematically
-// under-count, turning compatible pairs into false positives.
+// dimensions. Reads go through the count-mean-min correction, whose
+// collision-noise model assumes additive rows — which is why the sketch
+// has no conservative update: it would systematically under-count here,
+// turning compatible pairs into false positives.
 func NewSketchPairStore(width, depth int) (*SketchPairStore, error) {
-	cm, err := sketch.New(width, depth, false)
+	cm, err := sketch.New(width, depth)
 	if err != nil {
 		return nil, err
 	}
