@@ -123,10 +123,8 @@ func Introspect(ctx context.Context, db *sql.DB, d Dialect, tableFilter []string
 			return nil, err
 		}
 		sch.Tables = append(sch.Tables, t)
-		if obs != nil {
-			obs.tables.Inc()
-			obs.columns.Add(float64(len(t.Columns)))
-		}
+		obs.tables.Inc()
+		obs.columns.Add(float64(len(t.Columns)))
 	}
 	observe.SetSpanAttr(ctx, "tables", strconv.Itoa(len(sch.Tables)))
 	observe.SetSpanAttr(ctx, "schema_hash", sch.Hash())

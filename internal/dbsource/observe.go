@@ -14,9 +14,6 @@ type dbObs struct {
 }
 
 func newDBObs(reg *observe.Registry) *dbObs {
-	if reg == nil {
-		return nil
-	}
 	return &dbObs{
 		tables: reg.Counter("autodetect_db_tables_total",
 			"Tables enumerated by database introspection."),

@@ -226,11 +226,9 @@ func (s *Source) readPage(ctx context.Context, query string, after any) ([]strin
 	if err := rows.Err(); err != nil {
 		return nil, nil, err
 	}
-	if s.obs != nil {
-		s.obs.pages.Inc()
-		s.obs.rows.Add(float64(len(page)))
-		s.obs.pageDur.ObserveExemplar(time.Since(start).Seconds(), observe.TraceIDFrom(ctx))
-	}
+	s.obs.pages.Inc()
+	s.obs.rows.Add(float64(len(page)))
+	s.obs.pageDur.ObserveExemplar(time.Since(start).Seconds(), observe.TraceIDFrom(ctx))
 	return page, lastKey, nil
 }
 

@@ -228,9 +228,9 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		resilience.WriteJSON(w, http.StatusOK, LeaseResponse{Wait: true, RetryAfterSeconds: leaseWaitFallback})
 		return
 	}
-	c.met.inc(c.met.leasesGranted)
+	c.met.leasesGranted.Inc()
 	if reassigned {
-		c.met.inc(c.met.leasesReassigned)
+		c.met.leasesReassigned.Inc()
 		c.logf("distbuild: partition %d reassigned to %s", idx, req.Worker)
 	} else {
 		c.logf("distbuild: partition %d leased to %s", idx, req.Worker)
@@ -249,19 +249,16 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// observeExpiry mirrors the table's cumulative expiry count into the
-// monotonic metric. Called under c.mu after tick.
 // reject counts one refused request in both the status counters and the
 // metric family.
 func (c *Coordinator) reject(reason string) {
 	c.nRejected.Add(1)
-	c.met.reject(reason)
+	c.met.shardsRejected.With(reason).Inc()
 }
 
+// observeExpiry mirrors the table's cumulative expiry count into the
+// monotonic metric. Called under c.mu after tick.
 func (c *Coordinator) observeExpiry() {
-	if c.met.leasesExpired == nil {
-		return
-	}
 	if d := float64(c.table.expired) - c.met.leasesExpired.Value(); d > 0 {
 		c.met.leasesExpired.Add(d)
 	}
@@ -283,7 +280,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		resilience.WriteError(w, r, http.StatusGone, "lease lost: partition reassigned or completed")
 		return
 	}
-	c.met.inc(c.met.heartbeats)
+	c.met.heartbeats.Inc()
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -340,7 +337,7 @@ func (c *Coordinator) handleShard(w http.ResponseWriter, r *http.Request) {
 		c.mu.Unlock()
 		if same {
 			c.nDuplicate.Add(1)
-			c.met.inc(c.met.shardsDuplicate)
+			c.met.shardsDuplicate.Inc()
 			c.logf("distbuild: partition %d duplicate upload from %s acknowledged", idx, worker)
 			resilience.WriteJSON(w, http.StatusOK, map[string]string{"status": "duplicate"})
 			return
@@ -369,7 +366,7 @@ func (c *Coordinator) handleShard(w http.ResponseWriter, r *http.Request) {
 	c.mu.Unlock()
 
 	c.nAccepted.Add(1)
-	c.met.inc(c.met.shardsAccepted)
+	c.met.shardsAccepted.Inc()
 	c.logf("distbuild: partition %d accepted from %s (%d columns)", idx, worker, p.Columns)
 	if done {
 		c.maybeDone()

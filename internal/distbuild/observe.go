@@ -2,9 +2,8 @@ package distbuild
 
 import "repro/internal/observe"
 
-// metrics is the nil-safe bundle of distbuild instrument families. A nil
-// registry produces a zero bundle whose methods all no-op, so the
-// coordinator never branches on "metrics enabled".
+// metrics is the bundle of distbuild instrument families. On a nil
+// observe registry its instruments still count but are never exported.
 type metrics struct {
 	leasesGranted    *observe.Counter
 	leasesExpired    *observe.Counter
@@ -16,9 +15,6 @@ type metrics struct {
 }
 
 func newMetrics(r *observe.Registry) *metrics {
-	if r == nil {
-		return &metrics{}
-	}
 	return &metrics{
 		leasesGranted: r.Counter("autodetect_distbuild_leases_granted_total",
 			"Partition leases granted to workers."),
@@ -41,9 +37,6 @@ func newMetrics(r *observe.Registry) *metrics {
 // registerGauges wires the build-progress gauges, which read live
 // coordinator state rather than accumulating.
 func (c *Coordinator) registerGauges(r *observe.Registry) {
-	if r == nil {
-		return
-	}
 	r.GaugeFunc("autodetect_distbuild_partitions",
 		"Partitions the corpus is split into.",
 		func() float64 { return float64(len(c.table.states)) })
@@ -68,16 +61,4 @@ func (c *Coordinator) registerGauges(r *observe.Registry) {
 			}
 			return float64(len(alive))
 		})
-}
-
-func (m *metrics) inc(c *observe.Counter) {
-	if c != nil {
-		c.Inc()
-	}
-}
-
-func (m *metrics) reject(reason string) {
-	if m.shardsRejected != nil {
-		m.shardsRejected.With(reason).Inc()
-	}
 }

@@ -83,7 +83,7 @@ func (m *Manager) SubmitDB(ctx context.Context, req DBRequest) (*State, error) {
 		Driver:  req.Driver,
 		DSN:     req.DSN,
 		Tables:  req.Tables,
-		Metrics: m.reg,
+		Metrics: m.cfg.Metrics,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrDatabase, err)
@@ -136,7 +136,7 @@ type columnFetcher interface {
 // reads feed the shared autodetect_db_* families.
 func (m *Manager) newFetcher(sp *Spec, order []string) columnFetcher {
 	if sp.DB != nil {
-		return &dbFetcher{sp: sp, metrics: m.reg}
+		return &dbFetcher{sp: sp, metrics: m.cfg.Metrics}
 	}
 	return tableFetcher{sp: sp, order: order}
 }

@@ -39,7 +39,7 @@ type Config struct {
 	// pickup so a whole job scores against one consistent model even
 	// across hot swaps (required; a nil detector fails the job).
 	Model func() (*core.Detector, *semantic.Model)
-	// Metrics receives the jobs_* families (nil gets a private registry).
+	// Metrics receives the jobs_* families; nil exports none.
 	Metrics *observe.Registry
 	// Tracer, when set, records executor spans into its flight recorder
 	// under the submitting request's trace (persisted in the spec), and
@@ -61,7 +61,6 @@ type Manager struct {
 	cfg   Config
 	store *Store
 	obs   *jobsObs
-	reg   *observe.Registry
 
 	baseCtx    context.Context
 	baseCancel context.CancelCauseFunc
@@ -97,15 +96,10 @@ func Open(ctx context.Context, cfg Config) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = observe.NewRegistry()
-	}
 	m := &Manager{
 		cfg:     cfg,
 		store:   store,
-		obs:     newJobsObs(reg),
-		reg:     reg,
+		obs:     newJobsObs(cfg.Metrics),
 		running: make(map[string]context.CancelCauseFunc),
 	}
 	m.baseCtx, m.baseCancel = context.WithCancelCause(ctx)
@@ -502,7 +496,7 @@ func (m *Manager) runJob(id string) {
 		return
 	}
 
-	ctx := observe.ContextWithRegistry(jobCtx, m.reg)
+	ctx := observe.ContextWithRegistry(jobCtx, m.cfg.Metrics)
 	// Rejoin the submitting request's trace (persisted in the spec), so a
 	// job resumed after a crash still records under the original trace.
 	if m.cfg.Tracer != nil {

@@ -23,9 +23,6 @@ type jobsObs struct {
 }
 
 func newJobsObs(reg *observe.Registry) *jobsObs {
-	if reg == nil {
-		reg = observe.NewRegistry()
-	}
 	return &jobsObs{
 		submitted: reg.Counter("autodetect_jobs_submitted_total",
 			"Batch audit jobs accepted into the queue."),

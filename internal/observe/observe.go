@@ -46,7 +46,11 @@ import (
 var DefBuckets = []float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 
 // Registry holds named metric families and renders them in Prometheus
-// text format. The zero value is not usable; construct with NewRegistry.
+// text format. Construct one with NewRegistry; the zero value is not
+// usable. A nil *Registry is valid and exports nothing: its registration
+// methods hand out working metrics that no scrape ever sees (CounterFunc
+// and GaugeFunc do nothing), so a component that may run without a
+// registry registers and records unconditionally.
 // Registration methods are idempotent: asking for an existing name with
 // the same kind returns the existing metric, a kind clash panics (it is a
 // programming error, caught by any test that touches the path).
@@ -86,6 +90,7 @@ var defaultRegistry = NewRegistry()
 func Default() *Registry { return defaultRegistry }
 
 // register installs a family or returns the existing one of the same kind.
+// On a nil registry it returns a fresh family that is never stored.
 func (r *Registry) register(name, help, kind string, labels []string, build func() *family) *family {
 	if err := checkName(name); err != nil {
 		panic(err)
@@ -94,6 +99,11 @@ func (r *Registry) register(name, help, kind string, labels []string, build func
 		if err := checkName(l); err != nil {
 			panic(err)
 		}
+	}
+	if r == nil {
+		f := build()
+		f.name, f.help, f.kind, f.labels = name, help, kind, labels
+		return f
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -1,6 +1,7 @@
 package observe
 
 import (
+	"context"
 	"math"
 	"strings"
 	"sync"
@@ -24,6 +25,47 @@ func TestCounterBasics(t *testing.T) {
 		}
 	}()
 	c.Add(-1)
+}
+
+// TestNilRegistry pins the optional-metrics contract: a nil registry
+// hands out working instruments that no scrape sees, its func-backed
+// families do nothing, and a span bound to it records no sample anywhere.
+func TestNilRegistry(t *testing.T) {
+	var reg *Registry
+	c := reg.Counter("nil_total", "h")
+	c.Add(2)
+	reg.CounterVec("nil_vec_total", "h", "k").With("a").Inc()
+	g := reg.Gauge("nil_gauge", "h")
+	g.Set(4)
+	gv := reg.GaugeVec("nil_gauge_vec", "h", "k").With("a")
+	gv.Add(1.5)
+	h := reg.Histogram("nil_seconds", "h", nil)
+	h.Observe(0.1)
+	hv := reg.HistogramVec("nil_vec_seconds", "h", nil, "k").With("a")
+	hv.Observe(0.2)
+	hv.Observe(0.3)
+	reg.CounterFunc("nil_func_total", "h", func() uint64 { return 1 })
+	reg.GaugeFunc("nil_func_gauge", "h", func() float64 { return 1 })
+	if c.Value() != 2 || g.Value() != 4 || gv.Value() != 1.5 || h.Count() != 1 || hv.Count() != 2 {
+		t.Fatalf("nil-registry instruments do not count: counter %v gauge %v gauge child %v hist %d hist child %d",
+			c.Value(), g.Value(), gv.Value(), h.Count(), hv.Count())
+	}
+	cv := reg.CounterVec("nil_vec_total", "h", "k")
+	cv.With("a").Inc()
+	if got := cv.With("a").Value(); got != 1 {
+		t.Fatalf("vec child on a nil registry = %v, want 1 (children persist per vec)", got)
+	}
+
+	ctx := ContextWithRegistry(context.Background(), nil)
+	_, end := Span(ctx, "nil_registry_probe")
+	end()
+	var b strings.Builder
+	if err := Default().WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(b.String(), "nil_registry_probe") {
+		t.Fatal("span under a nil registry recorded into Default")
+	}
 }
 
 func TestKindClashPanics(t *testing.T) {

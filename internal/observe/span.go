@@ -13,7 +13,8 @@ const SpanMetric = "autodetect_span_seconds"
 // Span starts timing a named stage and returns a context for nested spans
 // plus an end function. Ending the span records its wall-clock duration
 // into the SpanMetric histogram of the context's registry (see
-// ContextWithRegistry; Default otherwise), labeled with the span path:
+// ContextWithRegistry; Default otherwise; no sample when the bound
+// registry is nil), labeled with the span path:
 // nested spans join their names with '/', so a column check inside a
 // table request records as "check_table/check_column".
 //
@@ -39,8 +40,10 @@ func Span(ctx context.Context, name string) (context.Context, func()) {
 	ctx = context.WithValue(ctx, spanPathKey, path)
 	return ctx, func() {
 		d := time.Since(start)
-		reg.HistogramVec(SpanMetric, "Duration of instrumented stages by span path.",
-			DefBuckets, "span").With(path).Observe(d.Seconds())
+		if reg != nil {
+			reg.HistogramVec(SpanMetric, "Duration of instrumented stages by span path.",
+				DefBuckets, "span").With(path).Observe(d.Seconds())
+		}
 		if st != nil {
 			st.end(d)
 		}

@@ -92,7 +92,7 @@ func TestMergeBarrierErrorNamesLowestLanguage(t *testing.T) {
 	b := &build{
 		src: NewSliceSource(cols), langs: langs, tc: tc, ds: ds,
 		workers: 4, ckptDir: dir, ckptEvery: 50,
-		clock: newStageClock(), startTime: time.Now(),
+		clock: newStageClock(), met: newPipelineMetrics(nil), startTime: time.Now(),
 		part: &Partial{
 			smp: newSample(0, 1), workers: 4,
 			stats: stats.NewBuilder(langs, tc.Smoothing).Stats(),

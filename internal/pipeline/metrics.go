@@ -1,10 +1,6 @@
 package pipeline
 
-import (
-	"time"
-
-	"repro/internal/observe"
-)
+import "repro/internal/observe"
 
 // pipelineMetrics holds the build's metric handles on the registry passed
 // through Options.Metrics. All families are registered idempotently, so
@@ -21,9 +17,6 @@ type pipelineMetrics struct {
 }
 
 func newPipelineMetrics(reg *observe.Registry) *pipelineMetrics {
-	if reg == nil {
-		return nil
-	}
 	return &pipelineMetrics{
 		builds: reg.Counter("autodetect_pipeline_builds_total",
 			"Completed pipeline builds since start."),
@@ -42,49 +35,6 @@ func newPipelineMetrics(reg *observe.Registry) *pipelineMetrics {
 	}
 }
 
-// stage records d seconds of stage s; nil-safe.
-func (m *pipelineMetrics) stage(s Stage, d time.Duration) {
-	if m != nil {
-		m.stageSecs.With(string(s)).Add(d.Seconds())
-	}
-}
-
-// progress reflects the live column/value totals; nil-safe.
-func (m *pipelineMetrics) progress(columns, values uint64) {
-	if m != nil {
-		m.columns.Set(float64(columns))
-		m.values.Set(float64(values))
-	}
-}
-
-// busy accumulates worker fold time; nil-safe.
-func (m *pipelineMetrics) busy(d time.Duration) {
-	if m != nil {
-		m.busySecs.Add(d.Seconds())
-	}
-}
-
-// setWorkers records the build parallelism; nil-safe.
-func (m *pipelineMetrics) setWorkers(n int) {
-	if m != nil {
-		m.workers.Set(float64(n))
-	}
-}
-
-// checkpoint counts one persisted shard; nil-safe.
-func (m *pipelineMetrics) checkpoint() {
-	if m != nil {
-		m.checkpoints.Inc()
-	}
-}
-
-// buildDone counts one completed build; nil-safe.
-func (m *pipelineMetrics) buildDone() {
-	if m != nil {
-		m.builds.Inc()
-	}
-}
-
 // sourceMetrics are the ingestion-side fault-tolerance families: budget
 // burn (files skipped, columns quarantined), retry pressure, and per-file
 // open/parse latency. Attached to fault-tolerant sources (DirSource) by
@@ -98,9 +48,6 @@ type sourceMetrics struct {
 }
 
 func newSourceMetrics(reg *observe.Registry) *sourceMetrics {
-	if reg == nil {
-		return nil
-	}
 	return &sourceMetrics{
 		filesSkipped: reg.Counter("autodetect_pipeline_files_skipped_total",
 			"Table files skipped after quarantine (unreadable or unparseable past the retry policy)."),
@@ -112,40 +59,5 @@ func newSourceMetrics(reg *observe.Registry) *sourceMetrics {
 			"Latency of table file open attempts.", observe.DefBuckets),
 		parseSecs: reg.Histogram("autodetect_pipeline_file_parse_seconds",
 			"Latency of table file parse attempts (read+close).", observe.DefBuckets),
-	}
-}
-
-// fileSkipped counts one quarantined file; nil-safe.
-func (m *sourceMetrics) fileSkipped() {
-	if m != nil {
-		m.filesSkipped.Inc()
-	}
-}
-
-// columnQuarantined counts one quarantined column; nil-safe.
-func (m *sourceMetrics) columnQuarantined() {
-	if m != nil {
-		m.colsQuar.Inc()
-	}
-}
-
-// ioRetry counts one transient-I/O retry; nil-safe.
-func (m *sourceMetrics) ioRetry() {
-	if m != nil {
-		m.ioRetries.Inc()
-	}
-}
-
-// openDuration records one open attempt's latency; nil-safe.
-func (m *sourceMetrics) openDuration(d time.Duration) {
-	if m != nil {
-		m.openSecs.Observe(d.Seconds())
-	}
-}
-
-// parseDuration records one parse attempt's latency; nil-safe.
-func (m *sourceMetrics) parseDuration(d time.Duration) {
-	if m != nil {
-		m.parseSecs.Observe(d.Seconds())
 	}
 }

@@ -193,7 +193,8 @@ func Run(ctx context.Context, src ColumnSource, opts Options) (*Result, error) {
 
 	// Publish restored totals before counting so a scrape during the
 	// checkpoint skip phase already shows the resumed position.
-	b.met.progress(b.columns.Load(), b.values.Load())
+	b.met.columns.Set(float64(b.columns.Load()))
+	b.met.values.Set(float64(b.values.Load()))
 
 	if err := b.count(ctx); err != nil {
 		return nil, err
@@ -217,7 +218,7 @@ func Run(ctx context.Context, src ColumnSource, opts Options) (*Result, error) {
 			}
 		}
 	}
-	b.met.buildDone()
+	b.met.builds.Inc()
 
 	if b.ckptDir != "" && !opts.KeepCheckpoints {
 		removeCheckpoints(b.ckptDir)
@@ -280,7 +281,7 @@ func newBuild(opts Options) *build {
 	tc, ds, langs, workers := resolveTrain(opts)
 	return &build{
 		langs: langs, tc: tc, ds: ds, workers: workers,
-		clock: newStageClock(), startTime: time.Now(),
+		clock: newStageClock(), met: newPipelineMetrics(nil), startTime: time.Now(),
 	}
 }
 
@@ -296,7 +297,7 @@ func startBuild(ctx context.Context, src ColumnSource, opts Options) (*build, er
 	b.src = src
 	b.progress = opts.Progress
 	b.met = newPipelineMetrics(opts.Metrics)
-	b.met.setWorkers(b.workers)
+	b.met.workers.Set(float64(b.workers))
 	// Fault-tolerant sources get the build context (so retry backoffs abort
 	// on cancellation) and the metrics registry (so budget burn is visible
 	// on /metrics while the build runs).
@@ -340,12 +341,12 @@ func (b *build) close() {
 	}
 }
 
-// addStage accumulates a stage duration on the clock and, when a metrics
-// registry is attached, on the exported per-stage counters — so a scrape
-// during a long build sees stage progress live, not only at the end.
+// addStage accumulates a stage duration on the clock and on the exported
+// per-stage counters, so a scrape during a long build sees stage progress
+// live, not only at the end.
 func (b *build) addStage(s Stage, d time.Duration) {
 	b.clock.add(s, d)
-	b.met.stage(s, d)
+	b.met.stageSecs.With(string(s)).Add(d.Seconds())
 }
 
 func (b *build) setStage(s Stage) {
@@ -359,7 +360,7 @@ func (b *build) noteCheckpoint() {
 	b.progMu.Lock()
 	b.ckptsWritten++
 	b.progMu.Unlock()
-	b.met.checkpoint()
+	b.met.checkpoints.Inc()
 }
 
 func (b *build) checkpointsWritten() int {
@@ -457,7 +458,7 @@ func (b *build) count(ctx context.Context) error {
 					}
 					busy += time.Since(t)
 				}
-				b.met.busy(busy)
+				b.met.busySecs.Add(busy.Seconds())
 			}(partials[w])
 		}
 
@@ -512,7 +513,8 @@ func (b *build) count(ctx context.Context) error {
 		}
 		b.addStage(StageMerge, time.Since(mergeStart))
 		b.part.Columns, b.part.Values = b.columns.Load(), b.values.Load()
-		b.met.progress(b.part.Columns, b.part.Values)
+		b.met.columns.Set(float64(b.part.Columns))
+		b.met.values.Set(float64(b.part.Values))
 
 		// A context-aware source (DirSource aborts retry backoffs on
 		// cancellation) reports the build's own cancellation as a read

@@ -259,6 +259,7 @@ func newDirSource(dir string, cfg DirConfig, files []string, sizes []int64) (*Di
 		cfg:            cfg,
 		pol:            cfg.Retry,
 		ctx:            context.Background(),
+		met:            newSourceMetrics(nil),
 		preskip:        map[string]bool{},
 		seenFileQuar:   map[string]bool{},
 		seenColumnQuar: map[string]bool{},
@@ -338,8 +339,9 @@ func (s *DirSource) BindContext(ctx context.Context) {
 }
 
 // AttachMetrics wires the source's skip/quarantine/retry counters and
-// per-file duration histograms onto the registry. Run calls this when
-// Options.Metrics is set.
+// per-file duration histograms onto Options.Metrics. Run calls this
+// before counting starts; an unattached source counts into handles no
+// registry exports.
 func (s *DirSource) AttachMetrics(met *sourceMetrics) { s.met = met }
 
 // Files returns how many table files the source covers.
@@ -389,7 +391,7 @@ func (s *DirSource) Next() (*corpus.Column, error) {
 			// Quarantined by an earlier run of this build; already counted
 			// against the budget at manifest load.
 			s.skippedFiles++
-			s.met.fileSkipped()
+			s.met.filesSkipped.Inc()
 			continue
 		}
 		cols, err := s.readFile(path)
@@ -445,7 +447,7 @@ func (s *DirSource) readFile(path string) ([]*corpus.Column, error) {
 	userOnRetry := pol.OnRetry
 	pol.OnRetry = func(attempt int, err error, backoff time.Duration) {
 		s.retries++
-		s.met.ioRetry()
+		s.met.ioRetries.Inc()
 		if userOnRetry != nil {
 			userOnRetry(attempt, err, backoff)
 		}
@@ -455,14 +457,14 @@ func (s *DirSource) readFile(path string) ([]*corpus.Column, error) {
 		cols = nil
 		t0 := time.Now()
 		f, err := s.open(path)
-		s.met.openDuration(time.Since(t0))
+		s.met.openSecs.Observe(time.Since(t0).Seconds())
 		if err != nil {
 			return err
 		}
 		t0 = time.Now()
 		cols, err = corpus.ReadTable(f, comma, s.hasHeader)
 		cerr := f.Close()
-		s.met.parseDuration(time.Since(t0))
+		s.met.parseSecs.Observe(time.Since(t0).Seconds())
 		if err != nil {
 			cols = nil
 			return err
@@ -501,7 +503,7 @@ func validateColumn(c *corpus.Column) error {
 // or the manifest itself cannot be written.
 func (s *DirSource) quarantineFile(rel string, cause error) error {
 	s.skippedFiles++
-	s.met.fileSkipped()
+	s.met.filesSkipped.Inc()
 	entry := QuarantineEntry{Kind: "file", Path: rel, Error: cause.Error()}
 	var pe *corpus.ParseError
 	if errors.As(cause, &pe) {
@@ -520,7 +522,7 @@ func (s *DirSource) quarantineFile(rel string, cause error) error {
 // quarantineColumn records one garbage column and spends one budget unit.
 func (s *DirSource) quarantineColumn(rel string, idx int, name string, cause error) error {
 	s.quarCols++
-	s.met.columnQuarantined()
+	s.met.colsQuar.Inc()
 	key := fmt.Sprintf("%s#%d", rel, idx)
 	if !s.seenColumnQuar[key] {
 		s.seenColumnQuar[key] = true

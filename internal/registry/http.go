@@ -94,12 +94,12 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	met := s.store.met
 	raw, err := io.ReadAll(io.LimitReader(r.Body, maxModelBytes+1))
 	if err != nil {
-		met.reject("integrity")
+		met.rejections.With("integrity").Inc()
 		writeRetryable(w, r, "model upload interrupted, retry")
 		return
 	}
 	if int64(len(raw)) > maxModelBytes {
-		met.reject("request")
+		met.rejections.With("request").Inc()
 		resilience.WriteError(w, r, http.StatusRequestEntityTooLarge,
 			fmt.Sprintf("model exceeds %d bytes", maxModelBytes))
 		return
@@ -122,11 +122,11 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	info, dup, err := s.store.Publish(raw, q.Get("fingerprint"), source, traceparent)
 	switch {
 	case errors.Is(err, ErrInvalidModel):
-		met.reject("integrity")
+		met.rejections.With("integrity").Inc()
 		writeRetryable(w, r, "model failed integrity check, re-upload: "+err.Error())
 		return
 	case errors.Is(err, ErrConflict):
-		met.reject("conflict")
+		met.rejections.With("conflict").Inc()
 		resilience.WriteError(w, r, http.StatusConflict, err.Error())
 		return
 	case err != nil:
@@ -176,7 +176,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	default:
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 {
-			met.reject("request")
+			met.rejections.With("request").Inc()
 			resilience.WriteError(w, r, http.StatusBadRequest, "version must be a positive integer or \"current\"")
 			return
 		}
@@ -198,7 +198,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(HeaderTraceparent, info.Traceparent)
 	}
 	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatch(inm, info.SHA256) {
-		met.inc(met.notModified)
+		met.notModified.Inc()
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
@@ -209,7 +209,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, ErrCorrupt):
 		// Quarantined just now; the pointer already fell back, so the
 		// client's next poll converges.
-		met.reject("integrity")
+		met.rejections.With("integrity").Inc()
 		writeRetryable(w, r, err.Error())
 		return
 	case errors.Is(err, ErrNotFound):
@@ -223,7 +223,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Length", strconv.FormatInt(info.Bytes, 10))
 	w.WriteHeader(http.StatusOK)
 	if _, err := w.Write(raw); err == nil {
-		met.observePull(time.Since(start).Seconds())
+		met.pullSeconds.Observe(time.Since(start).Seconds())
 	}
 }
 
@@ -253,12 +253,12 @@ func (s *Server) handlePin(w http.ResponseWriter, r *http.Request) {
 	met := s.store.met
 	var req pinRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
-		met.reject("request")
+		met.rejections.With("request").Inc()
 		resilience.WriteError(w, r, http.StatusBadRequest, "bad JSON: "+err.Error())
 		return
 	}
 	if !req.Latest && req.Version < 1 {
-		met.reject("request")
+		met.rejections.With("request").Inc()
 		resilience.WriteError(w, r, http.StatusBadRequest, `pin needs "version" >= 1 or "latest": true`)
 		return
 	}
@@ -274,7 +274,7 @@ func (s *Server) handlePin(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, ErrCorrupt):
 		// The pin target failed digest verification and was quarantined:
 		// the request names a version that can never be served.
-		met.reject("integrity")
+		met.rejections.With("integrity").Inc()
 		resilience.WriteError(w, r, http.StatusConflict, err.Error())
 		return
 	case err != nil:

@@ -2,9 +2,8 @@ package registry
 
 import "repro/internal/observe"
 
-// metrics is the nil-safe bundle of registry instrument families,
-// following the distbuild convention: a nil registry produces a zero
-// bundle whose methods all no-op.
+// metrics is the bundle of registry instrument families. On a nil
+// observe registry its instruments still count but are never exported.
 type metrics struct {
 	versions       *observe.Gauge      // autodetect_registry_versions
 	currentVersion *observe.Gauge      // autodetect_registry_current_version
@@ -19,9 +18,6 @@ type metrics struct {
 }
 
 func newMetrics(r *observe.Registry) *metrics {
-	if r == nil {
-		return &metrics{}
-	}
 	return &metrics{
 		versions: r.Gauge("autodetect_registry_versions",
 			"Intact model versions stored in the registry."),
@@ -47,30 +43,6 @@ func newMetrics(r *observe.Registry) *metrics {
 	}
 }
 
-func (m *metrics) inc(c *observe.Counter) {
-	if c != nil {
-		c.Inc()
-	}
-}
-
-func (m *metrics) setGauge(g *observe.Gauge, v float64) {
-	if g != nil {
-		g.Set(v)
-	}
-}
-
-func (m *metrics) reject(reason string) {
-	if m.rejections != nil {
-		m.rejections.With(reason).Inc()
-	}
-}
-
-func (m *metrics) observePull(seconds float64) {
-	if m.pullSeconds != nil {
-		m.pullSeconds.Observe(seconds)
-	}
-}
-
 // pullerMetrics is the replica-side bundle: how this replica's Puller is
 // interacting with the registry.
 type pullerMetrics struct {
@@ -82,9 +54,6 @@ type pullerMetrics struct {
 }
 
 func newPullerMetrics(r *observe.Registry) *pullerMetrics {
-	if r == nil {
-		return &pullerMetrics{}
-	}
 	return &pullerMetrics{
 		polls: r.Counter("autodetect_registry_client_polls_total",
 			"Registry polls issued by this replica's puller."),
@@ -96,17 +65,5 @@ func newPullerMetrics(r *observe.Registry) *pullerMetrics {
 			"Poll rounds that failed after retries (registry down, torn bodies, apply failures)."),
 		pullSeconds: r.Histogram("autodetect_registry_client_pull_seconds",
 			"Latency of successful download-and-apply rounds on this replica.", nil),
-	}
-}
-
-func (m *pullerMetrics) inc(c *observe.Counter) {
-	if c != nil {
-		c.Inc()
-	}
-}
-
-func (m *pullerMetrics) observePull(seconds float64) {
-	if m.pullSeconds != nil {
-		m.pullSeconds.Observe(seconds)
 	}
 }

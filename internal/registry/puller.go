@@ -119,7 +119,7 @@ func (p *Puller) Run(ctx context.Context) error {
 	defer tick.Stop()
 	for {
 		if _, _, err := p.PullNow(ctx); err != nil && ctx.Err() == nil {
-			p.met.inc(p.met.errors)
+			p.met.errors.Inc()
 			p.logf("registry puller: poll failed, retrying next tick: %v", err)
 		}
 		select {
@@ -143,7 +143,7 @@ func (p *Puller) PullNow(ctx context.Context) (VersionInfo, bool, error) {
 	changed := false
 	start := time.Now()
 	newRequest := func(actx context.Context) (*http.Request, error) {
-		p.met.inc(p.met.polls)
+		p.met.polls.Inc()
 		req, err := http.NewRequestWithContext(actx, http.MethodGet,
 			p.cfg.URL+PathModels+"/current", nil)
 		if err == nil && p.etag != "" {
@@ -154,12 +154,15 @@ func (p *Puller) PullNow(ctx context.Context) (VersionInfo, bool, error) {
 	err := p.call.Do(ctx, maxModelBytes, newRequest, func(resp *http.Response, body []byte) error {
 		switch resp.StatusCode {
 		case http.StatusNotModified:
-			p.met.inc(p.met.notModified)
+			p.met.notModified.Inc()
 			return nil
 		case http.StatusOK:
+			// The header is outside input: check its shape before it is
+			// compared, stored or sliced.
 			want := resp.Header.Get(HeaderSHA256)
-			if want == "" {
-				return errors.New("registry: response missing " + HeaderSHA256)
+			if !isSHA256Hex(want) {
+				return retry.Transient(fmt.Errorf(
+					"registry: %s header is not a lowercase hex sha256 (%d bytes)", HeaderSHA256, len(want)))
 			}
 			if got := shaHex(body); got != want {
 				// A torn body that slipped past Content-Length, or a proxy
@@ -207,8 +210,8 @@ func (p *Puller) PullNow(ctx context.Context) (VersionInfo, bool, error) {
 	p.etag = `"` + info.SHA256 + `"`
 	prev := p.version
 	p.version = info.Version
-	p.met.inc(p.met.pulls)
-	p.met.observePull(time.Since(start).Seconds())
+	p.met.pulls.Inc()
+	p.met.pullSeconds.Observe(time.Since(start).Seconds())
 	p.logf("registry puller: applied v%d (%d bytes, sha %s, was v%d)",
 		info.Version, info.Bytes, info.SHA256[:12], prev)
 	return info, true, nil

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -241,6 +242,43 @@ func TestPullerRidesOutFaultsAndRestarts(t *testing.T) {
 	}
 	t.Logf("rode out %d injected faults (%d drops, %d 503s, %d truncations)",
 		faulty.Faults(), faulty.Drops(), faulty.ServerErrors(), faulty.Truncates())
+}
+
+// TestPullerRejectsMalformedDigestHeader: the digest header is outside
+// input. A value that is not 64 lowercase hex digits (short, missing,
+// uppercase, non-hex) fails the round as a transient error, is retried
+// like a digest mismatch, applies nothing, and never panics.
+func TestPullerRejectsMalformedDigestHeader(t *testing.T) {
+	body := []byte("model bytes")
+	sum := shaHex(body)
+	for _, header := range []string{"abc", "", strings.ToUpper(sum), strings.Repeat("z", 64), sum + "0"} {
+		var calls atomic.Int64
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			calls.Add(1)
+			w.Header().Set(HeaderSHA256, header)
+			w.Header().Set(HeaderVersion, "1")
+			w.Write(body)
+		}))
+		applied := false
+		p, err := NewPuller(PullerConfig{
+			URL:   srv.URL,
+			HTTP:  srv.Client(),
+			Retry: retry.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond},
+			Apply: func(VersionInfo, []byte) error { applied = true; return nil },
+			Logf:  t.Logf,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, changed, err := p.PullNow(context.Background())
+		srv.Close()
+		if err == nil || changed || applied {
+			t.Errorf("header %q: changed=%t applied=%t err=%v, want a failed round", header, changed, applied, err)
+		}
+		if got := calls.Load(); got != 3 {
+			t.Errorf("header %q: %d attempts, want 3 (transient, retried)", header, got)
+		}
+	}
 }
 
 // TestPullerRunLoop exercises the background loop end to end: start with

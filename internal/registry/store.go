@@ -232,7 +232,7 @@ func (s *Store) quarantineDir(n int, cause error) error {
 	if err := os.Rename(s.versionDir(n), dst); err != nil {
 		return fmt.Errorf("registry: quarantining v%d: %w", n, err)
 	}
-	s.met.inc(s.met.quarantined)
+	s.met.quarantined.Inc()
 	s.logf("registry: quarantined v%d → %s: %v", n, dst, cause)
 	return nil
 }
@@ -266,7 +266,7 @@ func (s *Store) Publish(raw []byte, fingerprint, source, traceparent string) (Ve
 	defer s.mu.Unlock()
 	for _, v := range s.man.Versions {
 		if v.SHA256 == sum {
-			s.met.inc(s.met.duplicates)
+			s.met.duplicates.Inc()
 			s.logf("registry: publish of v%d acknowledged as duplicate (sha %s)", v.Version, sum[:12])
 			return v, true, nil
 		}
@@ -315,7 +315,7 @@ func (s *Store) Publish(raw []byte, fingerprint, source, traceparent string) (Ve
 		// duplicate acknowledgement.
 		return VersionInfo{}, false, err
 	}
-	s.met.inc(s.met.publishes)
+	s.met.publishes.Inc()
 	s.syncGaugesLocked()
 	s.logf("registry: published v%d (%d bytes, %d languages, sha %s, source %q, current v%d)",
 		n, info.Bytes, info.Languages, sum[:12], source, s.man.Current)
@@ -414,9 +414,9 @@ func (s *Store) Pin(version int) (VersionInfo, bool, error) {
 		return VersionInfo{}, false, err
 	}
 	rollback := info.Version < prev
-	s.met.inc(s.met.pins)
+	s.met.pins.Inc()
 	if rollback {
-		s.met.inc(s.met.rollbacks)
+		s.met.rollbacks.Inc()
 	}
 	s.syncGaugesLocked()
 	s.logf("registry: current pinned to v%d (was v%d, pinned=%t, rollback=%t)",
@@ -468,15 +468,12 @@ func (s *Store) writeManifestLocked() error {
 }
 
 func (s *Store) syncGaugesLocked() {
-	s.met.setGauge(s.met.versions, float64(len(s.man.Versions)))
-	s.met.setGauge(s.met.currentVersion, float64(s.man.Current))
+	s.met.versions.Set(float64(len(s.man.Versions)))
+	s.met.currentVersion.Set(float64(s.man.Current))
 }
 
 // registerGauges exposes live store state on the registry's /metrics.
 func (s *Store) registerGauges(r *observe.Registry) {
-	if r == nil {
-		return
-	}
 	r.GaugeFunc("autodetect_registry_pinned",
 		"1 when the current pointer is pinned (publishes stop advancing it).",
 		func() float64 {
@@ -524,4 +521,18 @@ func manifestEqual(a, b manifestState) bool {
 func shaHex(raw []byte) string {
 	sum := sha256.Sum256(raw)
 	return hex.EncodeToString(sum[:])
+}
+
+// isSHA256Hex reports whether s has the form shaHex produces: 64
+// lowercase hex digits.
+func isSHA256Hex(s string) bool {
+	if len(s) != 2*sha256.Size {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; !(c >= '0' && c <= '9' || c >= 'a' && c <= 'f') {
+			return false
+		}
+	}
+	return true
 }

@@ -98,7 +98,7 @@ type Admission struct {
 }
 
 // NewAdmission applies defaults and registers the admission metric
-// families when a registry is configured.
+// families. A disabled gate (MaxConcurrency <= 0) exports none.
 func NewAdmission(cfg AdmissionConfig) *Admission {
 	if cfg.Target <= 0 {
 		cfg.Target = 250 * time.Millisecond
@@ -109,24 +109,26 @@ func NewAdmission(cfg AdmissionConfig) *Admission {
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
+	reg := cfg.Metrics
+	if cfg.MaxConcurrency <= 0 {
+		reg = nil
+	}
 	a := &Admission{cfg: cfg, limit: float64(cfg.MaxConcurrency)}
-	if reg := cfg.Metrics; reg != nil && cfg.MaxConcurrency > 0 {
-		a.limitGauge = reg.Gauge("autodetect_resilience_admit_limit",
-			"Current AIMD concurrency limit the admission controller adapts toward its latency target.")
-		a.limitGauge.Set(a.limit)
-		a.inflightGauge = reg.Gauge("autodetect_resilience_admit_inflight",
-			"Requests currently admitted across all tiers.")
-		a.sheds = reg.CounterVec("autodetect_resilience_sheds_total",
-			"Requests shed with 429 by the tiered admission controller, by tier.", "tier")
-		a.admitted = reg.CounterVec("autodetect_resilience_admitted_total",
-			"Requests admitted by the tiered admission controller, by tier.", "tier")
-		// Pre-create the per-tier children so every tier is visible on
-		// /metrics from the first scrape — "zero critical sheds" should be
-		// an asserted 0, not a missing series.
-		for _, t := range []Tier{TierCritical, TierInteractive, TierBackground} {
-			a.sheds.With(t.String())
-			a.admitted.With(t.String())
-		}
+	a.limitGauge = reg.Gauge("autodetect_resilience_admit_limit",
+		"Current AIMD concurrency limit the admission controller adapts toward its latency target.")
+	a.limitGauge.Set(a.limit)
+	a.inflightGauge = reg.Gauge("autodetect_resilience_admit_inflight",
+		"Requests currently admitted across all tiers.")
+	a.sheds = reg.CounterVec("autodetect_resilience_sheds_total",
+		"Requests shed with 429 by the tiered admission controller, by tier.", "tier")
+	a.admitted = reg.CounterVec("autodetect_resilience_admitted_total",
+		"Requests admitted by the tiered admission controller, by tier.", "tier")
+	// Pre-create the per-tier children so every tier is visible on
+	// /metrics from the first scrape — "zero critical sheds" should be
+	// an asserted 0, not a missing series.
+	for _, t := range []Tier{TierCritical, TierInteractive, TierBackground} {
+		a.sheds.With(t.String())
+		a.admitted.With(t.String())
 	}
 	return a
 }
@@ -136,13 +138,6 @@ func (a *Admission) Limit() float64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.limit
-}
-
-// Inflight returns the currently admitted request count.
-func (a *Admission) Inflight() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.inflight
 }
 
 // acquire admits or sheds one request of the given tier.
@@ -160,9 +155,7 @@ func (a *Admission) acquire(t Tier) bool {
 		return false
 	}
 	a.inflight++
-	if a.inflightGauge != nil {
-		a.inflightGauge.Set(float64(a.inflight))
-	}
+	a.inflightGauge.Set(float64(a.inflight))
 	return true
 }
 
@@ -172,9 +165,7 @@ func (a *Admission) release(latency time.Duration) {
 	now := a.cfg.Clock()
 	a.mu.Lock()
 	a.inflight--
-	if a.inflightGauge != nil {
-		a.inflightGauge.Set(float64(a.inflight))
-	}
+	a.inflightGauge.Set(float64(a.inflight))
 	if latency > a.cfg.Target {
 		// Multiplicative decrease, at most once per Target window: a batch
 		// of slow completions is one overload signal, not N.
@@ -193,9 +184,7 @@ func (a *Admission) release(latency time.Duration) {
 			a.limit = max
 		}
 	}
-	if a.limitGauge != nil {
-		a.limitGauge.Set(a.limit)
-	}
+	a.limitGauge.Set(a.limit)
 	a.mu.Unlock()
 }
 
@@ -209,17 +198,13 @@ func (a *Admission) Middleware() Middleware {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			tier := a.cfg.Tier(r)
 			if !a.acquire(tier) {
-				if a.sheds != nil {
-					a.sheds.With(tier.String()).Inc()
-				}
+				a.sheds.With(tier.String()).Inc()
 				w.Header().Set("Retry-After", strconv.Itoa(DefaultRetryAfterSeconds))
 				WriteError(w, r, http.StatusTooManyRequests,
 					"server overloaded ("+tier.String()+" tier shed), retry later")
 				return
 			}
-			if a.admitted != nil {
-				a.admitted.With(tier.String()).Inc()
-			}
+			a.admitted.With(tier.String()).Inc()
 			start := a.cfg.Clock()
 			defer func() { a.release(a.cfg.Clock().Sub(start)) }()
 			next.ServeHTTP(w, r)

@@ -97,7 +97,7 @@ type Breaker struct {
 }
 
 // NewBreaker validates cfg, applies defaults, and registers the breaker's
-// metric families when a registry is configured.
+// metric families.
 func NewBreaker(cfg BreakerConfig) *Breaker {
 	if cfg.Name == "" {
 		cfg.Name = "default"
@@ -111,16 +111,16 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
-	b := &Breaker{cfg: cfg}
-	if reg := cfg.Metrics; reg != nil {
-		b.stateGauge = reg.GaugeVec("autodetect_resilience_breaker_state",
-			"Circuit breaker state: 0 closed, 1 half-open, 2 open.", "name").With(cfg.Name)
-		b.transitions = reg.CounterVec("autodetect_resilience_breaker_transitions_total",
-			"Circuit breaker state transitions, by breaker and destination state.", "name", "to")
-		b.rejections = reg.CounterVec("autodetect_resilience_breaker_rejections_total",
-			"Calls rejected fast because the breaker was open.", "name").With(cfg.Name)
+	reg := cfg.Metrics
+	return &Breaker{
+		cfg: cfg,
+		stateGauge: reg.GaugeVec("autodetect_resilience_breaker_state",
+			"Circuit breaker state: 0 closed, 1 half-open, 2 open.", "name").With(cfg.Name),
+		transitions: reg.CounterVec("autodetect_resilience_breaker_transitions_total",
+			"Circuit breaker state transitions, by breaker and destination state.", "name", "to"),
+		rejections: reg.CounterVec("autodetect_resilience_breaker_rejections_total",
+			"Calls rejected fast because the breaker was open.", "name").With(cfg.Name),
 	}
-	return b
 }
 
 // Name returns the breaker's configured name.
@@ -146,17 +146,13 @@ func (b *Breaker) Allow() error {
 		return nil
 	case BreakerHalfOpen:
 		if b.probing {
-			if b.rejections != nil {
-				b.rejections.Inc()
-			}
+			b.rejections.Inc()
 			return ErrBreakerOpen
 		}
 		b.probing = true
 		return nil
 	default: // open
-		if b.rejections != nil {
-			b.rejections.Inc()
-		}
+		b.rejections.Inc()
 		return ErrBreakerOpen
 	}
 }
@@ -262,12 +258,8 @@ func (b *Breaker) setStateLocked(s BreakerState) {
 		return
 	}
 	b.state = s
-	if b.stateGauge != nil {
-		b.stateGauge.Set(float64(s))
-	}
-	if b.transitions != nil {
-		b.transitions.With(b.cfg.Name, s.String()).Inc()
-	}
+	b.stateGauge.Set(float64(s))
+	b.transitions.With(b.cfg.Name, s.String()).Inc()
 }
 
 // announce logs a transition outside the lock.

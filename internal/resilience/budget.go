@@ -43,7 +43,7 @@ type RetryBudget struct {
 }
 
 // NewRetryBudget applies defaults and registers the budget's metric
-// families when a registry is configured.
+// families.
 func NewRetryBudget(cfg BudgetConfig) *RetryBudget {
 	if cfg.Name == "" {
 		cfg.Name = "default"
@@ -51,16 +51,18 @@ func NewRetryBudget(cfg BudgetConfig) *RetryBudget {
 	if cfg.Burst <= 0 {
 		cfg.Burst = 10
 	}
-	b := &RetryBudget{cfg: cfg, balance: cfg.Burst}
-	if reg := cfg.Metrics; reg != nil {
-		b.balanceGauge = reg.GaugeVec("autodetect_resilience_retry_budget_balance",
-			"Retry-budget token balance, by client.", "client").With(cfg.Name)
-		b.balanceGauge.Set(b.balance)
-		b.exhausted = reg.CounterVec("autodetect_resilience_retry_budget_exhausted_total",
-			"Retries abandoned because the budget ran dry, by client.", "client").With(cfg.Name)
-		b.withdrawals = reg.CounterVec("autodetect_resilience_retry_budget_withdrawals_total",
-			"Retry tokens spent, by client.", "client").With(cfg.Name)
+	reg := cfg.Metrics
+	b := &RetryBudget{
+		cfg:     cfg,
+		balance: cfg.Burst,
+		balanceGauge: reg.GaugeVec("autodetect_resilience_retry_budget_balance",
+			"Retry-budget token balance, by client.", "client").With(cfg.Name),
+		exhausted: reg.CounterVec("autodetect_resilience_retry_budget_exhausted_total",
+			"Retries abandoned because the budget ran dry, by client.", "client").With(cfg.Name),
+		withdrawals: reg.CounterVec("autodetect_resilience_retry_budget_withdrawals_total",
+			"Retry tokens spent, by client.", "client").With(cfg.Name),
 	}
+	b.balanceGauge.Set(b.balance)
 	return b
 }
 
@@ -72,18 +74,12 @@ func (b *RetryBudget) Withdraw() bool {
 	// The epsilon forgives accumulated float error: ten 0.1-deposits sum
 	// to 0.9999999999999999 and must still fund one retry.
 	if b.balance < 1-1e-9 {
-		if b.exhausted != nil {
-			b.exhausted.Inc()
-		}
+		b.exhausted.Inc()
 		return false
 	}
 	b.balance--
-	if b.withdrawals != nil {
-		b.withdrawals.Inc()
-	}
-	if b.balanceGauge != nil {
-		b.balanceGauge.Set(b.balance)
-	}
+	b.withdrawals.Inc()
+	b.balanceGauge.Set(b.balance)
 	return true
 }
 
@@ -95,9 +91,7 @@ func (b *RetryBudget) Deposit() {
 	if b.balance > b.cfg.Burst {
 		b.balance = b.cfg.Burst
 	}
-	if b.balanceGauge != nil {
-		b.balanceGauge.Set(b.balance)
-	}
+	b.balanceGauge.Set(b.balance)
 }
 
 // Balance returns the current token balance.

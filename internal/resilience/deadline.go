@@ -73,16 +73,12 @@ func ParseDeadline(h http.Header) (time.Duration, bool) {
 // discarded. A request whose budget is already below floor(r) is
 // fast-failed with 504 before any work happens.
 // floor may be nil (no fast-fail); def <= 0 disables the middleware
-// entirely. reg, when set, receives the deadline metric families.
+// entirely. reg receives the deadline metric families.
 func DeadlineBudget(def time.Duration, floor func(*http.Request) time.Duration, reg *observe.Registry) Middleware {
-	var fastFails *observe.Counter
-	var inherited *observe.Counter
-	if reg != nil {
-		fastFails = reg.Counter("autodetect_resilience_deadline_fastfail_total",
-			"Requests 504ed before any work because their propagated deadline budget was below the route floor.")
-		inherited = reg.Counter("autodetect_resilience_deadline_inherited_total",
-			"Requests whose deadline came from the inbound "+HeaderDeadline+" header rather than the server default.")
-	}
+	fastFails := reg.Counter("autodetect_resilience_deadline_fastfail_total",
+		"Requests 504ed before any work because their propagated deadline budget was below the route floor.")
+	inherited := reg.Counter("autodetect_resilience_deadline_inherited_total",
+		"Requests whose deadline came from the inbound "+HeaderDeadline+" header rather than the server default.")
 	return func(next http.Handler) http.Handler {
 		if def <= 0 {
 			return next
@@ -91,15 +87,11 @@ func DeadlineBudget(def time.Duration, floor func(*http.Request) time.Duration, 
 			d := def
 			if budget, ok := ParseDeadline(r.Header); ok && budget < d {
 				d = budget
-				if inherited != nil {
-					inherited.Inc()
-				}
+				inherited.Inc()
 			}
 			if floor != nil {
 				if f := floor(r); f > 0 && d < f {
-					if fastFails != nil {
-						fastFails.Inc()
-					}
+					fastFails.Inc()
 					WriteError(w, r, http.StatusGatewayTimeout, fmt.Sprintf(
 						"deadline budget %s below the %s floor for this route; not starting doomed work", d, f))
 					return

@@ -50,9 +50,6 @@ func NewHTTPMetrics(reg *observe.Registry) *HTTPMetrics {
 // response.
 func Metrics(m *HTTPMetrics) Middleware {
 	return func(next http.Handler) http.Handler {
-		if m == nil {
-			return next
-		}
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			route := m.Route(r)
 			start := time.Now()

@@ -115,11 +115,8 @@ func (s *Server) observability() *serverObs {
 }
 
 // syncModelGauges reflects the current model snapshot into the readiness
-// and model gauges.
+// and model gauges. Callers build s.obs first (observability).
 func (s *Server) syncModelGauges() {
-	if s.obs == nil {
-		return
-	}
 	m := s.snapshot()
 	if m == nil {
 		s.obs.modelLoaded.Set(0)
